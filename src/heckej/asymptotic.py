@@ -15,12 +15,13 @@ truncating.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import RadiusExceeded
+from .errors import HeckejError, RadiusExceeded
 from .hecke import HeckeElement, KLTable, StructureConstants, hecke_algebra
-from .laurent import Laurent, QuadExt, ZERO
+from .laurent import Laurent, QuadExt, _accumulate
 from .weyl import GroupDescriptor, GroupElement, make_group
 
 __all__ = ["AValue", "JElement", "JTensorAElement", "JRing"]
@@ -36,10 +37,14 @@ class AValue:
 
 @dataclass
 class JElement:
-    """Finite integer combination of t_w, tagged with its certification radius."""
+    """Finite combination of t_w, tagged with its certification radius.
+
+    Coefficients are integers for elements of J and Laurent polynomials
+    for elements of J tensor A (the images of phi).
+    """
 
     desc: GroupDescriptor
-    terms: dict[GroupElement, int]
+    terms: dict[GroupElement, int | Laurent]
     radius: int
 
     def __post_init__(self):
@@ -55,32 +60,13 @@ class JElement:
 
     def __repr__(self) -> str:
         body = " + ".join(
-            f"{c}*t[{w}]" for w, c in sorted(self.terms.items(), key=lambda t: t[0].sort_key())
+            f"({c})*t[{w}]" if isinstance(c, Laurent) else f"{c}*t[{w}]"
+            for w, c in sorted(self.terms.items(), key=lambda t: t[0].sort_key())
         )
         return body or "0"
 
 
-@dataclass
-class JTensorAElement:
-    """Finite combination of t_w with Laurent coefficients (J tensor A)."""
-
-    desc: GroupDescriptor
-    terms: dict[GroupElement, Laurent]
-    radius: int
-
-    def __post_init__(self):
-        self.terms = {w: c for w, c in self.terms.items() if c}
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, JTensorAElement):
-            return NotImplemented
-        return self.desc == other.desc and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        body = " + ".join(
-            f"({c})*t[{w}]" for w, c in sorted(self.terms.items(), key=lambda t: t[0].sort_key())
-        )
-        return body or "0"
+JTensorAElement = JElement
 
 
 def certification_bound(desc: GroupDescriptor, z_length: int) -> int:
@@ -136,7 +122,8 @@ class JRing:
                 f"len(z) = {len(z.word)} beyond certified radius {self.radius}"
             )
         av = self.a_function(z, self.scan_radius)
-        assert av.certified
+        if not av.certified:
+            raise HeckejError(f"a({z}) at scan radius {av.scan_radius} is not certified")
         return av.value
 
     # -- gamma constants ---------------------------------------------------
@@ -183,11 +170,7 @@ class JRing:
         for x, c1 in j1.terms.items():
             for y, c2 in j2.terms.items():
                 for z, g in self.gamma_map(x, y, signed=signed).items():
-                    s = out.get(z, 0) + c1 * c2 * g
-                    if s:
-                        out[z] = s
-                    else:
-                        out.pop(z, None)
+                    _accumulate(out, z, c1 * c2 * g)
         return JElement(self.desc, out, self.radius)
 
     # -- distinguished involutions ----------------------------------------
@@ -217,7 +200,7 @@ class JRing:
 
     # -- the homomorphism into J tensor A ----------------------------------
 
-    def phi(self, x: GroupElement, signed: bool = False) -> JTensorAElement:
+    def phi(self, x: GroupElement, signed: bool = False) -> JElement:
         """Image of the canonical basis element of x: sum over distinguished
         d and z in the same a-stratum of h_{x,d,z} t_z.
 
@@ -238,30 +221,20 @@ class JRing:
             for z, h in self.constants.h_map(x, d, signed=signed).items():
                 if self._certified_a(z) != ad:
                     continue
-                if signed and len(z.word) % 2:
-                    h = -h
-                s = out.get(z, ZERO) + h
-                if s:
-                    out[z] = s
-                else:
-                    out.pop(z, None)
-        return JTensorAElement(self.desc, out, self.radius)
+                _accumulate(out, z, -h if signed and len(z.word) % 2 else h)
+        return JElement(self.desc, out, self.radius)
 
-    def phi_of_element(self, h: HeckeElement, signed: bool = False) -> JTensorAElement:
+    def phi_of_element(self, h: HeckeElement, signed: bool = False) -> JElement:
         """phi extended A-linearly to a canonical-basis element."""
         basis = "Csigned" if signed else "Cprime"
         h = self.algebra.to_basis(h, basis, self.table)
         out: dict[GroupElement, Laurent] = {}
         for x, c in h.terms.items():
             for z, hz in self.phi(x, signed=signed).terms.items():
-                s = out.get(z, ZERO) + c * hz
-                if s:
-                    out[z] = s
-                else:
-                    out.pop(z, None)
-        return JTensorAElement(self.desc, out, self.radius)
+                _accumulate(out, z, c * hz)
+        return JElement(self.desc, out, self.radius)
 
-    def jta_multiply(self, a: JTensorAElement, b: JTensorAElement, signed: bool = False) -> JTensorAElement:
+    def jta_multiply(self, a: JElement, b: JElement, signed: bool = False) -> JElement:
         """Product in J tensor A, truncated to the certified radius."""
         out: dict[GroupElement, Laurent] = {}
         for x, c1 in a.terms.items():
@@ -271,14 +244,9 @@ class JRing:
                     if len(z.word) > self.radius:
                         continue
                     g = h.constant_term_after_shift(self._certified_a(z))
-                    if not g:
-                        continue
-                    s = out.get(z, ZERO) + c.scale(g)
-                    if s:
-                        out[z] = s
-                    else:
-                        out.pop(z, None)
-        return JTensorAElement(self.desc, out, self.radius)
+                    if g:
+                        _accumulate(out, z, c.scale(g))
+        return JElement(self.desc, out, self.radius)
 
     # -- specialization ----------------------------------------------------
 
@@ -295,31 +263,23 @@ class JRing:
         otherwise Q[v]/(v^2 - q) is a field and elimination runs there.
         """
         q = Fraction(q)
-        rows = []
         support: dict[GroupElement, int] = {}
         images = [self.phi(x, signed=signed) for x in xs]
         for img in images:
             for z in img.terms:
                 support.setdefault(z, len(support))
         sqrt_q = _exact_sqrt(q)
+        zero = QuadExt(0, 0, q)
+        rows = []
         for img in images:
-            row = [None] * len(support)
+            row = [zero] * len(support)
             for z, c in img.terms.items():
                 row[support[z]] = c.specialize(q)
-            zero = QuadExt(0, 0, q)
-            row = [zero if v is None else v for v in row]
-            if sqrt_q is not None:
-                rows.append([v.eval_sqrt(sqrt_q) for v in row])
-            else:
-                rows.append(row)
-        if sqrt_q is not None:
-            return _rank_fractions(rows)
-        return _rank_quadext(rows, q)
+            rows.append(row if sqrt_q is None else [v.eval_sqrt(sqrt_q) for v in row])
+        return _rank(rows)
 
 
 def _exact_sqrt(q: Fraction) -> Fraction | None:
-    import math
-
     num = math.isqrt(q.numerator)
     den = math.isqrt(q.denominator)
     if num * num == q.numerator and den * den == q.denominator:
@@ -327,7 +287,9 @@ def _exact_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
-def _rank_fractions(rows: list[list[Fraction]]) -> int:
+def _rank(rows: list[list]) -> int:
+    """Rank by Gaussian elimination over a field: Fraction, or QuadExt
+    for non-square q."""
     rows = [list(r) for r in rows]
     rank = 0
     cols = len(rows[0]) if rows else 0
@@ -338,30 +300,8 @@ def _rank_fractions(rows: list[list[Fraction]]) -> int:
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         pr = rows[rank]
         for i in range(rank + 1, len(rows)):
-            f = rows[i][col] / pr[col]
-            if f:
+            if rows[i][col] != 0:
+                f = rows[i][col] / pr[col]
                 rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
-        rank += 1
-    return rank
-
-
-def _rank_quadext(rows: list[list[QuadExt]], q: Fraction) -> int:
-    rows = [list(r) for r in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        pivot = next(
-            (i for i in range(rank, len(rows)) if not rows[i][col].is_zero()), None
-        )
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        inv = pr[col].inverse()
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col].is_zero():
-                continue
-            f = rows[i][col] * inv
-            rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
         rank += 1
     return rank

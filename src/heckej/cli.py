@@ -27,10 +27,11 @@ from .errors import (
     BudgetExceeded,
     DepthTooSmall,
     GroupMismatch,
+    HeckejError,
     RadiusExceeded,
     UnsupportedType,
 )
-from .hecke import BASES, KLTable, hecke_algebra
+from .hecke import BASES, KLTable, StructureConstants, hecke_algebra
 from .laurent import Laurent, QuadExt
 from .weyl import GroupDescriptor, GroupElement, WeylGroup, make_group
 from . import sl2
@@ -59,6 +60,14 @@ def descriptor_from_args(ns) -> GroupDescriptor:
         raise UsageError(str(exc)) from exc
 
 
+def group_from_args(ns) -> WeylGroup:
+    return make_group(descriptor_from_args(ns))
+
+
+def _radius(ns, default: int) -> int:
+    return default if ns.radius is None else ns.radius
+
+
 def parse_element(group: WeylGroup, text: str) -> GroupElement:
     """Generator-index string with optional '@k' omega suffix; '' or 'e'
     is the identity ("010" = s0 s1 s0, "01@1" = s0 s1 followed by omega)."""
@@ -81,6 +90,13 @@ def parse_element(group: WeylGroup, text: str) -> GroupElement:
         return group.element(word, omega)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _xy(ns, group: WeylGroup) -> tuple[GroupElement, GroupElement, int]:
+    """--x and --y, and --radius defaulting to len(x) + len(y)."""
+    x = parse_element(group, ns.x)
+    y = parse_element(group, ns.y)
+    return x, y, _radius(ns, len(x.word) + len(y.word))
 
 
 def parse_q(text: str) -> Fraction:
@@ -129,6 +145,22 @@ def emit(ns, meta: dict, rows: list[dict], stream=None) -> None:
         print("  ".join(c.ljust(w) for c, w in zip(r, widths)), file=stream)
 
 
+def emit_terms(ns, meta: dict, terms: dict, columns: tuple[str, str], fmt=str) -> None:
+    """Emit one row per (element, value) of terms, in element order."""
+    key, value = columns
+    rows = [
+        {key: str(w), value: fmt(c)}
+        for w, c in sorted(terms.items(), key=lambda t: t[0].sort_key())
+    ]
+    emit(ns, meta, rows)
+
+
+def emit_result(passes: int, fails: int) -> int:
+    """The closing line of a verification subcommand, and its exit code."""
+    print(f"RESULT pass={passes} fail={fails}")
+    return EXIT_OK if fails == 0 else EXIT_FAIL
+
+
 def meta_for(ns, radius: int, certified: bool = True, **extra) -> dict:
     meta = {"certified": certified, "radius": radius, "basis": ns.basis}
     meta.update(extra)
@@ -152,15 +184,20 @@ def cached_kl_table(ns, desc: GroupDescriptor, radius: int) -> KLTable:
 
     Cached entries are never trusted blindly: loading recomputes the
     table and checks every stored polynomial, so warm and cold runs
-    produce identical results.
+    produce identical results.  A file that does not load, or that holds
+    another group or radius, is a cache miss and is overwritten.
     """
     key = hashlib.sha256(
         json.dumps(desc.to_json(), sort_keys=True).encode()
     ).hexdigest()[:12]
     path = cache_directory(ns) / f"kl_{key}_r{radius}.json"
-    if path.is_file():
+    try:
         with open(path) as fh:
-            return KLTable.from_json(json.load(fh))
+            data = json.load(fh)
+        if data["group"] == desc.to_json() and data["radius"] == radius:
+            return KLTable.from_json(data)
+    except (OSError, ValueError, LookupError, TypeError, HeckejError):
+        pass
     table = KLTable(make_group(desc), radius)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(".tmp")
@@ -174,35 +211,31 @@ def cached_kl_table(ns, desc: GroupDescriptor, radius: int) -> KLTable:
 
 
 def cmd_group(ns) -> int:
-    desc = descriptor_from_args(ns)
-    g = make_group(desc)
-    radius = ns.radius if ns.radius is not None else 3
-    rows = []
-    for w in g.enumerate_ball(radius):
-        rows.append(
-            {
-                "element": str(w),
-                "length": len(w.word),
-                "left_descents": "".join(map(str, sorted(g.left_descents(w)))),
-                "right_descents": "".join(map(str, sorted(g.right_descents(w)))),
-            }
-        )
+    g = group_from_args(ns)
+    radius = _radius(ns, 3)
+    rows = [
+        {
+            "element": str(w),
+            "length": len(w.word),
+            "left_descents": "".join(map(str, sorted(g.left_descents(w)))),
+            "right_descents": "".join(map(str, sorted(g.right_descents(w)))),
+        }
+        for w in g.enumerate_ball(radius)
+    ]
     emit(ns, meta_for(ns, radius), rows)
     return EXIT_OK
 
 
 def cmd_kl(ns) -> int:
-    desc = descriptor_from_args(ns)
-    g = make_group(desc)
+    g = group_from_args(ns)
     y = parse_element(g, ns.y)
     w = parse_element(g, ns.w)
-    radius = ns.radius if ns.radius is not None else len(w.word)
+    radius = _radius(ns, len(w.word))
     if radius < len(w.word):
         raise UsageError(f"radius {radius} below len(w) = {len(w.word)}")
-    table = cached_kl_table(ns, desc, radius)
+    table = cached_kl_table(ns, g.desc, radius)
     p = table.kl_polynomial(y, w)
-    mu = table.mu(y, w)
-    rows = [{"y": str(y), "w": str(w), "P": _q_poly_str(p), "mu": mu}]
+    rows = [{"y": str(y), "w": str(w), "P": _q_poly_str(p), "mu": table.mu(y, w)}]
     emit(ns, meta_for(ns, radius), rows)
     return EXIT_OK
 
@@ -223,65 +256,39 @@ def _canonical_basis(ns) -> str:
 
 
 def cmd_hmul(ns) -> int:
-    desc = descriptor_from_args(ns)
-    g = make_group(desc)
-    x = parse_element(g, ns.x)
-    y = parse_element(g, ns.y)
+    g = group_from_args(ns)
+    x, y, radius = _xy(ns, g)
     basis = ns.hecke_basis or _canonical_basis(ns)
-    if basis not in BASES:
-        raise UsageError(f"basis must be one of {BASES}")
-    radius = ns.radius if ns.radius is not None else len(x.word) + len(y.word)
-    table = cached_kl_table(ns, desc, radius)
-    alg = hecke_algebra(desc)
-    hx = alg.basis_element(x, basis)
-    hy = alg.basis_element(y, basis)
-    prod = alg.multiply(hx, hy, table)
-    rows = [
-        {"element": str(w), "coefficient": str(c)}
-        for w, c in sorted(prod.terms.items(), key=lambda t: t[0].sort_key())
-    ]
-    emit(ns, meta_for(ns, radius, hecke_basis=basis), rows)
+    table = cached_kl_table(ns, g.desc, radius)
+    alg = hecke_algebra(g.desc)
+    prod = alg.multiply(alg.basis_element(x, basis), alg.basis_element(y, basis), table)
+    emit_terms(ns, meta_for(ns, radius, hecke_basis=basis), prod.terms, ("element", "coefficient"))
     return EXIT_OK
 
 
 def cmd_hconst(ns) -> int:
-    desc = descriptor_from_args(ns)
-    g = make_group(desc)
-    x = parse_element(g, ns.x)
-    y = parse_element(g, ns.y)
-    radius = ns.radius if ns.radius is not None else len(x.word) + len(y.word)
-    table = cached_kl_table(ns, desc, radius)
-    from .hecke import StructureConstants
-
+    g = group_from_args(ns)
+    x, y, radius = _xy(ns, g)
+    table = cached_kl_table(ns, g.desc, radius)
     hmap = StructureConstants(table).h_map(x, y, signed=(ns.basis == "signed"))
     if ns.z is not None:
         z = parse_element(g, ns.z)
         hmap = {z: hmap.get(z, Laurent())}
-    rows = [
-        {"z": str(z), "h": str(c)}
-        for z, c in sorted(hmap.items(), key=lambda t: t[0].sort_key())
-    ]
-    emit(ns, meta_for(ns, radius), rows)
+    emit_terms(ns, meta_for(ns, radius), hmap, ("z", "h"))
     return EXIT_OK
 
 
-def _ring_for(ns, desc: GroupDescriptor, radius: int) -> JRing:
-    return JRing(desc, radius)
-
-
 def cmd_afn(ns) -> int:
-    desc = descriptor_from_args(ns)
-    g = make_group(desc)
+    g = group_from_args(ns)
     z = parse_element(g, ns.z)
-    bound = certification_bound(desc, len(z.word))
+    bound = certification_bound(g.desc, len(z.word))
     scan = ns.scan
     if scan is not None and scan < len(z.word):
         raise UsageError(f"scan {scan} below len(z) = {len(z.word)}")
     ring_radius = len(z.word)
     if scan is not None and scan > bound:
         ring_radius = scan - (bound - len(z.word))
-    ring = _ring_for(ns, desc, ring_radius)
-    av = ring.a_function(z, scan)
+    av = JRing(g.desc, ring_radius).a_function(z, scan)
     if not av.certified and not ns.allow_uncertified:
         raise Refusal(
             f"a({z}) at scan radius {av.scan_radius} is a lower bound only "
@@ -293,89 +300,58 @@ def cmd_afn(ns) -> int:
 
 
 def cmd_gamma(ns) -> int:
-    desc = descriptor_from_args(ns)
-    g = make_group(desc)
-    x = parse_element(g, ns.x)
-    y = parse_element(g, ns.y)
-    radius = ns.radius if ns.radius is not None else len(x.word) + len(y.word)
-    ring = _ring_for(ns, desc, radius)
-    signed = ns.basis == "signed"
-    gm = ring.gamma_map(x, y, signed=signed)
+    g = group_from_args(ns)
+    x, y, radius = _xy(ns, g)
+    gm = JRing(g.desc, radius).gamma_map(x, y, signed=(ns.basis == "signed"))
     if ns.z is not None:
         z = parse_element(g, ns.z)
         gm = {z: gm.get(z, 0)}
-    rows = [
-        {"z": str(z), "gamma": c}
-        for z, c in sorted(gm.items(), key=lambda t: t[0].sort_key())
-    ]
-    emit(ns, meta_for(ns, radius), rows)
+    emit_terms(ns, meta_for(ns, radius), gm, ("z", "gamma"), int)
     return EXIT_OK
 
 
 def cmd_jmul(ns) -> int:
-    desc = descriptor_from_args(ns)
-    g = make_group(desc)
-    x = parse_element(g, ns.x)
-    y = parse_element(g, ns.y)
-    radius = ns.radius if ns.radius is not None else len(x.word) + len(y.word)
-    ring = _ring_for(ns, desc, radius)
+    g = group_from_args(ns)
+    x, y, radius = _xy(ns, g)
+    ring = JRing(g.desc, radius)
     prod = ring.j_multiply(ring.t(x), ring.t(y), signed=(ns.basis == "signed"))
-    rows = [
-        {"z": str(z), "coefficient": c}
-        for z, c in sorted(prod.terms.items(), key=lambda t: t[0].sort_key())
-    ]
-    emit(ns, meta_for(ns, radius), rows)
+    emit_terms(ns, meta_for(ns, radius), prod.terms, ("z", "coefficient"), int)
     return EXIT_OK
 
 
 def cmd_dinv(ns) -> int:
     desc = descriptor_from_args(ns)
-    radius = ns.radius if ns.radius is not None else 2 * desc.finite_longest_length - 1
-    ring = _ring_for(ns, desc, radius)
-    rows = []
-    for d in ring.distinguished_involutions(radius):
-        rows.append(
-            {"d": str(d), "length": len(d.word), "a": ring.a_function(d).value}
-        )
-    emit(ns, meta_for(ns, radius), rows)
-    return EXIT_OK
-
-
-def cmd_phi(ns) -> int:
-    desc = descriptor_from_args(ns)
-    g = make_group(desc)
-    x = parse_element(g, ns.x)
-    radius = (
-        ns.radius
-        if ns.radius is not None
-        else len(x.word) + 2 * desc.finite_longest_length - 1
-    )
-    ring = _ring_for(ns, desc, radius)
-    signed = ns.basis == "signed"
-    if ns.q is not None:
-        q = parse_q(ns.q)
-        img = ring.phi_specialized(x, q, signed=signed)
-        rows = [
-            {"z": str(z), "coefficient": quadext_str(c)}
-            for z, c in sorted(img.items(), key=lambda t: t[0].sort_key())
-        ]
-        emit(ns, meta_for(ns, radius, q=str(q)), rows)
-        return EXIT_OK
-    img = ring.phi(x, signed=signed)
+    radius = _radius(ns, 2 * desc.finite_longest_length - 1)
+    ring = JRing(desc, radius)
     rows = [
-        {"z": str(z), "coefficient": str(c)}
-        for z, c in sorted(img.terms.items(), key=lambda t: t[0].sort_key())
+        {"d": str(d), "length": len(d.word), "a": ring.a_function(d).value}
+        for d in ring.distinguished_involutions(radius)
     ]
     emit(ns, meta_for(ns, radius), rows)
     return EXIT_OK
 
 
+def cmd_phi(ns) -> int:
+    g = group_from_args(ns)
+    x = parse_element(g, ns.x)
+    radius = _radius(ns, len(x.word) + 2 * g.desc.finite_longest_length - 1)
+    ring = JRing(g.desc, radius)
+    signed = ns.basis == "signed"
+    columns = ("z", "coefficient")
+    if ns.q is None:
+        emit_terms(ns, meta_for(ns, radius), ring.phi(x, signed=signed).terms, columns)
+        return EXIT_OK
+    q = parse_q(ns.q)
+    img = ring.phi_specialized(x, q, signed=signed)
+    emit_terms(ns, meta_for(ns, radius, q=str(q)), img, columns, quadext_str)
+    return EXIT_OK
+
+
 def cmd_phi_check(ns) -> int:
-    desc = descriptor_from_args(ns)
-    g = make_group(desc)
+    g = group_from_args(ns)
     max_len = ns.max_len
-    radius = max_len + 2 * desc.finite_longest_length - 1
-    ring = _ring_for(ns, desc, radius)
+    radius = max_len + 2 * g.desc.finite_longest_length - 1
+    ring = JRing(g.desc, radius)
     alg = ring.algebra
     signed = ns.basis == "signed"
     basis = _canonical_basis(ns)
@@ -401,40 +377,29 @@ def cmd_phi_check(ns) -> int:
                     counterexamples.append({"x": str(x), "y": str(y)})
     rows = counterexamples if fails else []
     emit(ns, meta_for(ns, radius, max_len=max_len), rows)
-    print(f"RESULT pass={passes} fail={fails}")
-    return EXIT_OK if fails == 0 else EXIT_FAIL
+    return emit_result(passes, fails)
 
 
 # -- sl2 subcommands -------------------------------------------------------
 
 
-def _lattice(ns) -> sl2.Lattice:
-    return sl2.Lattice(ns.lattice)
-
-
-def _sl2_meta(ns, **extra) -> dict:
-    meta = {"certified": True, "radius": 0, "basis": ns.basis}
-    meta.update(extra)
-    return meta
-
-
 def cmd_sl2_gamma(ns) -> int:
     val = sl2.gamma_coefficient(ns.n)
-    emit(ns, _sl2_meta(ns), [{"n": ns.n, "gamma": sl2.canonical_str(val)}])
+    emit(ns, meta_for(ns, 0), [{"n": ns.n, "gamma": sl2.canonical_str(val)}])
     return EXIT_OK
 
 
 def cmd_sl2_volume(ns) -> int:
     val = sl2.volume_ratio(ns.n)
-    emit(ns, _sl2_meta(ns), [{"n": ns.n, "volume_ratio": sl2.canonical_str(val)}])
+    emit(ns, meta_for(ns, 0), [{"n": ns.n, "volume_ratio": sl2.canonical_str(val)}])
     return EXIT_OK
 
 
 def cmd_sl2_conv(ns) -> int:
-    val = sl2.conv_f_value(ns.r, _lattice(ns))
+    val = sl2.conv_f_value(ns.r, sl2.Lattice(ns.lattice))
     emit(
         ns,
-        _sl2_meta(ns, lattice=ns.lattice),
+        meta_for(ns, 0, lattice=ns.lattice),
         [{"r": ns.r, "value": sl2.canonical_str(val)}],
     )
     return EXIT_OK
@@ -444,13 +409,12 @@ def cmd_sl2_verify(ns) -> int:
     report = sl2.verify_relations(ns.R)
     fails = [(name, r) for name, r, ok in report if not ok]
     rows = [{"relation": name, "r": r} for name, r in fails[:10]]
-    emit(ns, _sl2_meta(ns, R=ns.R), rows)
-    print(f"RESULT pass={len(report) - len(fails)} fail={len(fails)}")
-    return EXIT_OK if not fails else EXIT_FAIL
+    emit(ns, meta_for(ns, 0, R=ns.R), rows)
+    return emit_result(len(report) - len(fails), len(fails))
 
 
 def cmd_sl2_count(ns) -> int:
-    lat = _lattice(ns)
+    lat = sl2.Lattice(ns.lattice)
     frac = sl2.brute_force_count(ns.p, ns.m, ns.n, ns.r, lat)
     cell = sl2.cell_value_from_count(ns.p, ns.m, ns.n, ns.r, lat)
     rows = [
@@ -464,23 +428,61 @@ def cmd_sl2_count(ns) -> int:
             "cell_value": str(cell),
         }
     ]
-    emit(ns, _sl2_meta(ns), rows)
+    emit(ns, meta_for(ns, 0), rows)
     return EXIT_OK
 
 
 def cmd_sl2_decay(ns) -> int:
     q = parse_q(ns.q)
-    report = sl2.schwartz_decay_check(ns.N, q)
-    fails = [(n, w) for n, w, ok in report if not ok]
-    rows = [
-        {"n": n, "weighted": str(w), "ok": ok} for n, w, ok in report
-    ]
-    emit(ns, _sl2_meta(ns, q=str(q), N=ns.N), rows)
-    print(f"RESULT pass={len(report) - len(fails)} fail={len(fails)}")
-    return EXIT_OK if not fails else EXIT_FAIL
+    checks = sl2.schwartz_decay_check(ns.N, q)
+    rows = [{"n": n, "weighted": str(w), "ok": ok} for n, w, ok in checks]
+    emit(ns, meta_for(ns, 0, q=str(q), N=ns.N), rows)
+    fails = sum(not ok for _, _, ok in checks)
+    return emit_result(len(checks) - fails, fails)
 
 
 # -- argument grammar ------------------------------------------------------
+
+# Every subcommand option, defined once; COMMANDS picks them by name.
+OPTIONS = {
+    "x": {},
+    "y": {},
+    "z": {},
+    "w": {},
+    "hecke-basis": {"choices": list(BASES)},
+    "scan": {"type": int},
+    "q": {"help": "an exact rational, e.g. 4 or 9/4"},
+    "max-len": {"type": int, "default": 4},
+    "n": {"type": int},
+    "r": {"type": int},
+    "p": {"type": int},
+    "m": {"type": int},
+    "lattice": {"default": "std", "choices": ["std", "sub"]},
+    "R": {"type": int, "default": 50},
+    "N": {"type": int, "default": 10},
+}
+
+# (command path, handler, help, options with "!" marking the required
+# ones); a handler of None makes a group of subcommands.
+COMMANDS = [
+    ("group", cmd_group, "enumerate a ball", ""),
+    ("kl", cmd_kl, "Kazhdan-Lusztig polynomial", "y! w!"),
+    ("hmul", cmd_hmul, "Hecke product of basis elements", "x! y! hecke-basis"),
+    ("hconst", cmd_hconst, "structure constants h_{x,y,z}", "x! y! z"),
+    ("afn", cmd_afn, "a-function value", "z! scan"),
+    ("gamma", cmd_gamma, "gamma constants of J", "x! y! z"),
+    ("jmul", cmd_jmul, "product t_x t_y in J", "x! y!"),
+    ("dinv", cmd_dinv, "distinguished involutions", ""),
+    ("phi", cmd_phi, "image of a canonical basis element in J tensor A", "x! q"),
+    ("phi-check", cmd_phi_check, "verify multiplicativity of phi", "max-len"),
+    ("sl2", None, "SL(2) volumes, convolutions, oracles", ""),
+    ("sl2 gamma", cmd_sl2_gamma, "cell coefficient of f", "n!"),
+    ("sl2 volume", cmd_sl2_volume, "vol(K x_n I)/vol(K)", "n!"),
+    ("sl2 conv", cmd_sl2_conv, "(f * chi_lattice)(t^-r)", "r! lattice"),
+    ("sl2 verify", cmd_sl2_verify, "check the coefficient relations", "R"),
+    ("sl2 count", cmd_sl2_count, "finite-quotient counting oracle", "p! m! n! r! lattice"),
+    ("sl2 decay", cmd_sl2_decay, "geometric decay of the coefficients", "q! N"),
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -498,115 +500,36 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cache-dir", default=None)
     common.add_argument("--allow-uncertified", action="store_true")
 
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("group", parents=[common], help="enumerate a ball")
-    p.set_defaults(func=cmd_group)
-
-    p = sub.add_parser("kl", parents=[common], help="Kazhdan-Lusztig polynomial")
-    p.add_argument("--y", required=True)
-    p.add_argument("--w", required=True)
-    p.set_defaults(func=cmd_kl)
-
-    p = sub.add_parser("hmul", parents=[common], help="Hecke product of basis elements")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--hecke-basis", default=None, choices=list(BASES))
-    p.set_defaults(func=cmd_hmul)
-
-    p = sub.add_parser("hconst", parents=[common], help="structure constants h_{x,y,z}")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--z", default=None)
-    p.set_defaults(func=cmd_hconst)
-
-    p = sub.add_parser("afn", parents=[common], help="a-function value")
-    p.add_argument("--z", required=True)
-    p.add_argument("--scan", type=int, default=None)
-    p.set_defaults(func=cmd_afn)
-
-    p = sub.add_parser("gamma", parents=[common], help="gamma constants of J")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--z", default=None)
-    p.set_defaults(func=cmd_gamma)
-
-    p = sub.add_parser("jmul", parents=[common], help="product t_x t_y in J")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.set_defaults(func=cmd_jmul)
-
-    p = sub.add_parser("dinv", parents=[common], help="distinguished involutions")
-    p.set_defaults(func=cmd_dinv)
-
-    p = sub.add_parser("phi", parents=[common], help="image of a canonical basis element in J tensor A")
-    p.add_argument("--x", required=True)
-    p.add_argument("--q", default=None, help="specialize at this exact rational q")
-    p.set_defaults(func=cmd_phi)
-
-    p = sub.add_parser("phi-check", parents=[common], help="verify multiplicativity of phi")
-    p.add_argument("--max-len", type=int, default=4)
-    p.set_defaults(func=cmd_phi_check)
-
-    psl2 = sub.add_parser("sl2", help="SL(2) volumes, convolutions, oracles")
-    sl2sub = psl2.add_subparsers(dest="sl2_command", required=True)
-
-    p = sl2sub.add_parser("gamma", parents=[common], help="cell coefficient of f")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_sl2_gamma)
-
-    p = sl2sub.add_parser("volume", parents=[common], help="vol(K x_n I)/vol(K)")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_sl2_volume)
-
-    p = sl2sub.add_parser("conv", parents=[common], help="(f * chi_lattice)(t^-r)")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--lattice", default="std", choices=["std", "sub"])
-    p.set_defaults(func=cmd_sl2_conv)
-
-    p = sl2sub.add_parser("verify", parents=[common], help="check the coefficient relations")
-    p.add_argument("--R", type=int, default=50)
-    p.set_defaults(func=cmd_sl2_verify)
-
-    p = sl2sub.add_parser("count", parents=[common], help="finite-quotient counting oracle")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--lattice", default="std", choices=["std", "sub"])
-    p.set_defaults(func=cmd_sl2_count)
-
-    p = sl2sub.add_parser("decay", parents=[common], help="geometric decay of the coefficients")
-    p.add_argument("--q", required=True)
-    p.add_argument("--N", type=int, default=10)
-    p.set_defaults(func=cmd_sl2_decay)
-
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for path, func, help_text, options in COMMANDS:
+        group, _, name = path.rpartition(" ")
+        if func is None:
+            p = groups[group].add_parser(name, help=help_text)
+            groups[path] = p.add_subparsers(dest=f"{name}_command", required=True)
+            continue
+        p = groups[group].add_parser(name, parents=[common], help=help_text)
+        for opt in options.split():
+            opt_name = opt.rstrip("!")
+            p.add_argument(f"--{opt_name}", required=opt.endswith("!"), **OPTIONS[opt_name])
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if ns.radius is not None and ns.radius < 0:
-        print("error: --radius must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
     try:
+        if ns.radius is not None and ns.radius < 0:
+            raise UsageError("--radius must be >= 0")
         return ns.func(ns)
-    except UsageError as exc:
+    except (UsageError, GroupMismatch, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except Refusal as exc:
+    except (Refusal, RadiusExceeded, DepthTooSmall, BudgetExceeded) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except (RadiusExceeded, DepthTooSmall, BudgetExceeded) as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
-    except (GroupMismatch, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

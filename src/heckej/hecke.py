@@ -11,16 +11,18 @@ and the signed one replaces each coefficient c(v) by c(-v^-1), which
 gives the alternating-sign form with P_{y,w}(v^-2).  Both are fixed by
 the bar involution; the table certifies this rather than assuming it.
 
-Internally coefficients are raw {exponent: int} dicts for speed; the
-public surface uses Laurent and GroupElement values.
+Internally vectors are dicts {basis key: raw coefficient}, the raw
+coefficients being the zero-free {exponent: int} dicts whose arithmetic
+lives in heckej.laurent; the public surface uses Laurent and
+GroupElement values.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import GroupMismatch, NonInvertibleTerm, RadiusExceeded
-from .laurent import Laurent, ONE, ZERO
+from .errors import GroupMismatch, HeckejError, NonInvertibleTerm, RadiusExceeded
+from .laurent import Laurent, ONE, ZERO, _accumulate, _addmul, _mul_raw, _star_raw
 from .weyl import GroupDescriptor, GroupElement, WeylGroup, make_group
 
 __all__ = [
@@ -34,44 +36,22 @@ __all__ = [
 BASES = ("T", "Ttilde", "Cprime", "Csigned")
 
 
-# -- raw sparse-Laurent helpers (dicts {exp: int}, zero-free) -------------
+# -- vectors of raw coefficients ({key: {exp: int}}, no empty entries) ------
 
-def _addmul(dst: dict, src: dict, k: int = 1, shift: int = 0) -> None:
-    for e, c in src.items():
-        e += shift
-        s = dst.get(e, 0) + k * c
-        if s:
-            dst[e] = s
-        else:
-            dst.pop(e, None)
+def _addmul_at(dst: dict, key, src: dict, k: int = 1, shift: int = 0) -> None:
+    """dst[key] += k * v^shift * src, for a nonzero src and k != 0."""
+    tgt = dst.get(key)
+    if tgt is None:
+        dst[key] = {e + shift: k * c for e, c in src.items()}
+        return
+    _addmul(tgt, src, k, shift)
+    if not tgt:
+        del dst[key]
 
 
 def _vec_addmul(dst: dict, src: dict, k: int = 1, shift: int = 0) -> None:
     for key, c in src.items():
-        tgt = dst.get(key)
-        if tgt is None:
-            tgt = dst[key] = {}
-        _addmul(tgt, c, k, shift)
-        if not tgt:
-            del dst[key]
-
-
-def _mul_raw(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            s = out.get(e, 0) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
-
-
-def _star_raw(c: dict) -> dict:
-    # v -> -v^-1
-    return {-e: (v if e % 2 == 0 else -v) for e, v in c.items()}
+        _addmul_at(dst, key, c, k, shift)
 
 
 class HeckeElement:
@@ -104,11 +84,7 @@ class HeckeElement:
             raise ValueError("can only add elements in the same basis")
         out = dict(self.terms)
         for w, c in other.terms.items():
-            s = out.get(w, ZERO) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
+            _accumulate(out, w, c)
         return HeckeElement(self.desc, self.basis, out)
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
@@ -154,11 +130,11 @@ class HeckeAlgebra:
         out: dict = {}
         for (i, om), c in vec.items():
             j = g._lmul(s, i)
-            _vec_addmul(out, {(j, om): c})
+            _addmul_at(out, (j, om), c)
             if len(g._words[j]) < len(g._words[i]):
                 # descent: extra (v - v^-1) ~T_w term
-                _vec_addmul(out, {(i, om): c}, shift=1)
-                _vec_addmul(out, {(i, om): c}, -1, shift=-1)
+                _addmul_at(out, (i, om), c, shift=1)
+                _addmul_at(out, (i, om), c, -1, shift=-1)
         return out
 
     def _lmul_omega_raw(self, k: int, vec: dict) -> dict:
@@ -170,14 +146,14 @@ class HeckeAlgebra:
         for (i, om), c in vec.items():
             word = tuple(perm[s] for s in g._words[i])
             j = g._id_of(g.element(word).word)
-            _vec_addmul(out, {(j, (k + om) % g.desc.omega_order): c})
+            _addmul_at(out, (j, (k + om) % g.desc.omega_order), c)
         return out
 
     def _to_raw(self, h: HeckeElement) -> dict:
         g = self.group
         out: dict = {}
         for w, c in h.terms.items():
-            _vec_addmul(out, {(g._id_of(w.word), w.omega): dict(c._c)})
+            _addmul_at(out, (g._id_of(w.word), w.omega), c._c)
         return out
 
     def _from_raw(self, vec: dict) -> HeckeElement:
@@ -199,7 +175,7 @@ class HeckeAlgebra:
             for s in reversed(g._words[i]):
                 piece = self._lmul_gen_raw(s, piece)
             for key, c2 in piece.items():
-                _vec_addmul(out, {key: _mul_raw(c, c2)})
+                _addmul_at(out, key, _mul_raw(c, c2))
         return out
 
     # -- public multiplication -------------------------------------------
@@ -240,11 +216,7 @@ class HeckeAlgebra:
         for w, c in h.terms.items():
             cw = table.c_basis_element(w, signed=(h.basis == "Csigned"))
             for y, cy in cw.terms.items():
-                s = out.get(y, ZERO) + c * cy
-                if s:
-                    out[y] = s
-                else:
-                    out.pop(y, None)
+                _accumulate(out, y, c * cy)
         return HeckeElement(self.desc, "Ttilde", out)
 
     def _ttilde_to_canonical(self, tt: HeckeElement, basis: str, table: "KLTable | None") -> HeckeElement:
@@ -256,15 +228,11 @@ class HeckeAlgebra:
             w = max(rest, key=lambda g: g.sort_key())
             c = rest.pop(w)
             out[w] = c
+            neg = -c
             cw = table.c_basis_element(w, signed=(basis == "Csigned"))
             for y, cy in cw.terms.items():
-                if y == w:
-                    continue
-                s = rest.get(y, ZERO) - c * cy
-                if s:
-                    rest[y] = s
-                else:
-                    rest.pop(y, None)
+                if y != w:
+                    _accumulate(rest, y, neg * cy)
         return HeckeElement(self.desc, basis, out)
 
     # -- bar involution ----------------------------------------------------
@@ -299,7 +267,7 @@ class HeckeAlgebra:
             if w.omega != 0 and g.desc.omega_order == 1:
                 raise NonInvertibleTerm(f"no omega part {w.omega} in this group")
             vec = self._bar_ttilde_raw(g._id_of(w.word), w.omega)
-            _vec_addmul(out, {k: _mul_raw(dict(c.bar()._c), v) for k, v in vec.items()})
+            _vec_addmul(out, {k: _mul_raw(c.bar()._c, v) for k, v in vec.items()})
         return self.to_basis(self._from_raw(out), h.basis, table)
 
 
@@ -360,16 +328,16 @@ class KLTable:
         res: dict[int, dict] = {}
         for y, c in cu.items():
             sy = g._lmul(s, y)
-            _vec_addmul(res, {sy: c})
+            _addmul_at(res, sy, c)
             if len(g._words[sy]) < len(g._words[y]):
-                _vec_addmul(res, {y: c}, shift=1)
-                _vec_addmul(res, {y: c}, -1, shift=-1)
-            _vec_addmul(res, {y: c}, shift=-1)
+                _addmul_at(res, y, c, shift=1)
+                _addmul_at(res, y, c, -1, shift=-1)
+            _addmul_at(res, y, c, shift=-1)
         for z, mu in self._mu_down[uid]:
             if s in g._ldesc[z]:
                 _vec_addmul(res, self._coords[z], -mu)
-        wlen = len(word)
-        assert res.get(wid) == {0: 1}, "unitriangularity failed"
+        if res.get(wid) != {0: 1}:
+            raise HeckejError(f"C'_w is not unitriangular at w = {word}")
         mu_list = []
         for y, c in res.items():
             if y == wid:
@@ -415,8 +383,8 @@ class KLTable:
         g = self.group
         terms = {}
         for y, c in self._coords[wid].items():
-            coeff = _star_raw(c) if signed else c
-            terms[GroupElement(self.desc, g._words[y], w.omega)] = Laurent(coeff)
+            coeff = _star_raw(c) if signed else dict(c)
+            terms[GroupElement(self.desc, g._words[y], w.omega)] = Laurent._raw(coeff)
         return HeckeElement(self.desc, "Ttilde", terms)
 
     def bruhat_interval_ids(self, wid: int) -> dict[int, dict]:
@@ -491,13 +459,13 @@ class StructureConstants:
         out: dict[int, dict] = {}
         for z, c in vec.items():
             if s in ldesc[z]:
-                _vec_addmul(out, {z: c}, shift=1)
-                _vec_addmul(out, {z: c}, shift=-1)
+                _addmul_at(out, z, c, shift=1)
+                _addmul_at(out, z, c, shift=-1)
             else:
-                _vec_addmul(out, {g._lmul(s, z): c})
+                _addmul_at(out, g._lmul(s, z), c)
                 for w, mu in mu_down[z]:
                     if s in ldesc[w]:
-                        _vec_addmul(out, {w: c}, mu)
+                        _addmul_at(out, w, c, mu)
         return out
 
     def _compute_column(self, yid: int, xmax: int) -> dict[int, dict[int, dict]]:
@@ -545,8 +513,8 @@ class StructureConstants:
         omega = (x.omega + y.omega) % self.desc.omega_order
         out = {}
         for z, c in col[xid].items():
-            coeff = _star_raw(c) if signed else c
-            out[GroupElement(self.desc, g._words[z], omega)] = Laurent(coeff)
+            coeff = _star_raw(c) if signed else dict(c)
+            out[GroupElement(self.desc, g._words[z], omega)] = Laurent._raw(coeff)
         return out
 
     # -- the a-function scan ------------------------------------------------

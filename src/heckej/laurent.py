@@ -4,6 +4,10 @@ The coefficient ring for everything in this package is Z[v, v^-1],
 stored sparsely as {exponent: coefficient}.  A second small type,
 QuadExt, represents a0 + a1*v with v^2 = q for an exact rational q;
 it is the target of specialization at v = q^(1/2).
+
+The module-level helpers below are the package's only sparse arithmetic
+on raw {exponent: int} dicts; Laurent wraps them, and the Hecke-algebra
+code calls them directly on its coefficient vectors.
 """
 
 from __future__ import annotations
@@ -14,6 +18,47 @@ from typing import Iterable, Iterator, Mapping
 from .errors import NotInAPlus
 
 __all__ = ["Laurent", "QuadExt", "ZERO", "ONE", "V", "VINV"]
+
+
+# -- raw sparse arithmetic (dicts {exp: int}, zero-free) --------------------
+
+def _addmul(dst: dict, src: dict, k: int = 1, shift: int = 0) -> None:
+    """dst += k * v^shift * src, in place."""
+    for e, c in src.items():
+        e += shift
+        s = dst.get(e, 0) + k * c
+        if s:
+            dst[e] = s
+        else:
+            dst.pop(e, None)
+
+
+def _mul_raw(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+def _star_raw(c: dict) -> dict:
+    # v -> -v^-1
+    return {-e: (v if e % 2 == 0 else -v) for e, v in c.items()}
+
+
+def _accumulate(out: dict, key, value) -> None:
+    """out[key] += value for int or Laurent values; zero sums are dropped."""
+    got = out.get(key)
+    s = value if got is None else got + value
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
 
 
 class Laurent:
@@ -81,22 +126,12 @@ class Laurent:
 
     def __add__(self, other: "Laurent") -> "Laurent":
         out = dict(self._c)
-        for e, c in other._c.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+        _addmul(out, other._c)
         return Laurent._raw(out)
 
     def __sub__(self, other: "Laurent") -> "Laurent":
         out = dict(self._c)
-        for e, c in other._c.items():
-            s = out.get(e, 0) - c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+        _addmul(out, other._c, -1)
         return Laurent._raw(out)
 
     def __neg__(self) -> "Laurent":
@@ -105,16 +140,7 @@ class Laurent:
     def __mul__(self, other: "Laurent | int") -> "Laurent":
         if isinstance(other, int):
             return self.scale(other)
-        out: dict[int, int] = {}
-        for e1, c1 in self._c.items():
-            for e2, c2 in other._c.items():
-                e = e1 + e2
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Laurent._raw(out)
+        return Laurent._raw(_mul_raw(self._c, other._c))
 
     __rmul__ = __mul__
 
@@ -135,7 +161,7 @@ class Laurent:
 
     def star(self) -> "Laurent":
         """The ring automorphism v -> -v^-1."""
-        return Laurent._raw({-e: c if e % 2 == 0 else -c for e, c in self._c.items()})
+        return Laurent._raw(_star_raw(self._c))
 
     # -- evaluation -------------------------------------------------------
 
@@ -271,6 +297,9 @@ class QuadExt:
         if n == 0:
             raise ZeroDivisionError("non-invertible element of the quadratic extension")
         return QuadExt(self.a0 / n, -self.a1 / n, self.q)
+
+    def __truediv__(self, other: "QuadExt") -> "QuadExt":
+        return self * other.inverse()
 
     def eval_sqrt(self, sqrt_q: Fraction) -> Fraction:
         """Collapse to Q using an exact square root of q (square q only)."""

@@ -271,6 +271,8 @@ def cell_value_from_count(p: int, m: int, n: int, r: int, lattice: Lattice) -> F
 
 def schwartz_decay_check(N: int, q_value: Fraction) -> list[tuple[int, Fraction, bool]]:
     """Verify q^|n| * |gamma_n(q)| <= q for |n| <= N (geometric decay)."""
+    if N < 0:
+        raise ValueError("N must be >= 0")
     q_value = Fraction(q_value)
     if q_value <= 1:
         raise ValueError("q must be > 1")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import GroupMismatch, UnsupportedType
+from .errors import GroupMismatch, HeckejError, UnsupportedType
 
 __all__ = [
     "GroupDescriptor",
@@ -241,7 +241,7 @@ class WeylGroup:
                     cur = _mat_mul(cur, self._gen_mats[i])
                     break
             else:
-                raise AssertionError("non-identity element with no left descent")
+                raise HeckejError("non-identity element with no left descent")
         return tuple(letters)
 
     def _rmul(self, i: int, s: int) -> int:

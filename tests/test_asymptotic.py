@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from heckej import (
+    AValue,
     GroupDescriptor,
+    HeckejError,
     JRing,
     Laurent,
     RadiusExceeded,
@@ -128,6 +130,16 @@ def test_j_unit_element(a1_ring):
         assert a1_ring.j_multiply(a1_ring.t(w), unit) == a1_ring.t(w)
 
 
+def test_uncertified_a_value_is_an_error(a1_desc, monkeypatch):
+    ring = JRing(a1_desc, 2)
+    s0 = ring.group.generator(0)
+    monkeypatch.setattr(
+        JRing, "a_function", lambda self, z, scan_radius=None: AValue(z, 1, 1, False)
+    )
+    with pytest.raises(HeckejError, match="not certified"):
+        ring.gamma(s0, s0, s0)
+
+
 def test_j_multiply_refuses_past_radius(a1_desc):
     small = JRing(a1_desc, 2)
     g = small.group
@@ -218,10 +230,16 @@ def test_phi_specialized(a1_ring):
     assert spec["01"].eval_sqrt(Fraction(2)) == 1
 
 
-@pytest.mark.parametrize("q", [Fraction(2), Fraction(3), Fraction(4)])
-def test_specialized_rank_full_a1(a1_ring, q):
+@pytest.mark.parametrize(
+    "q, repeated",
+    [(Fraction(q), r) for r in (False, True) for q in (2, 3, 4)],
+    ids=["q0", "q1", "q2", "q0-repeated", "q1-repeated", "q2-repeated"],
+)
+def test_specialized_rank_full_a1(a1_ring, q, repeated):
     ball = a1_ring.group.enumerate_ball(2)
-    assert a1_ring.specialized_rank(ball, q) == len(ball)
+    # a repeated element adds a dependent row: the rank counts distinct elements
+    xs = ball + ball[-1:] if repeated else ball
+    assert a1_ring.specialized_rank(xs, q) == len(ball)
 
 
 def test_extended_j_ring(a1_desc):

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from heckej import GroupDescriptor, KLTable, make_group
 from heckej.cli import main
 
 
@@ -49,6 +50,29 @@ def test_cache_file_and_transparency(capsys, cache, tmp_path):
     assert code1 == 0 and len(files) == 1
     code2, warm, _ = run(capsys, *args)
     assert code2 == 0 and warm == cold
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        '{"version": 1}',
+        "not json",
+        json.dumps(KLTable(make_group(GroupDescriptor("A1~")), 2).to_json()),
+    ],
+    ids=["no-entries", "not-json", "other-radius"],
+)
+def test_unusable_cache_file_is_a_miss(capsys, cache, tmp_path, content):
+    args = (
+        "kl", "--type", "A1~", "--radius", "3", "--y", "", "--w", "010",
+        "--cache-dir", cache,
+    )
+    code, cold, _ = run(capsys, *args)
+    assert code == 0
+    (path,) = (tmp_path / "cache").glob("kl_*.json")
+    path.write_text(content)
+    code, out, _ = run(capsys, *args)
+    assert code == 0 and out == cold
+    assert json.loads(path.read_text())["radius"] == 3  # rebuilt and overwritten
 
 
 def test_cache_dir_environment_override(capsys, tmp_path, monkeypatch):
@@ -198,6 +222,8 @@ def test_usage_errors(capsys, cache):
     code, _, _ = run(capsys, "kl", "--type", "A1~", "--y", "", "--w", "010",
                      "--radius", "-1")
     assert code == 2
+    code, out, _ = run(capsys, "sl2", "decay", "--q", "3", "--N", "-1")
+    assert code == 2 and out == ""
 
 
 def test_csv_format(capsys, cache):
