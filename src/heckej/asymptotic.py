@@ -10,11 +10,14 @@ created with a working radius L; it scans all pairs up to
 
 and treats a(z) as certified for len(z) <= L.  Every gamma, J-product
 and phi image refuses to go past that contract instead of silently
-truncating.
+truncating.  The scan is one pass at S, over one right factor y per
+diagram-automorphism orbit, stratified by max(len x, len y), so the
+value at any smaller scan radius r is the minimum over strata 0..r.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,33 +90,34 @@ class JRing:
         self.scan_radius = certification_bound(desc, radius)
         self.table = KLTable(self.group, 2 * self.scan_radius - 1)
         self.constants = StructureConstants(self.table)
-        self._scans: dict[int, dict[int, int]] = {}
+        self._a_values: dict[int, list[int]] | None = None
         self._dinv: dict[int, list[GroupElement]] = {}
 
     # -- a-function --------------------------------------------------------
 
-    def _scan(self, scan_radius: int) -> dict[int, int]:
-        got = self._scans.get(scan_radius)
-        if got is None:
-            if 2 * scan_radius - 1 > self.table.radius:
-                raise RadiusExceeded(
-                    f"scan radius {scan_radius} needs a KL table beyond {self.table.radius}"
-                )
-            got = self.constants.scan_min_exponents(scan_radius, scan_radius)
-            self._scans[scan_radius] = got
-        return got
+    def _scan(self) -> dict[int, list[int]]:
+        """Scan values a(z) at every scan radius r <= self.scan_radius, by
+        Coxeter id of z: the minima over strata 0..r of one scan pass."""
+        if self._a_values is None:
+            strata = self.constants.scan_min_exponents(self.scan_radius, self.scan_radius)
+            self._a_values = {
+                z: [-low for low in itertools.accumulate(mins, min)] for z, mins in strata.items()
+            }
+        return self._a_values
 
     def a_function(self, z: GroupElement, scan_radius: int | None = None) -> AValue:
         """Monotone scan value of a(z); certified past the stabilization bound."""
         zlen = len(z.word)
         bound = certification_bound(self.desc, zlen)
         if scan_radius is None:
-            scan_radius = min(max(bound, zlen), self.scan_radius)
+            if zlen > self.scan_radius:
+                raise RadiusExceeded(f"len(z) = {zlen} beyond scan radius {self.scan_radius}")
+            scan_radius = min(bound, self.scan_radius)
         if scan_radius < zlen:
             raise ValueError(f"scan radius {scan_radius} below len(z) = {zlen}")
-        mins = self._scan(scan_radius)
-        zid = self.group._id_of(z.word)
-        value = -mins.get(zid, 0)
+        if scan_radius > self.scan_radius:
+            raise RadiusExceeded(f"scan radius {scan_radius} beyond {self.scan_radius}")
+        value = self._scan()[self.group._id_of(z.word)][scan_radius]
         return AValue(z, value, scan_radius, scan_radius >= bound)
 
     def _certified_a(self, z: GroupElement) -> int:

@@ -35,6 +35,10 @@ __all__ = [
 
 BASES = ("T", "Ttilde", "Cprime", "Csigned")
 
+# stratum entry of StructureConstants.scan_min_exponents with no pair;
+# larger than any valuation
+NO_PAIR = 1 << 30
+
 
 # -- vectors of raw coefficients ({key: {exp: int}}, no empty entries) ------
 
@@ -144,9 +148,7 @@ class HeckeAlgebra:
         perm = g.omega_perm(k)
         out: dict = {}
         for (i, om), c in vec.items():
-            word = tuple(perm[s] for s in g._words[i])
-            j = g._id_of(g.element(word).word)
-            _addmul_at(out, (j, (k + om) % g.desc.omega_order), c)
+            _addmul_at(out, (g._permuted_id(perm, i), (k + om) % g.desc.omega_order), c)
         return out
 
     def _to_raw(self, h: HeckeElement) -> dict:
@@ -280,6 +282,11 @@ def hecke_algebra(desc: GroupDescriptor) -> HeckeAlgebra:
     return _algebra_cache(desc)
 
 
+def _coxeter_ids(g: WeylGroup, radius: int) -> list[int]:
+    """Coxeter ids of the ball of the given radius, in enumeration order."""
+    return [g._id_of(e.word) for e in g.enumerate_ball(radius) if e.omega == 0]
+
+
 class KLTable:
     """Kazhdan-Lusztig data for all Coxeter-part elements of length <= radius.
 
@@ -304,15 +311,10 @@ class KLTable:
     def extend(self, radius: int) -> None:
         if radius <= self.radius:
             return
-        g = self.group
-        for elt in g.enumerate_ball(radius):
-            if elt.omega != 0:
-                continue
-            i = g._id_of(elt.word)
-            if i in self._coords:
-                continue
-            self._build(i)
-            self._order.append(i)
+        for i in _coxeter_ids(self.group, radius):
+            if i not in self._coords:
+                self._build(i)
+                self._order.append(i)
         self.radius = radius
 
     def _build(self, wid: int) -> None:
@@ -386,9 +388,6 @@ class KLTable:
             coeff = _star_raw(c) if signed else dict(c)
             terms[GroupElement(self.desc, g._words[y], w.omega)] = Laurent._raw(coeff)
         return HeckeElement(self.desc, "Ttilde", terms)
-
-    def bruhat_interval_ids(self, wid: int) -> dict[int, dict]:
-        return self._coords[wid]
 
     # -- persistence --------------------------------------------------------
 
@@ -468,7 +467,9 @@ class StructureConstants:
                         _addmul_at(out, w, c, mu)
         return out
 
-    def _compute_column(self, yid: int, xmax: int) -> dict[int, dict[int, dict]]:
+    def _compute_column(self, yid: int, xmax: int, ids: list[int]) -> dict[int, dict[int, dict]]:
+        """The column of y over ids, the Coxeter ids of the ball of radius
+        xmax in enumeration order."""
         g = self.group
         ylen = len(g._words[yid])
         if xmax + ylen - 1 > self.table.radius:
@@ -476,13 +477,10 @@ class StructureConstants:
                 f"column ({ylen}) x radius {xmax} needs mu data beyond table radius {self.table.radius}"
             )
         col: dict[int, dict[int, dict]] = {0: {yid: {0: 1}}}
-        for elt in g.enumerate_ball(xmax):
-            if elt.omega != 0 or not elt.word:
+        for xid in ids:
+            if xid == 0:
                 continue
-            xid = g._id_of(elt.word)
-            if xid in col:
-                continue
-            s = elt.word[0]
+            s = g._words[xid][0]
             pid = g._lmul(s, xid)
             vec = self._s_mult(s, col[pid])
             for w, mu in self.table._mu_down[pid]:
@@ -496,7 +494,7 @@ class StructureConstants:
         cached = self._columns.get(yid)
         if cached and cached[0] >= xmax:
             return cached[1]
-        col = self._compute_column(yid, xmax)
+        col = self._compute_column(yid, xmax, _coxeter_ids(self.group, xmax))
         self._columns[yid] = (xmax, col)
         return col
 
@@ -505,9 +503,7 @@ class StructureConstants:
     def h_map(self, x: GroupElement, y: GroupElement, signed: bool = False) -> dict[GroupElement, Laurent]:
         """The finite support {z: h_{x,y,z} != 0} with exact coefficients."""
         g = self.group
-        perm = g.omega_perm(x.omega)
-        yword = tuple(perm[s] for s in y.word)
-        yid = g._id_of(g.element(yword).word)
+        yid = g._permuted_id(g.omega_perm(x.omega), g._id_of(y.word))
         xid = g._id_of(x.word)
         col = self.column(yid, len(x.word))
         omega = (x.omega + y.omega) % self.desc.omega_order
@@ -519,30 +515,44 @@ class StructureConstants:
 
     # -- the a-function scan ------------------------------------------------
 
-    def scan_min_exponents(self, scan_radius: int, track_len: int) -> dict[int, int]:
-        """min over pairs (x, y) in the scan ball of the valuation of
-        h_{x,y,z}, for every Coxeter id z with len(z) <= track_len.
+    def scan_min_exponents(self, scan_radius: int, track_len: int) -> dict[int, list[int]]:
+        """Stratified minimum valuations of h_{x,y,z} over the scan ball.
 
-        Streams one column per y and discards it, so memory stays flat.
+        For every Coxeter id z with len(z) <= track_len, entry m of the
+        returned list is the least valuation of h_{x,y,z} over the pairs
+        (x, y) with max(len x, len y) = m <= scan_radius, or NO_PAIR when
+        z occurs in no such product.  One pass serves every smaller scan
+        radius r: the minimum over pairs in ball(r) is the minimum over
+        strata 0..r.
+
+        Columns are computed only for one y per orbit of the diagram
+        automorphisms sigma (each column streamed and discarded), and
+        h_{sigma x, sigma y, sigma z} = h_{x,y,z} transports the result to
+        the whole orbit: the minimum for z is the minimum over sigma of the
+        representatives' minimum for sigma z.
         """
         g = self.group
-        track: dict[int, int] = {}
-        ids = [
-            g._id_of(e.word)
-            for e in g.enumerate_ball(scan_radius)
-            if e.omega == 0
-        ]
-        keep = {i for i in ids if len(g._words[i]) <= track_len}
-        for yid in ids:
+        auts = g.diagram_automorphisms
+        ids = _coxeter_ids(g, scan_radius)
+        length = {i: len(g._words[i]) for i in ids}
+        reps = [i for i in ids if i == min(g._permuted_id(p, i) for p in auts)]
+        rep_mins = {i: [NO_PAIR] * (scan_radius + 1) for i in ids if length[i] <= track_len}
+        for yid in reps:
             cached = self._columns.get(yid)
             if cached and cached[0] >= scan_radius:
                 col = cached[1]
             else:
-                col = self._compute_column(yid, scan_radius)
-            for vec in col.values():
-                for z, c in vec.items():
-                    if z in keep and c:
-                        m = min(c)
-                        if m < track.get(z, 1 << 30):
-                            track[z] = m
-        return track
+                col = self._compute_column(yid, scan_radius, ids)
+            ylen = length[yid]
+            for xid in ids:
+                m = max(length[xid], ylen)
+                for z, c in col[xid].items():
+                    row = rep_mins.get(z)
+                    if row is not None:
+                        low = min(c)
+                        if low < row[m]:
+                            row[m] = low
+        return {
+            z: [min(vals) for vals in zip(*(rep_mins[g._permuted_id(p, z)] for p in auts))]
+            for z in rep_mins
+        }

@@ -10,6 +10,7 @@ on the right: an element is a pair (coxeter word, omega).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -139,12 +140,15 @@ class WeylGroup:
                 else:
                     rows.append(tuple(-1 if j == i else self._coef[i][j] for j in range(n)))
             self._gen_mats.append(tuple(rows))
-        if desc.extended:
-            for perm in _OMEGA_PERMS[desc.affine_type]:
-                for i in range(n):
-                    for j in range(n):
-                        if cox[i][j] != cox[perm[i]][perm[j]]:
-                            raise UnsupportedType("omega action is not a diagram automorphism")
+        # generator permutations that preserve the Coxeter matrix; each one
+        # extends to a length-preserving automorphism of W and of its
+        # Hecke algebra (C'_w -> C'_{sigma w})
+        self.diagram_automorphisms = tuple(
+            p for p in itertools.permutations(range(n))
+            if all(cox[p[i]][p[j]] == cox[i][j] for i in range(n) for j in range(n))
+        )
+        if desc.extended and not set(_OMEGA_PERMS[desc.affine_type]) <= set(self.diagram_automorphisms):
+            raise UnsupportedType("omega action is not a diagram automorphism")
 
         # interning tables for Coxeter parts
         self._index: dict[tuple[int, ...], int] = {(): 0}
@@ -268,6 +272,13 @@ class WeylGroup:
         self._lmul_memo[(s, j)] = i
         return j
 
+    def _permuted_id(self, perm, i: int) -> int:
+        """Coxeter id of the word of i with each letter s replaced by perm[s]."""
+        k = 0
+        for s in self._words[i]:
+            k = self._rmul(k, perm[s])
+        return k
+
     def _inverse_id(self, i: int) -> int:
         got = self._inv_memo.get(i)
         if got is None:
@@ -299,12 +310,9 @@ class WeylGroup:
         self._check(a)
         inv_omega = (-a.omega) % self.desc.omega_order
         perm = self.omega_perm(inv_omega)
-        i = self._id_of(a.word)
-        j = self._inverse_id(i)
+        j = self._inverse_id(self._id_of(a.word))
         # (w * om)^-1 = om^-1 * w^-1 = perm(w^-1) * om^-1
-        k = 0
-        for s in self._words[j]:
-            k = self._rmul(k, perm[s])
+        k = self._permuted_id(perm, j)
         return GroupElement(self.desc, self._words[k], inv_omega)
 
     def left_descents(self, a: GroupElement) -> frozenset[int]:

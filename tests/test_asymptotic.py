@@ -89,6 +89,38 @@ def test_a_monotone_in_scan_radius(a2_ring):
     assert vals[-1] == 3
 
 
+def test_a_function_past_scan_radius_is_radius_exceeded(a1_desc):
+    ring = JRing(a1_desc, 0)
+    z = ring.group.element((0, 1, 0, 1, 0))
+    assert ring.scan_radius == 4
+    with pytest.raises(RadiusExceeded):
+        ring.a_function(z)
+    with pytest.raises(RadiusExceeded):
+        ring.a_function(ring.group.generator(0), ring.scan_radius + 1)
+
+
+@pytest.mark.parametrize(
+    "affine_type, extended, radius",
+    [("A1~", False, 6), ("A1~", True, 6), ("A2~", False, 2), ("A2~", True, 1)],
+)
+def test_a_function_every_scan_radius_against_unreduced_minimum(affine_type, extended, radius):
+    """Every a_function(z, r) against the minimum over all pairs (x, y) of
+    ball(r), one column per y, with no orbits and no strata."""
+    ring = JRing(GroupDescriptor(affine_type, extended), radius)
+    g = ring.group
+    columns = StructureConstants(ring.table)
+    for r in range(ring.scan_radius, -1, -1):
+        ids = {g._id_of(w.word) for w in g.enumerate_ball(r)}
+        mins = {}
+        for yid in ids:
+            for xid, vec in columns.column(yid, r).items():
+                if xid in ids:
+                    for z, c in vec.items():
+                        mins[z] = min(mins.get(z, 0), min(c))
+        for z in g.enumerate_ball(r):
+            assert ring.a_function(z, r).value == -mins[g._id_of(z.word)], (z, r)
+
+
 def test_gamma_spot_values(a1_ring):
     g = a1_ring.group
     s0, s1 = g.generator(0), g.generator(1)

@@ -141,6 +141,25 @@ def test_omega_conjugation_permutes_generators():
         assert power.is_identity()
 
 
+@pytest.mark.parametrize("affine_type", ["A1~", "A2~"])
+@pytest.mark.parametrize("extended", [False, True])
+def test_diagram_automorphisms_are_length_preserving_automorphisms(affine_type, extended):
+    g = make_group(GroupDescriptor(affine_type, extended=extended))
+    # S3 on the A2~ triangle, Z/2 on the A1~ edge
+    assert sorted(g.diagram_automorphisms) == sorted(itertools.permutations(range(g.rank)))
+    assert set(g.omega_perm(k) for k in range(g.desc.omega_order)) <= set(g.diagram_automorphisms)
+
+    def act(perm, w):
+        return g.element(tuple(perm[s] for s in w.word), w.omega)
+
+    ball = [w for w in g.enumerate_ball(3) if w.omega == 0]
+    for perm in g.diagram_automorphisms:
+        for x in ball:
+            assert len(act(perm, x).word) == len(x.word)
+            for y in ball:
+                assert act(perm, g.multiply(x, y)) == g.multiply(act(perm, x), act(perm, y))
+
+
 def test_omega_parts_have_zero_length():
     g = make_group(GroupDescriptor("A2~", extended=True))
     w = g.element((0, 1), 2)
