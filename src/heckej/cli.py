@@ -83,9 +83,6 @@ def parse_element(group: WeylGroup, text: str) -> GroupElement:
         if not body.isdigit():
             raise UsageError(f"element {text!r} must be generator indices like '010'")
         word = tuple(int(ch) for ch in body)
-    for s in word:
-        if s >= group.rank:
-            raise UsageError(f"no generator {s} in type {group.desc.affine_type}")
     try:
         return group.element(word, omega)
     except ValueError as exc:

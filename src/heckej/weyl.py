@@ -1,9 +1,10 @@
 """Extended affine Weyl groups of types A1~ and A2~.
 
 The Coxeter part is handled generically through the integral reflection
-representation attached to a Coxeter matrix with entries in {2, 3, oo},
-so every element carries a matrix and its inverse; canonical (ShortLex
-least) reduced words are extracted greedily from left-descent sets.
+representation attached to a Coxeter matrix with entries in {2, 3, oo}.
+The representation is faithful, so the matrix of w^-1 names w by itself;
+it also gives the left descents of w, and the canonical (ShortLex least)
+reduced word of w is its least left descent s followed by the word of s*w.
 The length-zero extension Omega acts by diagram automorphisms and sits
 on the right: an element is a pair (coxeter word, omega).
 """
@@ -116,15 +117,17 @@ class WeylGroup:
     """Handle for one (extended) affine Weyl group; elements are interned.
 
     Coxeter parts are identified by dense integer ids; the tables
-    (canonical word, matrices, descent sets, neighbor links) are memo
-    caches that only ever grow, so reads after a warm-up are safe for
-    concurrent use.
+    (canonical word, matrix of the inverse, left descent set, the id of
+    each word and of each inverse matrix, neighbor links) are memo caches
+    that only ever grow, so reads after a warm-up are safe for concurrent
+    use.
     """
 
     def __init__(self, desc: GroupDescriptor):
         self.desc = desc
         n = desc.generator_count
         self.rank = n
+        self._no_perm = tuple(range(n))
         cox = _COXETER[desc.affine_type]
         # off-diagonal coefficients of the reflection action
         self._coef = tuple(
@@ -153,8 +156,8 @@ class WeylGroup:
         # interning tables for Coxeter parts
         self._index: dict[tuple[int, ...], int] = {(): 0}
         self._words: list[tuple[int, ...]] = [()]
-        self._mats = [_mat_identity(n)]
         self._invmats = [_mat_identity(n)]
+        self._invmat_index = {self._invmats[0]: 0}
         self._ldesc: list[frozenset[int]] = [frozenset()]
         self._rmul_memo: dict[tuple[int, int], int] = {}
         self._lmul_memo: dict[tuple[int, int], int] = {}
@@ -184,12 +187,13 @@ class WeylGroup:
 
     def element(self, word, omega: int = 0) -> GroupElement:
         """Build an element from an arbitrary (not necessarily reduced) word."""
-        i = 0
+        word = [int(s) for s in word]
         for s in word:
-            i = self._rmul(i, int(s))
+            if not 0 <= s < self.rank:
+                raise ValueError(f"no generator {s} in type {self.desc.affine_type}")
         if not 0 <= omega < self.desc.omega_order:
             raise ValueError(f"no omega element {omega}")
-        return GroupElement(self.desc, self._words[i], omega)
+        return GroupElement(self.desc, self._words[self._word_id(word)], omega)
 
     def from_json(self, data: dict) -> GroupElement:
         return self.element(data["word"], int(data.get("omega", 0)))
@@ -204,58 +208,57 @@ class WeylGroup:
         got = self._index.get(word)
         if got is not None:
             return got
-        i = 0
-        for s in word:
-            i = self._rmul(i, s)
+        i = self._word_id(word)
         if self._words[i] != word:
             raise ValueError(f"{word} is not a canonical reduced word")
         return i
 
-    def _intern(self, mat, invmat) -> int:
-        word = self._normal_form(invmat)
-        got = self._index.get(word)
-        if got is not None:
-            return got
-        idx = len(self._words)
-        self._index[word] = idx
-        self._words.append(word)
-        self._mats.append(mat)
-        self._invmats.append(invmat)
-        self._ldesc.append(self._left_desc_from_invmat(invmat))
-        return idx
+    def _word_id(self, word, perm=None, i: int = 0) -> int:
+        """Coxeter id of the element i followed by the letters perm[s] of word."""
+        perm = perm or self._no_perm
+        for s in word:
+            i = self._rmul(i, perm[s])
+        return i
 
-    def _left_desc_from_invmat(self, invmat) -> frozenset[int]:
-        # s_i is a left descent iff w^-1(alpha_i) is a negative root,
-        # i.e. column i of the inverse matrix is <= 0.
+    def _intern(self, invmat) -> int:
+        """Id of the element w whose inverse has matrix invmat. A new w's
+        word is its least left descent s followed by the word of s*w, so
+        walk down to a known element and intern those passed on the way up."""
         n = self.rank
-        return frozenset(
-            i for i in range(n) if all(invmat[k][i] <= 0 for k in range(n))
-        )
-
-    def _normal_form(self, invmat) -> tuple[int, ...]:
-        n = self.rank
-        ident = _mat_identity(n)
-        letters = []
-        cur = invmat
-        while cur != ident:
-            for i in range(n):
-                if all(cur[k][i] <= 0 for k in range(n)):
-                    letters.append(i)
-                    # (s_i * w)^-1 = w^-1 * s_i
-                    cur = _mat_mul(cur, self._gen_mats[i])
-                    break
-            else:
+        pending = []
+        while invmat not in self._invmat_index:
+            # s_i is a left descent iff w^-1(alpha_i) is a negative root,
+            # i.e. column i of the inverse matrix is <= 0.
+            desc = frozenset(
+                i for i in range(n) if all(invmat[k][i] <= 0 for k in range(n))
+            )
+            if not desc:
                 raise HeckejError("non-identity element with no left descent")
-        return tuple(letters)
+            s = min(desc)
+            pending.append((invmat, desc, s))
+            # (s * w)^-1 = w^-1 * s
+            invmat = _mat_mul(invmat, self._gen_mats[s])
+        below = self._invmat_index[invmat]
+        for invmat, desc, s in reversed(pending):
+            idx = len(self._words)
+            word = (s,) + self._words[below]
+            self._index[word] = idx
+            self._invmat_index[invmat] = idx
+            self._words.append(word)
+            self._invmats.append(invmat)
+            self._ldesc.append(desc)
+            self._lmul_memo[(s, below)] = idx
+            self._lmul_memo[(s, idx)] = below
+            below = idx
+        return below
 
     def _rmul(self, i: int, s: int) -> int:
         key = (i, s)
         got = self._rmul_memo.get(key)
         if got is not None:
             return got
-        mat = _mat_mul(self._mats[i], self._gen_mats[s])
-        invmat = _mat_mul(self._gen_mats[s], self._invmats[i])
-        j = self._intern(mat, invmat)
+        # (w * s)^-1 = s * w^-1
+        j = self._intern(_mat_mul(self._gen_mats[s], self._invmats[i]))
         self._rmul_memo[key] = j
         self._rmul_memo[(j, s)] = i
         return j
@@ -265,24 +268,19 @@ class WeylGroup:
         got = self._lmul_memo.get(key)
         if got is not None:
             return got
-        mat = _mat_mul(self._gen_mats[s], self._mats[i])
-        invmat = _mat_mul(self._invmats[i], self._gen_mats[s])
-        j = self._intern(mat, invmat)
+        j = self._intern(_mat_mul(self._invmats[i], self._gen_mats[s]))
         self._lmul_memo[key] = j
         self._lmul_memo[(s, j)] = i
         return j
 
     def _permuted_id(self, perm, i: int) -> int:
         """Coxeter id of the word of i with each letter s replaced by perm[s]."""
-        k = 0
-        for s in self._words[i]:
-            k = self._rmul(k, perm[s])
-        return k
+        return self._word_id(self._words[i], perm)
 
     def _inverse_id(self, i: int) -> int:
         got = self._inv_memo.get(i)
         if got is None:
-            got = self._intern(self._invmats[i], self._mats[i])
+            got = self._word_id(reversed(self._words[i]))
             self._inv_memo[i] = got
             self._inv_memo[got] = i
         return got
@@ -300,9 +298,7 @@ class WeylGroup:
         self._check(a)
         self._check(b)
         perm = self.omega_perm(a.omega)
-        i = self._id_of(a.word)
-        for s in b.word:
-            i = self._rmul(i, perm[s])
+        i = self._word_id(b.word, perm, self._id_of(a.word))
         omega = (a.omega + b.omega) % self.desc.omega_order
         return GroupElement(self.desc, self._words[i], omega)
 
@@ -366,13 +362,15 @@ class WeylGroup:
         self._check(w)
         if y.omega != w.omega:
             return False
-        return self.bruhat_leq_via_word(y, w.word)
+        return self._bruhat_rec(self._id_of(y.word), w.word, 0)
 
     def bruhat_leq_via_word(self, y: GroupElement, word: tuple[int, ...]) -> bool:
         """Subword-property comparison of y against one reduced word."""
         self._check(y)
-        yid = self._id_of(y.word)
-        return self._bruhat_rec(yid, tuple(word), 0)
+        word = tuple(word)
+        if len(self.element(word).word) != len(word):
+            raise ValueError(f"{word} is not a reduced word")
+        return self._bruhat_rec(self._id_of(y.word), word, 0)
 
     def _bruhat_rec(self, yid: int, word: tuple[int, ...], pos: int) -> bool:
         # memoless linear scan: either strip the leading letter from both

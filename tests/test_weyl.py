@@ -5,7 +5,8 @@ import itertools
 import pytest
 import sympy
 
-from heckej import GroupDescriptor, GroupMismatch, UnsupportedType, make_group
+import heckej.weyl
+from heckej import GroupDescriptor, GroupMismatch, UnsupportedType, WeylGroup, make_group
 
 
 def poincare_counts(affine_type: str, upto: int) -> list[int]:
@@ -82,9 +83,17 @@ def test_length_parity_and_subadditivity(affine_type):
             assert len(ab.word) <= len(a.word) + len(b.word)
 
 
-@pytest.mark.parametrize("affine_type", ["A1~", "A2~"])
-def test_inverse(affine_type):
-    g = make_group(GroupDescriptor(affine_type, extended=True))
+@pytest.mark.parametrize(
+    "affine_type,extended",
+    [
+        pytest.param("A1~", True, id="A1~"),
+        pytest.param("A2~", True, id="A2~"),
+        pytest.param("A1~", False, id="A1~-plain"),
+        pytest.param("A2~", False, id="A2~-plain"),
+    ],
+)
+def test_inverse(affine_type, extended):
+    g = make_group(GroupDescriptor(affine_type, extended=extended))
     for w in g.enumerate_ball(5):
         winv = g.inverse(w)
         assert g.multiply(w, winv).is_identity()
@@ -92,25 +101,41 @@ def test_inverse(affine_type):
 
 
 def test_normal_form_is_shortlex_least_reduced_word():
-    g = make_group(GroupDescriptor("A2~"))
-    for w in g.enumerate_ball(5):
-        n = len(w.word)
-        # every reduced word for w, by brute force over all words of length n
-        reduced = [
-            word
-            for word in itertools.product(range(3), repeat=n)
-            if g.element(word) == w
-        ]
-        assert min(reduced) == w.word
+    cases = []
+    for affine_type in ("A1~", "A2~"):
+        g = make_group(GroupDescriptor(affine_type))
+        cases.append((g, g.enumerate_ball(5)))
+    # interning the longest words first into an empty group makes each new
+    # element walk down through several elements not yet interned
+    fresh = WeylGroup(GroupDescriptor("A2~"))
+    cases.append((fresh, [fresh.element(w.word) for w in reversed(cases[1][1])]))
+    for g, ball in cases:
+        for w in ball:
+            n = len(w.word)
+            # every reduced word for w, by brute force over all words of length n
+            reduced = [
+                word
+                for word in itertools.product(range(g.rank), repeat=n)
+                if g.element(word) == w
+            ]
+            assert min(reduced) == w.word
 
 
-@pytest.mark.parametrize("affine_type", ["A1~", "A2~"])
-def test_descents(affine_type):
-    g = make_group(GroupDescriptor(affine_type))
+@pytest.mark.parametrize(
+    "affine_type,extended",
+    [
+        pytest.param("A1~", False, id="A1~"),
+        pytest.param("A2~", False, id="A2~"),
+        pytest.param("A1~", True, id="A1~-extended"),
+        pytest.param("A2~", True, id="A2~-extended"),
+    ],
+)
+def test_descents(affine_type, extended):
+    g = make_group(GroupDescriptor(affine_type, extended=extended))
     for w in g.enumerate_ball(6):
         ld = g.left_descents(w)
         rd = g.right_descents(w)
-        if w.is_identity():
+        if not w.word:
             assert not ld and not rd
             continue
         assert ld and rd
@@ -120,6 +145,40 @@ def test_descents(affine_type):
             assert (s in ld) == shorter
             shorter = len(g.multiply(w, gen).word) < len(w.word)
             assert (s in rd) == shorter
+
+
+def test_interning_cost_is_linear(monkeypatch):
+    products = [0]
+    mat_mul = heckej.weyl._mat_mul
+
+    def counted(a, b):
+        products[0] += 1
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(heckej.weyl, "_mat_mul", counted)
+    g = WeylGroup(GroupDescriptor("A2~"))
+    w = g.element((0, 1, 2) * 400)
+    assert len(w.word) == 1200
+    assert products[0] <= 8 * 1200
+    assert g.element(w.word) == w
+
+    products[0] = 0
+    g = WeylGroup(GroupDescriptor("A2~"))
+    ball = g.enumerate_ball(19)
+    assert products[0] <= 3 * len(ball) * g.rank
+
+
+def test_bad_letters_and_unreduced_words_rejected():
+    g = make_group(GroupDescriptor("A2~"))
+    for word in [(-1,), (3,), (0, 1, 5)]:
+        with pytest.raises(ValueError):
+            g.element(word)
+    with pytest.raises(ValueError):
+        g.from_json({"word": [-1, -3]})
+    s0 = g.generator(0)
+    for word in [(0, 0), (0, 1, 0, 1), (3,)]:
+        with pytest.raises(ValueError):
+            g.bruhat_leq_via_word(s0, word)
 
 
 def test_omega_conjugation_permutes_generators():
