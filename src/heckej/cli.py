@@ -199,7 +199,8 @@ def cached_kl_table(ns, desc: GroupDescriptor, radius: int) -> KLTable:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(".tmp")
     with open(tmp, "w") as fh:
-        json.dump(table.to_json(), fh, sort_keys=True)
+        # json.dumps runs the C encoder; json.dump never does
+        fh.write(json.dumps(table.to_json(), sort_keys=True))
     tmp.replace(path)
     return table
 

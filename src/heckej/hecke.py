@@ -503,7 +503,9 @@ class StructureConstants:
     def h_map(self, x: GroupElement, y: GroupElement, signed: bool = False) -> dict[GroupElement, Laurent]:
         """The finite support {z: h_{x,y,z} != 0} with exact coefficients."""
         g = self.group
-        yid = g._permuted_id(g.omega_perm(x.omega), g._id_of(y.word))
+        yid = g._id_of(y.word)
+        if x.omega:
+            yid = g._permuted_id(g.omega_perm(x.omega), yid)
         xid = g._id_of(x.word)
         col = self.column(yid, len(x.word))
         omega = (x.omega + y.omega) % self.desc.omega_order

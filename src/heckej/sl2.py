@@ -6,17 +6,25 @@ Haar measure is normalized so that vol(I) = 1, hence vol(K) = q + 1.
 Values are exact rational functions of q (sympy expressions over the
 symbol ``q``); the finite-quotient counter over SL(2, Z/p^m) serves as
 an independent oracle for every closed form here.
+
+sympy is imported on the first call that needs it, or the first read of
+``q``, not with this module.  Importing :mod:`heckej.sl2`, and so the
+CLI, which imports it, does not load sympy: callers that never use
+SL(2) run without it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-
-import sympy
+from typing import TYPE_CHECKING
 
 from .errors import BudgetExceeded, DepthTooSmall, DivergentTail
+
+if TYPE_CHECKING:
+    import sympy
 
 __all__ = [
     "q",
@@ -34,9 +42,21 @@ __all__ = [
     "canonical_str",
 ]
 
-q = sympy.Symbol("q", positive=True)
-
 ENUMERATION_BUDGET = 10**7
+
+
+@functools.cache
+def _sympy():
+    """The sympy module and the symbol q, imported on first use."""
+    import sympy
+
+    return sympy, sympy.Symbol("q", positive=True)
+
+
+def __getattr__(name: str):
+    if name == "q":
+        return _sympy()[1]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class Lattice(Enum):
@@ -55,6 +75,7 @@ class Lattice(Enum):
 
 def gamma_coefficient(n: int) -> sympy.Expr:
     """Coefficient of the cell indicator at n in the element f."""
+    _, q = _sympy()
     if n <= 0:
         return q ** (2 * n)
     return -(q ** (-2 * n + 1))
@@ -62,6 +83,7 @@ def gamma_coefficient(n: int) -> sympy.Expr:
 
 def volume_ratio(n: int) -> sympy.Expr:
     """vol(K x_n I) / vol(K); the n = 0 cell is K itself, ratio 1."""
+    _, q = _sympy()
     if n > 0:
         return q ** (2 * n - 1)
     return q ** (-2 * n)
@@ -69,6 +91,7 @@ def volume_ratio(n: int) -> sympy.Expr:
 
 def conv_cell_value(n: int, r: int, lattice: Lattice) -> sympy.Expr:
     """Value of (chi_{K x_n I} * chi_lattice) at (t^-r, 0)."""
+    sympy, q = _sympy()
     if lattice is Lattice.STD:
         if n > 0:
             if r > n:
@@ -125,11 +148,12 @@ class CellFunction:
         start, value, ratio = self.neg_tail
         if n <= start:
             return value * ratio ** (start - n)
-        return sympy.Integer(0)
+        return _sympy()[0].Integer(0)
 
 
 def standard_f() -> CellFunction:
     """The element f = sum gamma_n chi_{K x_n I}."""
+    sympy, q = _sympy()
     return CellFunction(
         exceptional=(),
         pos_tail=(1, -q ** (-1), q ** (-2)),
@@ -139,6 +163,7 @@ def standard_f() -> CellFunction:
 
 def _geometric_sum(first: sympy.Expr, ratio: sympy.Expr) -> sympy.Expr:
     """Formal sum first * (1 + ratio + ratio^2 + ...) as a rational function."""
+    sympy, q = _sympy()
     num, den = sympy.fraction(sympy.cancel(ratio))
     if sympy.degree(num, q) >= sympy.degree(den, q):
         raise DivergentTail(f"tail ratio {ratio} does not vanish as q grows")
@@ -152,6 +177,7 @@ def conv_f_value(r: int, lattice: Lattice, f: CellFunction | None = None) -> sym
     the case table may hit boundary branches, and two tails where both
     the coefficients and the cell values are geometric.
     """
+    sympy, q = _sympy()
     if f is None:
         f = standard_f()
     exceptional_ns = [k for k, _ in f.exceptional]
@@ -180,6 +206,7 @@ def verify_relations(R: int) -> list[tuple[str, int, bool]]:
     q gamma_{r+1} + gamma_{-r} = 0 (0<=r<=R) symbolically."""
     if R < 1:
         raise ValueError("R must be >= 1")
+    sympy, q = _sympy()
     report = []
     for r in range(1, R + 1):
         lhs = sympy.cancel(gamma_coefficient(r) + q * gamma_coefficient(-r))
@@ -191,7 +218,7 @@ def verify_relations(R: int) -> list[tuple[str, int, bool]]:
 
 
 def _is_prime(p: int) -> bool:
-    return sympy.isprime(p)
+    return _sympy()[0].isprime(p)
 
 
 _census_cache: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
@@ -264,6 +291,7 @@ def brute_force_count(p: int, m: int, n: int, r: int, lattice: Lattice) -> Fract
 
 def cell_value_from_count(p: int, m: int, n: int, r: int, lattice: Lattice) -> Fraction:
     """Oracle value of (chi_{K x_n I} * chi_lattice)(t^-r, 0) at q = p."""
+    sympy, q = _sympy()
     frac = brute_force_count(p, m, n, r, lattice)
     ratio = Fraction(sympy.Rational(volume_ratio(n).subs(q, p)))
     return ratio * (p + 1) * frac
@@ -276,6 +304,7 @@ def schwartz_decay_check(N: int, q_value: Fraction) -> list[tuple[int, Fraction,
     q_value = Fraction(q_value)
     if q_value <= 1:
         raise ValueError("q must be > 1")
+    sympy, q = _sympy()
     report = []
     for n in range(-N, N + 1):
         g = Fraction(sympy.Rational(gamma_coefficient(n).subs(q, sympy.Rational(q_value))))
@@ -286,6 +315,7 @@ def schwartz_decay_check(N: int, q_value: Fraction) -> list[tuple[int, Fraction,
 
 def canonical_str(expr: sympy.Expr) -> str:
     """num/den with a monic denominator, matching the CLI output format."""
+    sympy, q = _sympy()
     num, den = sympy.fraction(sympy.cancel(sympy.together(expr)))
     lead = sympy.LC(sympy.Poly(den, q)) if den.has(q) else den
     num = sympy.expand(num / lead)

@@ -48,6 +48,8 @@ def test_cache_file_and_transparency(capsys, cache, tmp_path):
     code1, cold, _ = run(capsys, *args)
     files = list((tmp_path / "cache").glob("kl_*.json"))
     assert code1 == 0 and len(files) == 1
+    table = KLTable(make_group(GroupDescriptor("A1~")), 5)
+    assert files[0].read_text() == json.dumps(table.to_json(), sort_keys=True)
     code2, warm, _ = run(capsys, *args)
     assert code2 == 0 and warm == cold
 

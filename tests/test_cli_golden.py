@@ -3,11 +3,17 @@
 Every record of bench/golden/cli_cold.json is replayed in order through
 ``heckej.cli.main`` in this process, with a fresh KL cache directory, so
 the repeated A2~ ``kl`` call reads back the table the first one wrote.
+The records that are not ``sl2`` commands are replayed once more in a
+fresh interpreter in which sympy cannot be imported.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import heckej
 from heckej.cli import main
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "cli_cold.json"
@@ -22,3 +28,44 @@ def test_golden_stdout_and_exit_codes(capsys, monkeypatch, tmp_path):
         out = capsys.readouterr().out
         assert (code, out) == (rec["exit"], rec["stdout"]), " ".join(rec["argv"])
 
+
+
+# Runs in a fresh interpreter: blocks sympy, replays the argv lists read
+# from stdin, and prints one JSON object with what happened.
+NO_SYMPY = """
+import contextlib, io, json, sys
+sys.modules["sympy"] = None
+import heckej.cli
+results = []
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = heckej.cli.main(argv)
+    results.append([code, out.getvalue()])
+print(json.dumps({
+    "results": results,
+    "sympy": sorted(n for n, m in sys.modules.items()
+                    if m is not None and (n == "sympy" or n.startswith("sympy."))),
+    "sl2_loaded": "heckej.sl2" in sys.modules,
+}))
+"""
+
+
+def test_non_sl2_commands_run_without_sympy(tmp_path):
+    records = [r for r in json.loads(GOLDEN.read_text()) if r["argv"][0] != "sl2"]
+    assert len(records) == 14
+    src = str(Path(heckej.__file__).resolve().parents[1])
+    env = dict(os.environ, HECKEJ_CACHE_DIR=str(tmp_path / "cache"))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SYMPY],
+        input=json.dumps([r["argv"] for r in records]),
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert len(report["results"]) == len(records)
+    for rec, (code, out) in zip(records, report["results"]):
+        assert (code, out) == (rec["exit"], rec["stdout"]), " ".join(rec["argv"])
+    assert report["sympy"] == []
+    assert report["sl2_loaded"]

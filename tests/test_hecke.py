@@ -14,6 +14,7 @@ from heckej import (
     StructureConstants,
     V,
     VINV,
+    WeylGroup,
     ZERO,
     hecke_algebra,
     make_group,
@@ -285,6 +286,30 @@ def test_extended_product_reduces_to_coxeter_part(a2x):
     assert twisted == {
         g.element(z.word, (x.omega + y.omega) % 3): c for z, c in plain.items()
     }
+
+
+def test_h_map_permutes_y_only_for_omega_x(monkeypatch):
+    desc = GroupDescriptor("A1~", extended=True)
+    g = make_group(desc)
+    alg = hecke_algebra(desc)
+    table = KLTable(g, 6)
+    sc = StructureConstants(table)
+    ball = g.enumerate_ball(3)
+    calls = []
+    permuted_id = WeylGroup._permuted_id
+
+    def counting(self, perm, i):
+        calls.append(i)
+        return permuted_id(self, perm, i)
+
+    monkeypatch.setattr(WeylGroup, "_permuted_id", counting)
+    for omega in (0, 1):
+        for x in (w for w in ball if w.omega == omega):
+            for y in ball:
+                calls.clear()
+                got = sc.h_map(x, y)
+                assert len(calls) == omega, (x, y)
+                assert got == h_oracle(alg, table, x, y, False), (x, y)
 
 
 def test_extended_omega_multiplication(a2x):

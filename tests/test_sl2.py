@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+import heckej.sl2
 from heckej import BudgetExceeded, DepthTooSmall, DivergentTail
 from heckej.sl2 import (
     CellFunction,
@@ -29,6 +30,11 @@ def rat(expr, p):
 
 
 def test_gamma_coefficients_closed_form():
+    # q is served lazily by the module; no other missing name is
+    assert heckej.sl2.q == sympy.Symbol("q", positive=True)
+    assert heckej.sl2.q is q
+    with pytest.raises(AttributeError):
+        getattr(heckej.sl2, "no_such_name")
     assert gamma_coefficient(0) == 1
     assert gamma_coefficient(1) == -1 / q
     assert gamma_coefficient(2) == -(q ** (-3))
