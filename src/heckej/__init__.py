@@ -7,7 +7,7 @@ The core pipeline: Kazhdan-Lusztig polynomials and canonical bases
 certified truncation radius (:mod:`heckej.asymptotic`), and an
 independent finite-quotient counting oracle for the SL(2) volumes and
 convolutions (:mod:`heckej.sl2`).  All arithmetic is exact: Laurent
-polynomials over Z, rationals, and rational functions of q.
+polynomials over Z (in v, and in q = v^2 for SL(2)) and rationals.
 """
 
 from .errors import (
@@ -18,6 +18,7 @@ from .errors import (
     HeckejError,
     NonInvertibleTerm,
     NotInAPlus,
+    NotLaurentPolynomial,
     RadiusExceeded,
     UnsupportedType,
 )
@@ -50,6 +51,7 @@ __all__ = [
     "NotInAPlus",
     "NonInvertibleTerm",
     "DivergentTail",
+    "NotLaurentPolynomial",
     "DepthTooSmall",
     "BudgetExceeded",
     "Laurent",

@@ -29,6 +29,10 @@ class DivergentTail(HeckejError):
     """A geometric tail whose ratio does not vanish as q grows."""
 
 
+class NotLaurentPolynomial(HeckejError):
+    """A convergent tail sum that is not a Laurent polynomial in q."""
+
+
 class DepthTooSmall(HeckejError):
     """Valuation thresholds are not decidable at the given p-adic depth."""
 

@@ -274,12 +274,8 @@ class HeckeAlgebra:
 
 
 @lru_cache(maxsize=None)
-def _algebra_cache(desc: GroupDescriptor) -> HeckeAlgebra:
-    return HeckeAlgebra(make_group(desc))
-
-
 def hecke_algebra(desc: GroupDescriptor) -> HeckeAlgebra:
-    return _algebra_cache(desc)
+    return HeckeAlgebra(make_group(desc))
 
 
 def _coxeter_ids(g: WeylGroup, radius: int) -> list[int]:

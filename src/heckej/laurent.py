@@ -144,6 +144,17 @@ class Laurent:
 
     __rmul__ = __mul__
 
+    def __pow__(self, k: int) -> "Laurent":
+        """self^k for an integer k >= 0, by repeated squaring."""
+        if k < 0:
+            raise ValueError("negative power of a Laurent polynomial")
+        out, base = ONE, self
+        while k:
+            if k & 1:
+                out = out * base
+            base, k = base * base, k >> 1
+        return out
+
     def scale(self, n: int) -> "Laurent":
         if n == 0:
             return ZERO

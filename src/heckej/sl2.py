@@ -3,28 +3,23 @@ function f with eventually-geometric coefficients, and its convolution
 with the characteristic functions of the standard lattices.
 
 Haar measure is normalized so that vol(I) = 1, hence vol(K) = q + 1.
-Values are exact rational functions of q (sympy expressions over the
-symbol ``q``); the finite-quotient counter over SL(2, Z/p^m) serves as
-an independent oracle for every closed form here.
-
-sympy is imported on the first call that needs it, or the first read of
-``q``, not with this module.  Importing :mod:`heckej.sl2`, and so the
-CLI, which imports it, does not load sympy: callers that never use
-SL(2) run without it.
+Values are exact Laurent polynomials in q, stored as
+:class:`heckej.laurent.Laurent` in v with q = v^2 (only even exponents),
+the same type that holds the Kazhdan-Lusztig polynomials; the
+finite-quotient counter over SL(2, Z/p^m) serves as an independent
+oracle for every closed form here.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
-from .errors import BudgetExceeded, DepthTooSmall, DivergentTail
-
-if TYPE_CHECKING:
-    import sympy
+from .errors import BudgetExceeded, DepthTooSmall, DivergentTail, NotLaurentPolynomial
+from .laurent import ONE, ZERO, Laurent
 
 __all__ = [
     "q",
@@ -44,19 +39,12 @@ __all__ = [
 
 ENUMERATION_BUDGET = 10**7
 
-
-@functools.cache
-def _sympy():
-    """The sympy module and the symbol q, imported on first use."""
-    import sympy
-
-    return sympy, sympy.Symbol("q", positive=True)
+q = Laurent.monomial(2)
 
 
-def __getattr__(name: str):
-    if name == "q":
-        return _sympy()[1]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def _q(k: int, coeff: int = 1) -> Laurent:
+    """coeff * q^k."""
+    return Laurent.monomial(2 * k, coeff)
 
 
 class Lattice(Enum):
@@ -73,53 +61,37 @@ class Lattice(Enum):
         return (n + r, r - n + 1)
 
 
-def gamma_coefficient(n: int) -> sympy.Expr:
+def gamma_coefficient(n: int) -> Laurent:
     """Coefficient of the cell indicator at n in the element f."""
-    _, q = _sympy()
     if n <= 0:
-        return q ** (2 * n)
-    return -(q ** (-2 * n + 1))
+        return _q(2 * n)
+    return _q(-2 * n + 1, -1)
 
 
-def volume_ratio(n: int) -> sympy.Expr:
+def volume_ratio(n: int) -> Laurent:
     """vol(K x_n I) / vol(K); the n = 0 cell is K itself, ratio 1."""
-    _, q = _sympy()
     if n > 0:
-        return q ** (2 * n - 1)
-    return q ** (-2 * n)
+        return _q(2 * n - 1)
+    return _q(-2 * n)
 
 
-def conv_cell_value(n: int, r: int, lattice: Lattice) -> sympy.Expr:
-    """Value of (chi_{K x_n I} * chi_lattice) at (t^-r, 0)."""
-    sympy, q = _sympy()
-    if lattice is Lattice.STD:
-        if n > 0:
-            if r > n:
-                return sympy.Integer(0)
-            if r <= -n:
-                return (q + 1) * q ** (2 * n - 1)
-            return q ** (n - r)
-        if n < 0:
-            m = -n
-            if r > m:
-                return sympy.Integer(0)
-            if r <= -m:
-                return (q + 1) * q ** (2 * m)
-            return q ** (m - r + 1)
-        return (q + 1) if r <= 0 else sympy.Integer(0)
-    # O + tO
+def conv_cell_value(n: int, r: int, lattice: Lattice) -> Laurent:
+    """Value of (chi_{K x_n I} * chi_lattice) at (t^-r, 0): 0, a power of
+    q, or (q + 1) volume_ratio(n).  O + tO (t = 1) moves the boundary
+    between the first two for n > 0, between the last two for n <= 0."""
+    t = 1 if lattice is Lattice.SUB else 0
     if n > 0:
-        if r > n - 1:
-            return sympy.Integer(0)
+        if r > n - t:
+            return ZERO
         if r <= -n:
-            return (q + 1) * q ** (2 * n - 1)
-        return q ** (n - r)
+            return _q(2 * n) + _q(2 * n - 1)
+        return _q(n - r)
     m = -n
     if r > m:
-        return sympy.Integer(0)
-    if r <= -m - 1:
-        return (q + 1) * q ** (2 * m)
-    return q ** (m - r)
+        return ZERO
+    if r <= -m - t:
+        return _q(2 * m + 1) + _q(2 * m)
+    return _q(m - r + 1 - t)
 
 
 @dataclass(frozen=True)
@@ -134,11 +106,11 @@ class CellFunction:
     then the tails.
     """
 
-    exceptional: tuple[tuple[int, sympy.Expr], ...]
-    pos_tail: tuple[int, sympy.Expr, sympy.Expr]
-    neg_tail: tuple[int, sympy.Expr, sympy.Expr]
+    exceptional: tuple[tuple[int, Laurent], ...]
+    pos_tail: tuple[int, Laurent, Laurent]
+    neg_tail: tuple[int, Laurent, Laurent]
 
-    def coefficient(self, n: int) -> sympy.Expr:
+    def coefficient(self, n: int) -> Laurent:
         for k, v in self.exceptional:
             if k == n:
                 return v
@@ -148,82 +120,102 @@ class CellFunction:
         start, value, ratio = self.neg_tail
         if n <= start:
             return value * ratio ** (start - n)
-        return _sympy()[0].Integer(0)
+        return ZERO
 
 
 def standard_f() -> CellFunction:
     """The element f = sum gamma_n chi_{K x_n I}."""
-    sympy, q = _sympy()
     return CellFunction(
         exceptional=(),
-        pos_tail=(1, -q ** (-1), q ** (-2)),
-        neg_tail=(0, sympy.Integer(1), q ** (-2)),
+        pos_tail=(1, _q(-1, -1), _q(-2)),
+        neg_tail=(0, ONE, _q(-2)),
     )
 
 
-def _geometric_sum(first: sympy.Expr, ratio: sympy.Expr) -> sympy.Expr:
-    """Formal sum first * (1 + ratio + ratio^2 + ...) as a rational function."""
-    sympy, q = _sympy()
-    num, den = sympy.fraction(sympy.cancel(ratio))
-    if sympy.degree(num, q) >= sympy.degree(den, q):
-        raise DivergentTail(f"tail ratio {ratio} does not vanish as q grows")
-    return sympy.cancel(first / (1 - ratio))
+def _exact_quotient(num: Laurent, den: Laurent) -> Laurent:
+    """num / den for a den whose top term is v^0, by long division from
+    the top; raises NotLaurentPolynomial if the quotient is not one."""
+    quot, rem = ZERO, num
+    # an exact quotient's lowest term is num's lowest over den's lowest
+    while rem and rem.max_exp() >= num.min_exp() - den.min_exp():
+        term = Laurent.monomial(rem.max_exp(), rem.coeff(rem.max_exp()))
+        quot += term
+        rem -= term * den
+    if rem:
+        raise NotLaurentPolynomial(f"({num}) / ({den}) is not a Laurent polynomial")
+    return quot
 
 
-def conv_f_value(r: int, lattice: Lattice, f: CellFunction | None = None) -> sympy.Expr:
-    """(f * chi_lattice)(t^-r, 0) as an exact rational function of q.
+def conv_f_value(r: int, lattice: Lattice, f: CellFunction | None = None) -> Laurent:
+    """(f * chi_lattice)(t^-r, 0) as an exact Laurent polynomial in q.
 
     The sum over cells is split into an explicit window, inside which
     the case table may hit boundary branches, and two tails where both
-    the coefficients and the cell values are geometric.
+    the coefficients and the cell values are geometric.  A tail sums to
+    first / (1 - ratio), and ratio vanishes as q grows, so the common
+    denominator has top term v^0 and the sum is divided out exactly.
     """
-    sympy, q = _sympy()
     if f is None:
         f = standard_f()
-    exceptional_ns = [k for k, _ in f.exceptional]
-    window = max(
-        [abs(r) + 1, f.pos_tail[0], -f.neg_tail[0]]
-        + [abs(k) for k in exceptional_ns]
-    ) + 1
-    total = sympy.Integer(0)
+    bounds = [abs(r) + 1, f.pos_tail[0], -f.neg_tail[0]] + [abs(k) for k, _ in f.exceptional]
+    window = max(bounds) + 1
+    num, den = ZERO, ONE
     for n in range(-window, window + 1):
-        total += f.coefficient(n) * conv_cell_value(n, r, lattice)
-    # positive tail: cell value is q^(n-r) with one extra q-power per step
-    n0 = window + 1
-    first = f.coefficient(n0) * conv_cell_value(n0, r, lattice)
-    if first != 0:
-        total += _geometric_sum(first, f.pos_tail[2] * q)
-    # negative tail: for n = -m the value gains one q-power per step in m
-    m0 = window + 1
-    first = f.coefficient(-m0) * conv_cell_value(-m0, r, lattice)
-    if first != 0:
-        total += _geometric_sum(first, f.neg_tail[2] * q)
-    return sympy.cancel(total)
+        num += f.coefficient(n) * conv_cell_value(n, r, lattice)
+    # past the window the cell value gains one q-power per step away from
+    # n = 0 on either side: q^(n-r) for n > 0, q^(m-r+1) or q^(m-r) for n = -m
+    for n, tail in ((window + 1, f.pos_tail), (-window - 1, f.neg_tail)):
+        first = f.coefficient(n) * conv_cell_value(n, r, lattice)
+        if not first:
+            continue
+        ratio = tail[2] * q
+        if ratio and ratio.max_exp() >= 0:
+            raise DivergentTail(f"tail ratio {ratio} does not vanish as q grows")
+        num, den = num * (ONE - ratio) + first * den, den * (ONE - ratio)
+    return _exact_quotient(num, den)
 
 
 def verify_relations(R: int) -> list[tuple[str, int, bool]]:
     """Check gamma_r + q gamma_{-r} = 0 (1<=r<=R) and
-    q gamma_{r+1} + gamma_{-r} = 0 (0<=r<=R) symbolically."""
+    q gamma_{r+1} + gamma_{-r} = 0 (0<=r<=R) exactly."""
     if R < 1:
         raise ValueError("R must be >= 1")
-    sympy, q = _sympy()
     report = []
     for r in range(1, R + 1):
-        lhs = sympy.cancel(gamma_coefficient(r) + q * gamma_coefficient(-r))
-        report.append(("gamma_r + q*gamma_-r", r, lhs == 0))
+        lhs = gamma_coefficient(r) + q * gamma_coefficient(-r)
+        report.append(("gamma_r + q*gamma_-r", r, lhs == ZERO))
     for r in range(0, R + 1):
-        lhs = sympy.cancel(q * gamma_coefficient(r + 1) + gamma_coefficient(-r))
-        report.append(("q*gamma_{r+1} + gamma_-r", r, lhs == 0))
+        lhs = q * gamma_coefficient(r + 1) + gamma_coefficient(-r)
+        report.append(("q*gamma_{r+1} + gamma_-r", r, lhs == ZERO))
     return report
 
 
+# The first 13 primes; 3317044064679887385961981 is the least strong
+# pseudoprime to all of them (Sorenson and Webster 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(p: int) -> bool:
-    return _sympy()[0].isprime(p)
+    """Miller-Rabin to the bases above: exact for p < 3.3 * 10^24, a
+    strong probable-prime test beyond, and fast for any int."""
+    if p < 2 or any(p % b == 0 for b in _MILLER_RABIN_BASES):
+        return p in _MILLER_RABIN_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s, d odd
+    d = (p - 1) >> s
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
-_census_cache: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
-
-
+@functools.cache
 def _completion_census(p: int, m: int) -> dict[tuple[int, int], int]:
     """For each valuation pair (val(a), val(c)), the number of matrices in
     SL(2, Z/p^m) whose first column has those valuations.
@@ -231,18 +223,11 @@ def _completion_census(p: int, m: int) -> dict[tuple[int, int], int]:
     One enumeration of all first columns (a, c) with exact counting of
     completions (b, d) solving ad - bc = 1; reused across queries.
     """
-    got = _census_cache.get((p, m))
-    if got is not None:
-        return got
-    import math
-
     pm = p**m
-    val = [m] * pm
-    for v in range(m):
-        step = p**v
-        for x in range(step, pm, step):
-            if x % (p ** (v + 1)) != 0:
-                val[x] = v
+    val = [0] * pm  # val[x]: the largest v <= m with p^v | x
+    for v in range(1, m + 1):
+        for x in range(0, pm, p**v):
+            val[x] = v
     census: dict[tuple[int, int], int] = {}
     for a in range(pm):
         for c in range(pm):
@@ -256,7 +241,6 @@ def _completion_census(p: int, m: int) -> dict[tuple[int, int], int]:
                 count = sum(g for b in range(pm) if (1 + b * c) % g == 0)
             key = (val[a], val[c])
             census[key] = census.get(key, 0) + count
-    _census_cache[(p, m)] = census
     return census
 
 
@@ -291,10 +275,8 @@ def brute_force_count(p: int, m: int, n: int, r: int, lattice: Lattice) -> Fract
 
 def cell_value_from_count(p: int, m: int, n: int, r: int, lattice: Lattice) -> Fraction:
     """Oracle value of (chi_{K x_n I} * chi_lattice)(t^-r, 0) at q = p."""
-    sympy, q = _sympy()
     frac = brute_force_count(p, m, n, r, lattice)
-    ratio = Fraction(sympy.Rational(volume_ratio(n).subs(q, p)))
-    return ratio * (p + 1) * frac
+    return volume_ratio(n).eval_q(p) * (p + 1) * frac
 
 
 def schwartz_decay_check(N: int, q_value: Fraction) -> list[tuple[int, Fraction, bool]]:
@@ -304,22 +286,27 @@ def schwartz_decay_check(N: int, q_value: Fraction) -> list[tuple[int, Fraction,
     q_value = Fraction(q_value)
     if q_value <= 1:
         raise ValueError("q must be > 1")
-    sympy, q = _sympy()
     report = []
     for n in range(-N, N + 1):
-        g = Fraction(sympy.Rational(gamma_coefficient(n).subs(q, sympy.Rational(q_value))))
-        weighted = q_value ** abs(n) * abs(g)
+        weighted = q_value ** abs(n) * abs(gamma_coefficient(n).eval_q(q_value))
         report.append((n, weighted, weighted <= q_value))
     return report
 
 
-def canonical_str(expr: sympy.Expr) -> str:
-    """num/den with a monic denominator, matching the CLI output format."""
-    sympy, q = _sympy()
-    num, den = sympy.fraction(sympy.cancel(sympy.together(expr)))
-    lead = sympy.LC(sympy.Poly(den, q)) if den.has(q) else den
-    num = sympy.expand(num / lead)
-    den = sympy.expand(den / lead)
-    if den == 1:
-        return str(num)
-    return f"({num})/({den})"
+def canonical_str(x: Laurent) -> str:
+    """x as a polynomial in q over a power of q, terms in descending
+    powers, matching the CLI output format: ``q + 1``, ``q**3 + q**2``,
+    ``(-1)/(q**3)``, ``0``."""
+    if not x:
+        return "0"
+    if any(e % 2 for e, _ in x.items()):
+        raise ValueError(f"{x} is not a Laurent polynomial in q = v^2")
+    shift = max(0, -x.min_exp() // 2)
+    terms = []
+    for e, c in sorted(x.items(), reverse=True):
+        k = e // 2 + shift
+        power = "q" if k == 1 else f"q**{k}"
+        coeff = "" if c == 1 else "-" if c == -1 else f"{c}*"
+        terms.append(str(c) if k == 0 else coeff + power)
+    num = " + ".join(terms).replace(" + -", " - ")
+    return num if shift == 0 else f"({num})/({'q' if shift == 1 else f'q**{shift}'})"

@@ -5,7 +5,6 @@ import time
 from fractions import Fraction
 
 import pytest
-import sympy
 
 from heckej import GroupDescriptor, KLTable, Laurent, ONE, ZERO, hecke_algebra, make_group
 from heckej.errors import DepthTooSmall
@@ -114,22 +113,22 @@ def test_criterion_5_volumes():
     expected = {0: 1, 1: q, 2: q**3, -1: q**2, -2: q**4}
     enumerated = 0
     for n, val in expected.items():
-        assert sympy.cancel(volume_ratio(n) - val) == 0
+        assert volume_ratio(n) == val
     witnesses = {0: 0, 1: 0, 2: -1, -1: 0, -2: -1}
     for p, m in ((2, 4), (3, 3)):
         enumerated += p ** (3 * m)
         for n, r in witnesses.items():
             frac = brute_force_count(p, m, n, r, Lattice.STD)
             assert frac > 0
-            lhs = Fraction(sympy.Rational(volume_ratio(n).subs(q, p))) * (p + 1) * frac
-            rhs = Fraction(sympy.Rational(conv_cell_value(n, r, Lattice.STD).subs(q, p)))
+            lhs = volume_ratio(n).eval_q(p) * (p + 1) * frac
+            rhs = conv_cell_value(n, r, Lattice.STD).eval_q(p)
             assert lhs == rhs, (p, m, n, r)
     assert enumerated <= 10**7
     report(f"PASS criterion 5: volume ratios vs counting oracle ({enumerated} elements enumerated)")
 
 
 def test_criterion_6_relations():
-    """Both coefficient relations hold symbolically for all r <= 50."""
+    """Both coefficient relations hold exactly for all r <= 50."""
     report_rows = verify_relations(50)
     assert all(ok for _, _, ok in report_rows)
     # the two relations pin the whole coefficient sequence once gamma_0 = 1
@@ -142,12 +141,12 @@ def test_criterion_7_convolutions():
     vanishes identically; cross-checked numerically at q = 2, 3 by the
     counting oracle on the grid |n| <= 2, |r| <= 3."""
     for r in range(-5, 6):
-        want = (q + 1) if r <= 0 else sympy.Integer(0)
-        assert sympy.cancel(conv_f_value(r, Lattice.STD) - want) == 0, r
+        want = (q + ONE) if r <= 0 else ZERO
+        assert conv_f_value(r, Lattice.STD) == want, r
         assert conv_f_value(r, Lattice.SUB) == 0, r
     f = standard_f()
     for n in range(-6, 7):
-        assert sympy.cancel(f.coefficient(n) - gamma_coefficient(n)) == 0
+        assert f.coefficient(n) == gamma_coefficient(n)
     checked = 0
     for p in (2, 3):
         skipped = []
@@ -159,15 +158,13 @@ def test_criterion_7_convolutions():
                     except DepthTooSmall:
                         skipped.append((n, r, lat))
                         continue
-                    want = Fraction(sympy.Rational(conv_cell_value(n, r, lat).subs(q, p)))
+                    want = conv_cell_value(n, r, lat).eval_q(p)
                     assert got == want, (p, n, r, lat)
                     checked += 1
         # exactly one grid point per prime needs more depth than p^4
         assert skipped == [(-2, 2, Lattice.SUB)]
     deep = cell_value_from_count(2, 7, -2, 2, Lattice.SUB)
-    assert deep == Fraction(
-        sympy.Rational(conv_cell_value(-2, 2, Lattice.SUB).subs(q, 2))
-    )
+    assert deep == conv_cell_value(-2, 2, Lattice.SUB).eval_q(2)
     report(f"PASS criterion 7: convolution identities, oracle grid ({checked} points + 1 deep point)")
 
 

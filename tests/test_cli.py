@@ -2,6 +2,7 @@
 certification refusal, and KL cache files."""
 
 import json
+import time
 
 import pytest
 
@@ -212,6 +213,14 @@ def test_sl2_count_refusal(capsys):
         "--lattice", "sub",
     )
     assert code == 3 and "refused" in err
+    # a 25-digit prime passes the primality check and is refused by the budget
+    started = time.perf_counter()
+    code, _, err = run(
+        capsys, "sl2", "count", "--p", "1000000000000000000000007", "--m", "1",
+        "--n", "0", "--r", "0",
+    )
+    assert code == 3 and "refused" in err
+    assert time.perf_counter() - started < 5
 
 
 def test_usage_errors(capsys, cache):
@@ -225,6 +234,10 @@ def test_usage_errors(capsys, cache):
                      "--radius", "-1")
     assert code == 2
     code, out, _ = run(capsys, "sl2", "decay", "--q", "3", "--N", "-1")
+    assert code == 2 and out == ""
+    # 1000000000039 * 2000000000003, a 25-digit composite with no small factor
+    code, out, _ = run(capsys, "sl2", "count", "--p", "2000000000081000000000117",
+                       "--m", "1", "--n", "0", "--r", "0")
     assert code == 2 and out == ""
 
 

@@ -3,8 +3,8 @@
 Every record of bench/golden/cli_cold.json is replayed in order through
 ``heckej.cli.main`` in this process, with a fresh KL cache directory, so
 the repeated A2~ ``kl`` call reads back the table the first one wrote.
-The records that are not ``sl2`` commands are replayed once more in a
-fresh interpreter in which sympy cannot be imported.
+All of them are replayed once more in a fresh interpreter in which sympy
+cannot be imported: the package has no runtime dependency.
 """
 
 import json
@@ -51,9 +51,9 @@ print(json.dumps({
 """
 
 
-def test_non_sl2_commands_run_without_sympy(tmp_path):
-    records = [r for r in json.loads(GOLDEN.read_text()) if r["argv"][0] != "sl2"]
-    assert len(records) == 14
+def test_golden_commands_run_without_sympy(tmp_path):
+    records = json.loads(GOLDEN.read_text())
+    assert len(records) == 20
     src = str(Path(heckej.__file__).resolve().parents[1])
     env = dict(os.environ, HECKEJ_CACHE_DIR=str(tmp_path / "cache"))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

@@ -1,12 +1,13 @@
 """Laurent polynomial ring and the quadratic specialization target."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from heckej import Laurent, NotInAPlus, ONE, QuadExt, V, VINV, ZERO
+from heckej import Laurent, NotInAPlus, ONE, QuadExt, V, VINV, ZERO, laurent
 
 
 def random_poly(rng, max_terms=5, span=6, coeff=20):
@@ -31,6 +32,17 @@ def test_ring_axioms_randomized():
         assert a * ONE == a
         assert a - a == ZERO
         assert a + (-a) == ZERO
+        assert a ** 0 == ONE and a ** 3 == a * a * a
+
+
+def test_power_by_repeated_squaring(monkeypatch):
+    products = []
+    mul = laurent._mul_raw
+    monkeypatch.setattr(laurent, "_mul_raw", lambda a, b: products.append(1) or mul(a, b))
+    assert (ONE + V) ** 100 == Laurent({k: math.comb(100, k) for k in range(101)})
+    assert len(products) <= 2 * (100).bit_length()
+    with pytest.raises(ValueError):
+        V ** -1
 
 
 def test_zero_coefficients_never_stored():
