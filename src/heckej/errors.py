@@ -38,4 +38,5 @@ class DepthTooSmall(HeckejError):
 
 
 class BudgetExceeded(HeckejError):
-    """A brute-force enumeration would exceed the configured budget."""
+    """A request would exceed a size budget (a brute-force enumeration,
+    a summation window, a report length)."""

@@ -11,10 +11,12 @@ and the signed one replaces each coefficient c(v) by c(-v^-1), which
 gives the alternating-sign form with P_{y,w}(v^-2).  Both are fixed by
 the bar involution; the table certifies this rather than assuming it.
 
-Internally vectors are dicts {basis key: raw coefficient}, the raw
-coefficients being the zero-free {exponent: int} dicts whose arithmetic
-lives in heckej.laurent; the public surface uses Laurent and
-GroupElement values.
+Internally every vector is a raw ~T vector {(cox_id, omega): coeff}
+(KL and structure-constant data: {cox_id: coeff}), the coefficients
+being the zero-free {exponent: int} dicts of heckej.laurent.  A
+HeckeElement ({GroupElement: Laurent}) appears only at the public edges:
+`_to_ttilde_raw` reads one in any basis and `_from_ttilde_raw` writes
+one in any basis.
 """
 
 from __future__ import annotations
@@ -151,24 +153,6 @@ class HeckeAlgebra:
             _addmul_at(out, (g._permuted_id(perm, i), (k + om) % g.desc.omega_order), c)
         return out
 
-    def _to_raw(self, h: HeckeElement) -> dict:
-        g = self.group
-        out: dict = {}
-        for w, c in h.terms.items():
-            _addmul_at(out, (g._id_of(w.word), w.omega), c._c)
-        return out
-
-    def _from_raw(self, vec: dict) -> HeckeElement:
-        g = self.group
-        return HeckeElement(
-            self.desc,
-            "Ttilde",
-            {
-                GroupElement(self.desc, g._words[i], om): Laurent(c)
-                for (i, om), c in vec.items()
-            },
-        )
-
     def _mul_ttilde_raw(self, vec1: dict, vec2: dict) -> dict:
         g = self.group
         out: dict = {}
@@ -180,62 +164,61 @@ class HeckeAlgebra:
                 _addmul_at(out, key, _mul_raw(c, c2))
         return out
 
+    # -- basis conversion --------------------------------------------------
+
+    def _to_ttilde_raw(self, h: HeckeElement, table: "KLTable | None") -> dict:
+        """h as a raw ~T vector {(cox_id, omega): coeff}."""
+        g = self.group
+        out: dict = {}
+        if h.basis in ("T", "Ttilde"):
+            for w, c in h.terms.items():
+                # T_w = v^len(w) ~T_w
+                shift = len(w.word) if h.basis == "T" else 0
+                _addmul_at(out, (g._id_of(w.word), w.omega), c._c, shift=shift)
+            return out
+        if table is None or table.group is not self.group:
+            raise ValueError("canonical-basis conversion needs a KL table of this group")
+        signed = h.basis == "Csigned"
+        for w, c in h.terms.items():
+            for y, cy in table._coords[table._require(w.word)].items():
+                _addmul_at(out, (y, w.omega), _mul_raw(c._c, _star_raw(cy) if signed else cy))
+        return out
+
+    def _from_ttilde_raw(self, vec: dict, basis: str, table: "KLTable | None") -> HeckeElement:
+        """A raw ~T vector, which is consumed, in the given basis.  C_w is
+        ~T_w plus shorter terms, so a canonical expansion is peeled off one
+        length at a time from the longest down."""
+        words = self.group._words
+        if basis == "T":
+            vec = {key: {e - len(words[key[0]]): x for e, x in c.items()} for key, c in vec.items()}
+        elif basis != "Ttilde":
+            if table is None or table.group is not self.group:
+                raise ValueError("canonical-basis conversion needs a KL table of this group")
+            signed = basis == "Csigned"
+            rest, vec = vec, {}
+            for length in range(max((len(words[i]) for i, _ in rest), default=-1), -1, -1):
+                for key in [k for k in rest if len(words[k[0]]) == length]:
+                    i, om = key
+                    c = vec[key] = rest.pop(key)
+                    for y, cy in table._coords[table._require(words[i])].items():
+                        if y != i:
+                            _addmul_at(rest, (y, om), _mul_raw(c, _star_raw(cy) if signed else cy), -1)
+        terms = {GroupElement(self.desc, words[i], om): Laurent._raw(c) for (i, om), c in vec.items()}
+        return HeckeElement(self.desc, basis, terms)
+
+    def to_basis(self, h: HeckeElement, basis: str, table: "KLTable | None" = None) -> HeckeElement:
+        if h.basis == basis:
+            return h
+        return self._from_ttilde_raw(self._to_ttilde_raw(h, table), basis, table)
+
     # -- public multiplication -------------------------------------------
 
     def multiply(self, h1: HeckeElement, h2: HeckeElement, table: "KLTable | None" = None) -> HeckeElement:
         """Product, returned in the basis of h1."""
         if h1.desc != self.desc or h2.desc != self.desc:
             raise GroupMismatch("elements do not belong to this algebra")
-        a = self.to_basis(h1, "Ttilde", table)
-        b = self.to_basis(h2, "Ttilde", table)
-        prod = self._from_raw(self._mul_ttilde_raw(self._to_raw(a), self._to_raw(b)))
-        return self.to_basis(prod, h1.basis, table)
-
-    # -- basis conversion --------------------------------------------------
-
-    def to_basis(self, h: HeckeElement, basis: str, table: "KLTable | None" = None) -> HeckeElement:
-        if h.basis == basis:
-            return h
-        tt = self._into_ttilde(h, table)
-        if basis == "Ttilde":
-            return tt
-        if basis == "T":
-            return HeckeElement(
-                self.desc, "T", {w: c.shift(-len(w.word)) for w, c in tt.terms.items()}
-            )
-        return self._ttilde_to_canonical(tt, basis, table)
-
-    def _into_ttilde(self, h: HeckeElement, table: "KLTable | None") -> HeckeElement:
-        if h.basis == "Ttilde":
-            return h
-        if h.basis == "T":
-            return HeckeElement(
-                self.desc, "Ttilde", {w: c.shift(len(w.word)) for w, c in h.terms.items()}
-            )
-        if table is None:
-            raise ValueError("canonical-basis conversion needs a KL table")
-        out: dict = {}
-        for w, c in h.terms.items():
-            cw = table.c_basis_element(w, signed=(h.basis == "Csigned"))
-            for y, cy in cw.terms.items():
-                _accumulate(out, y, c * cy)
-        return HeckeElement(self.desc, "Ttilde", out)
-
-    def _ttilde_to_canonical(self, tt: HeckeElement, basis: str, table: "KLTable | None") -> HeckeElement:
-        if table is None:
-            raise ValueError("canonical-basis conversion needs a KL table")
-        rest = dict(tt.terms)
-        out: dict = {}
-        while rest:
-            w = max(rest, key=lambda g: g.sort_key())
-            c = rest.pop(w)
-            out[w] = c
-            neg = -c
-            cw = table.c_basis_element(w, signed=(basis == "Csigned"))
-            for y, cy in cw.terms.items():
-                if y != w:
-                    _accumulate(rest, y, neg * cy)
-        return HeckeElement(self.desc, basis, out)
+        prod = self._mul_ttilde_raw(self._to_ttilde_raw(h1, table), self._to_ttilde_raw(h2, table))
+        return self._from_ttilde_raw(prod, h1.basis, table)
 
     # -- bar involution ----------------------------------------------------
 
@@ -262,25 +245,19 @@ class HeckeAlgebra:
 
     def bar(self, h: HeckeElement, table: "KLTable | None" = None) -> HeckeElement:
         """The semilinear involution v -> v^-1, ~T_w -> (~T_{w^-1})^-1."""
-        g = self.group
-        tt = self.to_basis(h, "Ttilde", table)
         out: dict = {}
-        for w, c in tt.terms.items():
-            if w.omega != 0 and g.desc.omega_order == 1:
-                raise NonInvertibleTerm(f"no omega part {w.omega} in this group")
-            vec = self._bar_ttilde_raw(g._id_of(w.word), w.omega)
-            _vec_addmul(out, {k: _mul_raw(c.bar()._c, v) for k, v in vec.items()})
-        return self.to_basis(self._from_raw(out), h.basis, table)
+        for (i, om), c in self._to_ttilde_raw(h, table).items():
+            if om != 0 and self.desc.omega_order == 1:
+                raise NonInvertibleTerm(f"no omega part {om} in this group")
+            cbar = {-e: x for e, x in c.items()}
+            for key, x in self._bar_ttilde_raw(i, om).items():
+                _addmul_at(out, key, _mul_raw(cbar, x))
+        return self._from_ttilde_raw(out, h.basis, table)
 
 
 @lru_cache(maxsize=None)
 def hecke_algebra(desc: GroupDescriptor) -> HeckeAlgebra:
     return HeckeAlgebra(make_group(desc))
-
-
-def _coxeter_ids(g: WeylGroup, radius: int) -> list[int]:
-    """Coxeter ids of the ball of the given radius, in enumeration order."""
-    return [g._id_of(e.word) for e in g.enumerate_ball(radius) if e.omega == 0]
 
 
 class KLTable:
@@ -307,11 +284,32 @@ class KLTable:
     def extend(self, radius: int) -> None:
         if radius <= self.radius:
             return
-        for i in _coxeter_ids(self.group, radius):
+        for i in self.group._ball_ids(radius):
             if i not in self._coords:
                 self._build(i)
                 self._order.append(i)
         self.radius = radius
+
+    def _mu_step(self, vecs: dict, rule, s: int, pid: int) -> dict:
+        """vecs[s p] = rule(s, vecs[p]) - sum_{w<p, sw<w} mu(w,p) vecs[w] for s p > p:
+        one mu-recursion step, for the KL build (C'_w in ~T coordinates)
+        and for the structure-constant columns (C'_x C'_y in C' coordinates)."""
+        ldesc = self.group._ldesc
+        vec = rule(s, vecs[pid])
+        for w, mu in self._mu_down[pid]:
+            if s in ldesc[w]:
+                _vec_addmul(vec, vecs[w], -mu)
+        return vec
+
+    def _cprime_s(self, s: int, vec: dict[int, dict]) -> dict[int, dict]:
+        """C'_s = ~T_s + v^-1 times a ~T vector on Coxeter ids:
+        C'_s ~T_y = ~T_{sy} + v^-1 ~T_y if sy > y, ~T_{sy} + v ~T_y if sy < y."""
+        g = self.group
+        out: dict[int, dict] = {}
+        for y, c in vec.items():
+            _addmul_at(out, g._lmul(s, y), c)
+            _addmul_at(out, y, c, shift=1 if s in g._ldesc[y] else -1)
+        return out
 
     def _build(self, wid: int) -> None:
         g = self.group
@@ -321,19 +319,7 @@ class KLTable:
             self._mu_down[wid] = []
             return
         s = word[0]
-        uid = g._lmul(s, wid)
-        cu = self._coords[uid]
-        res: dict[int, dict] = {}
-        for y, c in cu.items():
-            sy = g._lmul(s, y)
-            _addmul_at(res, sy, c)
-            if len(g._words[sy]) < len(g._words[y]):
-                _addmul_at(res, y, c, shift=1)
-                _addmul_at(res, y, c, -1, shift=-1)
-            _addmul_at(res, y, c, shift=-1)
-        for z, mu in self._mu_down[uid]:
-            if s in g._ldesc[z]:
-                _vec_addmul(res, self._coords[z], -mu)
+        res = self._mu_step(self._coords, self._cprime_s, s, g._lmul(s, wid))
         if res.get(wid) != {0: 1}:
             raise HeckejError(f"C'_w is not unitriangular at w = {word}")
         mu_list = []
@@ -348,14 +334,14 @@ class KLTable:
 
     # -- queries -----------------------------------------------------------
 
-    def _require(self, w: GroupElement) -> int:
-        if len(w.word) > self.radius:
-            raise RadiusExceeded(f"length {len(w.word)} beyond table radius {self.radius}")
-        return self.group._id_of(w.word)
+    def _require(self, word: tuple[int, ...]) -> int:
+        if len(word) > self.radius:
+            raise RadiusExceeded(f"length {len(word)} beyond table radius {self.radius}")
+        return self.group._id_of(word)
 
     def kl_polynomial(self, y: GroupElement, w: GroupElement) -> Laurent:
         """P_{y,w} as a polynomial in q, stored on even v-exponents."""
-        wid = self._require(w)
+        wid = self._require(w.word)
         if y.omega != w.omega:
             return ZERO
         yid = self.group._id_of(y.word)
@@ -366,7 +352,7 @@ class KLTable:
         return Laurent({e + shift: v for e, v in c.items()})
 
     def mu(self, y: GroupElement, w: GroupElement) -> int:
-        wid = self._require(w)
+        wid = self._require(w.word)
         if y.omega != w.omega:
             return 0
         yid = self.group._id_of(y.word)
@@ -377,13 +363,8 @@ class KLTable:
 
     def c_basis_element(self, w: GroupElement, signed: bool = False) -> HeckeElement:
         """C_w (signed) or C'_w (unsigned) expanded in the ~T basis."""
-        wid = self._require(w)
-        g = self.group
-        terms = {}
-        for y, c in self._coords[wid].items():
-            coeff = _star_raw(c) if signed else dict(c)
-            terms[GroupElement(self.desc, g._words[y], w.omega)] = Laurent._raw(coeff)
-        return HeckeElement(self.desc, "Ttilde", terms)
+        alg = hecke_algebra(self.desc)
+        return alg.to_basis(alg.basis_element(w, "Csigned" if signed else "Cprime"), "Ttilde", self)
 
     # -- persistence --------------------------------------------------------
 
@@ -477,12 +458,7 @@ class StructureConstants:
             if xid == 0:
                 continue
             s = g._words[xid][0]
-            pid = g._lmul(s, xid)
-            vec = self._s_mult(s, col[pid])
-            for w, mu in self.table._mu_down[pid]:
-                if s in g._ldesc[w]:
-                    _vec_addmul(vec, col[w], -mu)
-            col[xid] = vec
+            col[xid] = self.table._mu_step(col, self._s_mult, s, g._lmul(s, xid))
         return col
 
     def column(self, yid: int, xmax: int) -> dict[int, dict[int, dict]]:
@@ -490,7 +466,7 @@ class StructureConstants:
         cached = self._columns.get(yid)
         if cached and cached[0] >= xmax:
             return cached[1]
-        col = self._compute_column(yid, xmax, _coxeter_ids(self.group, xmax))
+        col = self._compute_column(yid, xmax, self.group._ball_ids(xmax))
         self._columns[yid] = (xmax, col)
         return col
 
@@ -531,15 +507,13 @@ class StructureConstants:
         """
         g = self.group
         auts = g.diagram_automorphisms
-        ids = _coxeter_ids(g, scan_radius)
+        ids = g._ball_ids(scan_radius)
         length = {i: len(g._words[i]) for i in ids}
         reps = [i for i in ids if i == min(g._permuted_id(p, i) for p in auts)]
         rep_mins = {i: [NO_PAIR] * (scan_radius + 1) for i in ids if length[i] <= track_len}
         for yid in reps:
-            cached = self._columns.get(yid)
-            if cached and cached[0] >= scan_radius:
-                col = cached[1]
-            else:
+            reach, col = self._columns.get(yid, (-1, None))
+            if reach < scan_radius:
                 col = self._compute_column(yid, scan_radius, ids)
             ylen = length[yid]
             for xid in ids:

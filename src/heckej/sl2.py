@@ -37,7 +37,13 @@ __all__ = [
     "canonical_str",
 ]
 
+# Size budgets, checked before any work: p^(3m) for the counting oracle,
+# cells on each side of the conv_f_value window, R for verify_relations
+# and N for schwartz_decay_check (whose output grows like N^2).
 ENUMERATION_BUDGET = 10**7
+WINDOW_BUDGET = 10**4
+RELATIONS_BUDGET = 10**5
+DECAY_BUDGET = 10**3
 
 q = Laurent.monomial(2)
 
@@ -159,6 +165,8 @@ def conv_f_value(r: int, lattice: Lattice, f: CellFunction | None = None) -> Lau
         f = standard_f()
     bounds = [abs(r) + 1, f.pos_tail[0], -f.neg_tail[0]] + [abs(k) for k, _ in f.exceptional]
     window = max(bounds) + 1
+    if window > WINDOW_BUDGET:
+        raise BudgetExceeded(f"window of {window} cells per side exceeds {WINDOW_BUDGET}")
     num, den = ZERO, ONE
     for n in range(-window, window + 1):
         num += f.coefficient(n) * conv_cell_value(n, r, lattice)
@@ -180,6 +188,8 @@ def verify_relations(R: int) -> list[tuple[str, int, bool]]:
     q gamma_{r+1} + gamma_{-r} = 0 (0<=r<=R) exactly."""
     if R < 1:
         raise ValueError("R must be >= 1")
+    if R > RELATIONS_BUDGET:
+        raise BudgetExceeded(f"R = {R} exceeds {RELATIONS_BUDGET}")
     report = []
     for r in range(1, R + 1):
         lhs = gamma_coefficient(r) + q * gamma_coefficient(-r)
@@ -283,6 +293,8 @@ def schwartz_decay_check(N: int, q_value: Fraction) -> list[tuple[int, Fraction,
     """Verify q^|n| * |gamma_n(q)| <= q for |n| <= N (geometric decay)."""
     if N < 0:
         raise ValueError("N must be >= 0")
+    if N > DECAY_BUDGET:
+        raise BudgetExceeded(f"N = {N} exceeds {DECAY_BUDGET}")
     q_value = Fraction(q_value)
     if q_value <= 1:
         raise ValueError("q must be > 1")

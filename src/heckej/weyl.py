@@ -330,29 +330,30 @@ class WeylGroup:
         self._check(a)
         return len(a.word)
 
-    def enumerate_ball(self, radius: int) -> list[GroupElement]:
-        """All elements of length <= radius, sorted by (length, word, omega)."""
+    def _ball_ids(self, radius: int) -> list[int]:
+        """Coxeter ids of length <= radius, sorted by (length, word).  A
+        prefix of a ShortLex-least word is one too, so each element of length
+        n + 1 is found once, as the i * s whose word is word(i) + (s,); so
+        extending a sorted stratum letter by letter keeps the next sorted."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        seen = {0}
-        frontier = [0]
         strata = [[0]]
         for _ in range(radius):
             nxt = []
-            for i in frontier:
+            for i in strata[-1]:
                 for s in range(self.rank):
                     j = self._rmul(i, s)
-                    if j not in seen and len(self._words[j]) > len(self._words[i]):
-                        seen.add(j)
+                    if self._words[j][-1:] == (s,):
                         nxt.append(j)
-            frontier = nxt
-            strata.append(sorted(nxt, key=lambda i: self._words[i]))
-        out = []
-        for stratum in strata:
-            for i in stratum:
-                for k in range(self.desc.omega_order):
-                    out.append(GroupElement(self.desc, self._words[i], k))
-        return out
+            strata.append(nxt)
+        return [i for stratum in strata for i in stratum]
+
+    def enumerate_ball(self, radius: int) -> list[GroupElement]:
+        """All elements of length <= radius, sorted by (length, word, omega):
+        each Coxeter part from `_ball_ids` with every omega part."""
+        words = self._words
+        omegas = range(self.desc.omega_order)
+        return [GroupElement(self.desc, words[i], k) for i in self._ball_ids(radius) for k in omegas]
 
     # -- Bruhat order ------------------------------------------------------
 

@@ -223,6 +223,19 @@ def test_sl2_count_refusal(capsys):
     assert time.perf_counter() - started < 5
 
 
+def test_sl2_size_budgets(capsys):
+    """Requests past a size budget are refused before any work is done."""
+    for argv in (
+        ("conv", "--r", "10000000", "--lattice", "std"),
+        ("verify", "--R", "100000000"),
+        ("decay", "--q", "3", "--N", "100000000"),
+    ):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "sl2", *argv)
+        assert code == 3 and out == "" and "refused" in err, argv
+        assert time.perf_counter() - started < 5, argv
+
+
 def test_usage_errors(capsys, cache):
     code, _, err = run(capsys, "kl", "--type", "A1~", "--y", "x!", "--w", "0")
     assert code == 2

@@ -7,8 +7,10 @@ import pytest
 
 from heckej import (
     GroupDescriptor,
+    GroupElement,
     KLTable,
     Laurent,
+    NonInvertibleTerm,
     ONE,
     RadiusExceeded,
     StructureConstants,
@@ -188,19 +190,57 @@ def test_signed_and_unsigned_c_bases(a1):
 
 
 @pytest.mark.parametrize("basis", ["T", "Ttilde", "Cprime", "Csigned"])
-def test_basis_conversion_round_trip(a2, basis):
+def test_basis_conversion_round_trip(a2, a2x, basis):
+    # a2x puts omega parts on the terms
+    for g, alg, table in (a2, a2x):
+        rng = random.Random(11)
+        ball = g.enumerate_ball(5)
+        for _ in range(10):
+            terms = {
+                w: Laurent({rng.randint(-2, 2): rng.randint(-4, 4)})
+                for w in rng.sample(ball, 5)
+            }
+            h = alg.element(terms, "Ttilde")
+            there = alg.to_basis(h, basis, table)
+            back = alg.to_basis(there, "Ttilde", table)
+            assert back == h
+
+
+def test_conversion_refusals(a2):
     g, alg, table = a2
-    rng = random.Random(11)
-    ball = g.enumerate_ball(5)
-    for _ in range(10):
-        terms = {
-            w: Laurent({rng.randint(-2, 2): rng.randint(-4, 4)})
-            for w in rng.sample(ball, 5)
-        }
-        h = alg.element(terms, "Ttilde")
-        there = alg.to_basis(h, basis, table)
-        back = alg.to_basis(there, "Ttilde", table)
-        assert back == h
+    x = next(w for w in g.enumerate_ball(8) if len(w.word) == 8)
+    s = next(t for t in g.generators() if len(g.multiply(x, t).word) == 9)
+    longer = g.multiply(x, s)
+    for basis in ("Cprime", "Csigned"):
+        # a canonical-basis term longer than the table radius, either way
+        with pytest.raises(RadiusExceeded):
+            alg.to_basis(alg.basis_element(longer, basis), "Ttilde", table)
+        with pytest.raises(RadiusExceeded):
+            alg.to_basis(alg.basis_element(longer, "Ttilde"), basis, table)
+        with pytest.raises(RadiusExceeded):
+            alg.multiply(alg.basis_element(longer, basis), alg.unit(basis), table)
+        with pytest.raises(RadiusExceeded):
+            alg.multiply(alg.basis_element(x, basis), alg.basis_element(s, basis), table)
+        with pytest.raises(ValueError, match="needs a KL table"):
+            alg.to_basis(alg.unit(basis), "Ttilde")
+        with pytest.raises(ValueError, match="needs a KL table"):
+            alg.to_basis(alg.unit("T"), basis)
+        with pytest.raises(ValueError, match="needs a KL table"):
+            alg.multiply(alg.unit(basis), alg.unit(basis))
+    # an omega part that the unextended group does not have
+    stray = alg.element({GroupElement(g.desc, (), 1): ONE}, "Ttilde")
+    with pytest.raises(NonInvertibleTerm):
+        alg.bar(stray, table)
+
+
+def test_conversion_rejects_table_of_another_group_handle(a1):
+    # KL data is read by Coxeter id, and ids are local to one group handle
+    g, alg, table = a1
+    other = KLTable(WeylGroup(g.desc), 2)
+    with pytest.raises(ValueError, match="of this group"):
+        alg.to_basis(alg.unit("Cprime"), "T", other)
+    with pytest.raises(ValueError, match="of this group"):
+        alg.to_basis(alg.unit("T"), "Cprime", other)
 
 
 def h_oracle(alg, table, x, y, signed):

@@ -346,3 +346,26 @@ def test_schwartz_decay():
     assert all(ok for _, _, ok in report)
     with pytest.raises(ValueError):
         schwartz_decay_check(3, Fraction(1))
+
+
+def test_size_budgets(monkeypatch):
+    """Each closed-form request past its size budget is refused before any
+    work; the boundary is checked with budgets shrunk to a few cells."""
+    monkeypatch.setattr(heckej.sl2, "WINDOW_BUDGET", 10)
+    monkeypatch.setattr(heckej.sl2, "RELATIONS_BUDGET", 10)
+    monkeypatch.setattr(heckej.sl2, "DECAY_BUDGET", 10)
+    gamma = standard_f()
+    exceptional = CellFunction(((11, ONE),), gamma.pos_tail, gamma.neg_tail)
+    # the window reaches |r| + 2 cells on each side for the standard f
+    assert conv_f_value(-8, Lattice.STD) == conv_f_value(0, Lattice.STD)
+    assert len(verify_relations(10)) == 21
+    assert len(schwartz_decay_check(10, Fraction(2))) == 21
+    for call in (
+        lambda: conv_f_value(-9, Lattice.STD),
+        lambda: conv_f_value(9, Lattice.SUB),
+        lambda: conv_f_value(0, Lattice.STD, exceptional),
+        lambda: verify_relations(11),
+        lambda: schwartz_decay_check(11, Fraction(2)),
+    ):
+        with pytest.raises(BudgetExceeded):
+            call()
