@@ -10,9 +10,10 @@ created with a working radius L; it scans all pairs up to
 
 and treats a(z) as certified for len(z) <= L.  Every gamma, J-product
 and phi image refuses to go past that contract instead of silently
-truncating.  The scan is one pass at S, over one right factor y per
-diagram-automorphism orbit, stratified by max(len x, len y), so the
-value at any smaller scan radius r is the minimum over strata 0..r.
+truncating, except jta_multiply: a product in J tensor A drops each t_z
+with len(z) > L.  The scan is one pass at S, over one right factor y
+per diagram-automorphism orbit, stratified by max(len x, len y), so
+the value at any smaller scan radius r is the minimum over strata 0..r.
 """
 
 from __future__ import annotations
@@ -120,11 +121,13 @@ class JRing:
         value = self._scan()[self.group._id_of(z.word)][scan_radius]
         return AValue(z, value, scan_radius, scan_radius >= bound)
 
+    def _within(self, length: int, what: str) -> None:
+        """The one refusal of a request past the certified radius."""
+        if length > self.radius:
+            raise RadiusExceeded(f"{what} = {length} beyond certified radius {self.radius}")
+
     def _certified_a(self, z: GroupElement) -> int:
-        if len(z.word) > self.radius:
-            raise RadiusExceeded(
-                f"len(z) = {len(z.word)} beyond certified radius {self.radius}"
-            )
+        self._within(len(z.word), "len(z)")
         av = self.a_function(z, self.scan_radius)
         if not av.certified:
             raise HeckejError(f"a({z}) at scan radius {av.scan_radius} is not certified")
@@ -132,27 +135,26 @@ class JRing:
 
     # -- gamma constants ---------------------------------------------------
 
+    def _gamma_terms(self, x: GroupElement, y: GroupElement, signed: bool) -> dict[GroupElement, int]:
+        """The nonzero gamma_{x,y,z}, each the constant term of v^a(z) h_{x,y,z},
+        for the z of h_{x,y,.} within the certified radius."""
+        out = {}
+        for z, h in self.constants.h_map(x, y, signed=signed).items():
+            if len(z.word) <= self.radius:
+                g = h.constant_term_after_shift(self._certified_a(z))
+                if g:
+                    out[z] = g
+        return out
+
     def gamma(self, x: GroupElement, y: GroupElement, z: GroupElement, signed: bool = False) -> int:
         """Constant term of v^a(z) h_{x,y,z} in the chosen convention."""
-        a = self._certified_a(z)
-        h = self.constants.h_map(x, y, signed=signed).get(z)
-        if h is None:
-            return 0
-        return h.constant_term_after_shift(a)
+        self._certified_a(z)
+        return self._gamma_terms(x, y, signed).get(z, 0)
 
     def gamma_map(self, x: GroupElement, y: GroupElement, signed: bool = False) -> dict[GroupElement, int]:
         """All nonzero gamma_{x,y,z}; needs len(x)+len(y) within the radius."""
-        if len(x.word) + len(y.word) > self.radius:
-            raise RadiusExceeded(
-                f"support of t_x t_y may reach length {len(x.word) + len(y.word)} "
-                f"beyond certified radius {self.radius}"
-            )
-        out = {}
-        for z, h in self.constants.h_map(x, y, signed=signed).items():
-            g = h.constant_term_after_shift(self._certified_a(z))
-            if g:
-                out[z] = g
-        return out
+        self._within(len(x.word) + len(y.word), "len(x) + len(y)")
+        return self._gamma_terms(x, y, signed)
 
     # -- J multiplication --------------------------------------------------
 
@@ -162,20 +164,23 @@ class JRing:
     def j_element(self, terms: dict[GroupElement, int]) -> JElement:
         return JElement(self.desc, terms, self.radius)
 
+    def _product(self, a: JElement, b: JElement, signed: bool) -> JElement:
+        """sum c1 c2 gamma_{x,y,z} t_z over the terms c1 t_x of a and c2 t_y
+        of b, for the z within the certified radius."""
+        out: dict = {}
+        for x, c1 in a.terms.items():
+            for y, c2 in b.terms.items():
+                c = c1 * c2
+                for z, g in self._gamma_terms(x, y, signed).items():
+                    _accumulate(out, z, c * g)
+        return JElement(self.desc, out, self.radius)
+
     def j_multiply(self, j1: JElement, j2: JElement, signed: bool = False) -> JElement:
+        """Product in J; refused when its support may pass the radius."""
         if j1.desc != self.desc or j2.desc != self.desc:
             raise ValueError("elements of a different group")
-        if j1.max_length() + j2.max_length() > self.radius:
-            raise RadiusExceeded(
-                "product support may exceed the certified radius "
-                f"{self.radius}; refuse to emit an uncertified product"
-            )
-        out: dict[GroupElement, int] = {}
-        for x, c1 in j1.terms.items():
-            for y, c2 in j2.terms.items():
-                for z, g in self.gamma_map(x, y, signed=signed).items():
-                    _accumulate(out, z, c1 * c2 * g)
-        return JElement(self.desc, out, self.radius)
+        self._within(j1.max_length() + j2.max_length(), "product support length")
+        return self._product(j1, j2, signed)
 
     # -- distinguished involutions ----------------------------------------
 
@@ -183,8 +188,7 @@ class JRing:
         """Involutions d with a(d) = len(d) - 2 deg_q P_{e,d} in the ball."""
         if radius is None:
             radius = self.radius
-        if radius > self.radius:
-            raise RadiusExceeded(f"radius {radius} beyond certified radius {self.radius}")
+        self._within(radius, "radius")
         got = self._dinv.get(radius)
         if got is not None:
             return got
@@ -214,11 +218,7 @@ class JRing:
         semilinear twists cancel, leaving an A-linear ring map."""
         dinvs = self.distinguished_involutions(self.radius)
         for d in dinvs:
-            if len(x.word) + len(d.word) > self.radius:
-                raise RadiusExceeded(
-                    f"len(x) + len(d) = {len(x.word) + len(d.word)} for d = {d} "
-                    f"exceeds radius {self.radius}; phi would be silently truncated"
-                )
+            self._within(len(x.word) + len(d.word), f"len(x) + len(d) for d = {d}")
         out: dict[GroupElement, Laurent] = {}
         for d in dinvs:
             ad = self._certified_a(d)
@@ -240,17 +240,7 @@ class JRing:
 
     def jta_multiply(self, a: JElement, b: JElement, signed: bool = False) -> JElement:
         """Product in J tensor A, truncated to the certified radius."""
-        out: dict[GroupElement, Laurent] = {}
-        for x, c1 in a.terms.items():
-            for y, c2 in b.terms.items():
-                c = c1 * c2
-                for z, h in self.constants.h_map(x, y, signed=signed).items():
-                    if len(z.word) > self.radius:
-                        continue
-                    g = h.constant_term_after_shift(self._certified_a(z))
-                    if g:
-                        _accumulate(out, z, c.scale(g))
-        return JElement(self.desc, out, self.radius)
+        return self._product(a, b, signed)
 
     # -- specialization ----------------------------------------------------
 
@@ -267,19 +257,13 @@ class JRing:
         otherwise Q[v]/(v^2 - q) is a field and elimination runs there.
         """
         q = Fraction(q)
-        support: dict[GroupElement, int] = {}
-        images = [self.phi(x, signed=signed) for x in xs]
-        for img in images:
-            for z in img.terms:
-                support.setdefault(z, len(support))
-        sqrt_q = _exact_sqrt(q)
+        images = [self.phi_specialized(x, q, signed=signed) for x in xs]
+        support = dict.fromkeys(z for img in images for z in img)
         zero = QuadExt(0, 0, q)
-        rows = []
-        for img in images:
-            row = [zero] * len(support)
-            for z, c in img.terms.items():
-                row[support[z]] = c.specialize(q)
-            rows.append(row if sqrt_q is None else [v.eval_sqrt(sqrt_q) for v in row])
+        rows = [[img.get(z, zero) for z in support] for img in images]
+        sqrt_q = _exact_sqrt(q)
+        if sqrt_q is not None:
+            rows = [[v.eval_sqrt(sqrt_q) for v in row] for row in rows]
         return _rank(rows)
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import GroupMismatch, HeckejError, NonInvertibleTerm, RadiusExceeded
+from .errors import BudgetExceeded, GroupMismatch, HeckejError, NonInvertibleTerm, RadiusExceeded
 from .laurent import Laurent, ONE, ZERO, _accumulate, _addmul, _mul_raw, _star_raw
 from .weyl import GroupDescriptor, GroupElement, WeylGroup, make_group
 
@@ -40,6 +40,11 @@ BASES = ("T", "Ttilde", "Cprime", "Csigned")
 # stratum entry of StructureConstants.scan_min_exponents with no pair;
 # larger than any valuation
 NO_PAIR = 1 << 30
+
+# Budget on the entries of one KL table, checked before any enumeration.
+# The largest table the tests and the benchmark build (A2~, radius 35:
+# 1.13 M entries) is estimated at 1.86 M by _check_kl_budget.
+KL_ENTRY_BUDGET = 2 * 10**6
 
 
 # -- vectors of raw coefficients ({key: {exp: int}}, no empty entries) ------
@@ -260,6 +265,20 @@ def hecke_algebra(desc: GroupDescriptor) -> HeckeAlgebra:
     return HeckeAlgebra(make_group(desc))
 
 
+def _check_kl_budget(desc: GroupDescriptor, radius: int) -> None:
+    """Refuse a KL table of this radius when sum_n |stratum n| * |ball(n)|,
+    a bound on its entries (pairs y <= w), passes KL_ENTRY_BUDGET.  The
+    strata come from the length series, not from enumeration: each length
+    n >= 1 has 2 Coxeter elements in A1~ and 3n in A2~."""
+    ball = entries = 1
+    for n in range(1, radius + 1):
+        stratum = 2 if desc.affine_type == "A1~" else 3 * n
+        ball += stratum
+        entries += stratum * ball
+        if entries > KL_ENTRY_BUDGET:
+            raise BudgetExceeded(f"a KL table of radius {radius} may hold over {KL_ENTRY_BUDGET} entries")
+
+
 class KLTable:
     """Kazhdan-Lusztig data for all Coxeter-part elements of length <= radius.
 
@@ -276,7 +295,6 @@ class KLTable:
         self.radius = -1
         self._coords: dict[int, dict[int, dict]] = {}
         self._mu_down: dict[int, list[tuple[int, int]]] = {}
-        self._order: list[int] = []
         self.extend(radius)
 
     # -- construction -----------------------------------------------------
@@ -284,10 +302,10 @@ class KLTable:
     def extend(self, radius: int) -> None:
         if radius <= self.radius:
             return
+        _check_kl_budget(self.desc, radius)
         for i in self.group._ball_ids(radius):
             if i not in self._coords:
                 self._build(i)
-                self._order.append(i)
         self.radius = radius
 
     def _mu_step(self, vecs: dict, rule, s: int, pid: int) -> dict:
@@ -371,7 +389,7 @@ class KLTable:
     def to_json(self) -> dict:
         g = self.group
         entries = []
-        for wid in self._order:
+        for wid in g._ball_ids(self.radius):
             wword = g._words[wid]
             for yid, c in sorted(self._coords[wid].items()):
                 shift = len(wword) - len(g._words[yid])

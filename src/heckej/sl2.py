@@ -38,12 +38,15 @@ __all__ = [
 ]
 
 # Size budgets, checked before any work: p^(3m) for the counting oracle,
-# cells on each side of the conv_f_value window, R for verify_relations
-# and N for schwartz_decay_check (whose output grows like N^2).
+# cells on each side of the conv_f_value window, R for verify_relations,
+# and N for schwartz_decay_check (whose output grows like N^2) with the
+# digits of its largest value, kept below Python's 4,300-digit limit on
+# int-to-str conversion.
 ENUMERATION_BUDGET = 10**7
 WINDOW_BUDGET = 10**4
 RELATIONS_BUDGET = 10**5
 DECAY_BUDGET = 10**3
+DECAY_DIGITS_BUDGET = 4000
 
 q = Laurent.monomial(2)
 
@@ -298,6 +301,12 @@ def schwartz_decay_check(N: int, q_value: Fraction) -> list[tuple[int, Fraction,
     q_value = Fraction(q_value)
     if q_value <= 1:
         raise ValueError("q must be > 1")
+    # the values are q^k for -N <= k <= 1; as q > 1, its numerator is the
+    # larger part, and a part of q^k has at most |k| times its bits
+    bits = max(N, 1) * q_value.numerator.bit_length()
+    digits = math.floor(bits * math.log10(2)) + 1
+    if digits > DECAY_DIGITS_BUDGET:
+        raise BudgetExceeded(f"values of up to {digits} digits exceed {DECAY_DIGITS_BUDGET}")
     report = []
     for n in range(-N, N + 1):
         weighted = q_value ** abs(n) * abs(gamma_coefficient(n).eval_q(q_value))

@@ -180,6 +180,34 @@ def test_j_multiply_refuses_past_radius(a1_desc):
         small.j_multiply(t(g.element((0, 1))), t(g.element((1, 0))))
 
 
+def test_certified_radius_refusals(a1_desc, a2_desc):
+    ring = JRing(a1_desc, 2)
+    g = ring.group
+    s0 = g.generator(0)
+    with pytest.raises(RadiusExceeded):
+        ring.gamma(s0, s0, g.element((0, 1, 0)))
+    with pytest.raises(RadiusExceeded):
+        ring.gamma_map(g.element((0, 1)), g.generator(1))
+    with pytest.raises(RadiusExceeded):
+        ring.distinguished_involutions(ring.radius + 1)
+    other = JRing(a2_desc, 0)
+    with pytest.raises(ValueError):
+        ring.j_multiply(ring.t(s0), other.t(other.group.identity))
+
+
+def test_jta_multiply_drops_terms_past_radius(a1_desc):
+    # t_01 t_10 = t_010 + t_0 in J (test_j_multiplication_example); at radius
+    # 2, j_multiply refuses it and jta_multiply keeps only t_0
+    ring = JRing(a1_desc, 2)
+    g = ring.group
+    one = Laurent({0: 1})
+    tx = ring.j_element({g.element((0, 1)): one})
+    ty = ring.j_element({g.element((1, 0)): one})
+    with pytest.raises(RadiusExceeded):
+        ring.j_multiply(tx, ty)
+    assert ring.jta_multiply(tx, ty).terms == {g.generator(0): one}
+
+
 def test_distinguished_involutions_a1(a1_ring):
     g = a1_ring.group
     assert a1_ring.distinguished_involutions(3) == [

@@ -118,6 +118,12 @@ def test_hconst_sign_conventions(capsys, cache):
         "--basis", "signed", "--format", "json", "--cache-dir", cache,
     )
     assert json.loads(out)["rows"] == [{"z": "0", "h": "-v^-1 - v"}]
+    code, out, _ = run(
+        capsys, "hconst", "--type", "A2~", "--x", "010", "--y", "010", "--z", "010",
+        "--format", "json", "--cache-dir", cache,
+    )
+    assert code == 0
+    assert json.loads(out)["rows"] == [{"z": "010", "h": "-v^-3 - 2*v^-1 - 2*v - v^3"}]
 
 
 def test_afn_refusal_and_override(capsys, cache):
@@ -146,6 +152,13 @@ def test_afn_certified_default(capsys, cache):
     record = json.loads(out)
     assert record["certified"] is True
     assert record["rows"][0]["a"] == 1
+    # a scan past the certification bound widens the ring's working radius
+    code, out, _ = run(
+        capsys, "afn", "--type", "A1~", "--z", "01", "--scan", "12", "--format", "json",
+        "--cache-dir", cache,
+    )
+    assert code == 0
+    assert json.loads(out)["rows"] == [{"z": "01", "a": 1, "scan_radius": 12}]
 
 
 def test_gamma_and_jmul(capsys, cache):
@@ -182,6 +195,13 @@ def test_phi_check_passes(capsys, cache):
     assert code == 0
     last = out.strip().splitlines()[-1]
     assert last.startswith("RESULT pass=") and last.endswith("fail=0")
+    # the symbolic image that phi-check compares
+    code, out, _ = run(capsys, "phi", "--type", "A1~", "--x", "0", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["rows"] == [
+        {"z": "0", "coefficient": "v^-1 + v"},
+        {"z": "01", "coefficient": "1"},
+    ]
 
 
 def test_sl2_subcommands(capsys, cache):
@@ -229,9 +249,26 @@ def test_sl2_size_budgets(capsys):
         ("conv", "--r", "10000000", "--lattice", "std"),
         ("verify", "--R", "100000000"),
         ("decay", "--q", "3", "--N", "100000000"),
+        # weighted values of about 5,000 digits, past the digit budget
+        ("decay", "--q", "100000", "--N", "1000"),
     ):
         started = time.perf_counter()
         code, out, err = run(capsys, "sl2", *argv)
+        assert code == 3 and out == "" and "refused" in err, argv
+        assert time.perf_counter() - started < 5, argv
+    for q in ("3", "7/5"):
+        code, out, _ = run(capsys, "sl2", "decay", "--q", q, "--N", "1000")
+        assert code == 0 and out.strip().endswith("RESULT pass=2001 fail=0"), q
+
+
+def test_kl_table_budget(capsys, cache):
+    """KL tables past the entry budget are refused before any work."""
+    for argv in (
+        ("afn", "--type", "A2~", "--z", "01201201201201"),  # KL radius 43
+        ("kl", "--type", "A2~", "--radius", "100000", "--y", "e", "--w", "0"),
+    ):
+        started = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--cache-dir", cache)
         assert code == 3 and out == "" and "refused" in err, argv
         assert time.perf_counter() - started < 5, argv
 

@@ -5,7 +5,9 @@ import random
 
 import pytest
 
+import heckej.hecke
 from heckej import (
+    BudgetExceeded,
     GroupDescriptor,
     GroupElement,
     KLTable,
@@ -390,3 +392,27 @@ def test_kl_cache_rejects_tampered_entries(a1):
         KLTable.from_json(tampered)
     with pytest.raises(ValueError):
         KLTable.from_json({"version": 2})
+
+
+@pytest.mark.parametrize("affine_type, radius", [("A1~", 9), ("A2~", 6)])
+def test_kl_entry_budget(monkeypatch, affine_type, radius):
+    """The entry estimate sum_n |stratum n| * |ball(n)| equals the one from
+    the enumerated ball, bounds the entries of the table, and is checked
+    before any enumeration."""
+    g = WeylGroup(GroupDescriptor(affine_type))
+    lengths = [len(g._words[i]) for i in g._ball_ids(radius)]
+    estimate = sum(lengths.count(n) * sum(m <= n for m in lengths) for n in range(radius + 1))
+    monkeypatch.setattr(heckej.hecke, "KL_ENTRY_BUDGET", estimate)
+    table = KLTable(g, radius)
+    assert sum(len(col) for col in table._coords.values()) <= estimate
+
+    def no_enumeration(self, r):
+        raise AssertionError("enumerated past the budget")
+
+    monkeypatch.setattr(WeylGroup, "_ball_ids", no_enumeration)
+    with pytest.raises(BudgetExceeded):
+        table.extend(radius + 1)
+    assert table.radius == radius
+    monkeypatch.setattr(heckej.hecke, "KL_ENTRY_BUDGET", estimate - 1)
+    with pytest.raises(BudgetExceeded):
+        KLTable(g, radius)

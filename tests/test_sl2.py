@@ -354,6 +354,8 @@ def test_size_budgets(monkeypatch):
     monkeypatch.setattr(heckej.sl2, "WINDOW_BUDGET", 10)
     monkeypatch.setattr(heckej.sl2, "RELATIONS_BUDGET", 10)
     monkeypatch.setattr(heckej.sl2, "DECAY_BUDGET", 10)
+    # q^-10 at q = 2 and q = 5 is estimated at 7 and 10 digits
+    monkeypatch.setattr(heckej.sl2, "DECAY_DIGITS_BUDGET", 7)
     gamma = standard_f()
     exceptional = CellFunction(((11, ONE),), gamma.pos_tail, gamma.neg_tail)
     # the window reaches |r| + 2 cells on each side for the standard f
@@ -366,6 +368,7 @@ def test_size_budgets(monkeypatch):
         lambda: conv_f_value(0, Lattice.STD, exceptional),
         lambda: verify_relations(11),
         lambda: schwartz_decay_check(11, Fraction(2)),
+        lambda: schwartz_decay_check(10, Fraction(5)),
     ):
         with pytest.raises(BudgetExceeded):
             call()
