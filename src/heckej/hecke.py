@@ -11,20 +11,32 @@ and the signed one replaces each coefficient c(v) by c(-v^-1), which
 gives the alternating-sign form with P_{y,w}(v^-2).  Both are fixed by
 the bar involution; the table certifies this rather than assuming it.
 
-Internally every vector is a raw ~T vector {(cox_id, omega): coeff}
-(KL and structure-constant data: {cox_id: coeff}), the coefficients
-being the zero-free {exponent: int} dicts of heckej.laurent.  A
-HeckeElement ({GroupElement: Laurent}) appears only at the public edges:
+Internally every Hecke-algebra vector is a raw ~T vector
+{(cox_id, omega): coeff}, the coefficients being the zero-free
+{exponent: int} dicts of heckej.laurent.  A HeckeElement
+({GroupElement: Laurent}) appears only at the public edges:
 `_to_ttilde_raw` reads one in any basis and `_from_ttilde_raw` writes
 one in any basis.
+
+The KL table and the structure-constant columns are {cox_id: coeff}
+vectors whose coefficients are packed ints (heckej.laurent's codec):
+P_{y,w} with q = 2^PACK_W, and h_{x,y,z} with v = 2^PACK_W, so each
+recursion step is int shifts and adds.  They are decoded once per entry
+at the public edges.  Exactness is guarded at every step: each stored
+vector has all digits in [0, 2^PACK_T), which positivity guarantees, and
+a step sums at most 2^(PACK_W-1-PACK_T) such digits into one.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import math
+import operator
+from functools import lru_cache, reduce
 
 from .errors import BudgetExceeded, GroupMismatch, HeckejError, NonInvertibleTerm, RadiusExceeded
-from .laurent import Laurent, ONE, ZERO, _accumulate, _addmul, _mul_raw, _star_raw
+from .laurent import (
+    PACK_W, _DIGIT, Laurent, ONE, ZERO, _accumulate, _addmul, _digit, _mul_raw, _pack, _star_raw, _unpack, _valuation,
+)
 from .weyl import GroupDescriptor, GroupElement, WeylGroup, make_group
 
 __all__ = [
@@ -46,6 +58,14 @@ NO_PAIR = 1 << 30
 # 1.13 M entries) is estimated at 1.86 M by _check_kl_budget.
 KL_ENTRY_BUDGET = 2 * 10**6
 
+# Bits of a stored packed digit: every coefficient of a KL polynomial and
+# of an unsigned h_{x,y,z} must stay below 2^PACK_T, and the rest of a
+# PACK_W-bit digit is headroom for the sums of one recursion step.  The
+# largest table the KL budget admits (A2~, radius 35) has coefficients up
+# to 4; its scan (radius 18) has h-coefficients up to 42 and steps that
+# sum up to 539 digits, where 2^(PACK_W-1-PACK_T) = 2048 are allowed.
+PACK_T = 8
+
 
 # -- vectors of raw coefficients ({key: {exp: int}}, no empty entries) ------
 
@@ -63,6 +83,30 @@ def _addmul_at(dst: dict, key, src: dict, k: int = 1, shift: int = 0) -> None:
 def _vec_addmul(dst: dict, src: dict, k: int = 1, shift: int = 0) -> None:
     for key, c in src.items():
         _addmul_at(dst, key, c, k, shift)
+
+
+@lru_cache(maxsize=None)
+def _spill_mask(ndigits: int, t: int) -> int:
+    """Bits t..PACK_W-1 of each of the lowest ndigits packed digits."""
+    repunit = ((1 << PACK_W * ndigits) - 1) // ((1 << PACK_W) - 1)
+    return ((1 << PACK_W) - (1 << t)) * repunit
+
+
+def _check_packed(vec: dict, fan_in: int, floor: int = 0) -> None:
+    """The exactness guard of one packed recursion step.  Its inputs had
+    digits in [0, 2^PACK_T); fan_in bounds how many of them (with
+    multiplicity) sum into one digit of vec.  While fan_in * 2^PACK_T is
+    below 2^(PACK_W-1) every true digit of vec is read back exactly, so the
+    OR of its entries shows any digit outside [0, 2^PACK_T), and any set
+    bit under `floor` (the digit a right shift would drop)."""
+    if fan_in << PACK_T >= 1 << (PACK_W - 1):
+        raise BudgetExceeded(f"a packed step sums {fan_in} digits; {PACK_W}-bit digits cannot hold them")
+    acc = reduce(operator.or_, vec.values(), 0)
+    if acc >= 0 and not acc & (_spill_mask(acc.bit_length() // PACK_W + 1, PACK_T) | floor):
+        return
+    if any(d < 0 for c in vec.values() for d in _unpack(c).values()):
+        raise HeckejError("a negative coefficient where positivity holds")
+    raise BudgetExceeded(f"a packed coefficient passes 2^{PACK_T} or its lowest exponent")
 
 
 class HeckeElement:
@@ -185,7 +229,7 @@ class HeckeAlgebra:
             raise ValueError("canonical-basis conversion needs a KL table of this group")
         signed = h.basis == "Csigned"
         for w, c in h.terms.items():
-            for y, cy in table._coords[table._require(w.word)].items():
+            for y, cy in table._expansion(table._require(w.word)).items():
                 _addmul_at(out, (y, w.omega), _mul_raw(c._c, _star_raw(cy) if signed else cy))
         return out
 
@@ -205,7 +249,7 @@ class HeckeAlgebra:
                 for key in [k for k in rest if len(words[k[0]]) == length]:
                     i, om = key
                     c = vec[key] = rest.pop(key)
-                    for y, cy in table._coords[table._require(words[i])].items():
+                    for y, cy in table._expansion(table._require(words[i])).items():
                         if y != i:
                             _addmul_at(rest, (y, om), _mul_raw(c, _star_raw(cy) if signed else cy), -1)
         terms = {GroupElement(self.desc, words[i], om): Laurent._raw(c) for (i, om), c in vec.items()}
@@ -265,6 +309,11 @@ def hecke_algebra(desc: GroupDescriptor) -> HeckeAlgebra:
     return HeckeAlgebra(make_group(desc))
 
 
+def _p_laurent(c: int) -> Laurent:
+    """A packed KL polynomial P(q) as a Laurent polynomial in v = q^(1/2)."""
+    return Laurent._raw({2 * k: x for k, x in _unpack(c, 0).items()})
+
+
 def _check_kl_budget(desc: GroupDescriptor, radius: int) -> None:
     """Refuse a KL table of this radius when sum_n |stratum n| * |ball(n)|,
     a bound on its entries (pairs y <= w), passes KL_ENTRY_BUDGET.  The
@@ -282,9 +331,11 @@ def _check_kl_budget(desc: GroupDescriptor, radius: int) -> None:
 class KLTable:
     """Kazhdan-Lusztig data for all Coxeter-part elements of length <= radius.
 
-    For each w the full ~T-expansion of C'_w is kept as raw coefficient
-    dicts indexed by Coxeter id, together with the list of y < w with
-    mu(y, w) != 0.  Built stratum by stratum; the recursion is
+    For each w the full ~T-expansion of C'_w is kept, indexed by Coxeter
+    id: its coordinate at y is v^(len(y)-len(w)) P_{y,w}(v^2), stored as
+    P_{y,w} packed in q (no offset: P has no negative powers).  Next to it
+    is the list of y < w with mu(y, w) != 0, and the sum of those mu.
+    Built stratum by stratum; the recursion is
 
         C'_w = C'_s C'_u - sum_{z<u, sz<z} mu(z,u) C'_z,   w = s u.
     """
@@ -293,8 +344,10 @@ class KLTable:
         self.group = group
         self.desc = group.desc
         self.radius = -1
-        self._coords: dict[int, dict[int, dict]] = {}
+        self._coords: dict[int, dict[int, int]] = {}
         self._mu_down: dict[int, list[tuple[int, int]]] = {}
+        self._mu_mass: dict[int, int] = {}
+        self._expansions: dict[int, dict[int, dict]] = {}
         self.extend(radius)
 
     # -- construction -----------------------------------------------------
@@ -308,47 +361,69 @@ class KLTable:
                 self._build(i)
         self.radius = radius
 
-    def _mu_step(self, vecs: dict, rule, s: int, pid: int) -> dict:
-        """vecs[s p] = rule(s, vecs[p]) - sum_{w<p, sw<w} mu(w,p) vecs[w] for s p > p:
-        one mu-recursion step, for the KL build (C'_w in ~T coordinates)
-        and for the structure-constant columns (C'_x C'_y in C' coordinates)."""
-        ldesc = self.group._ldesc
+    def _mu_step(self, vecs: dict, rule, s: int, pid: int, fan_in: int, lift: int = 0, floor: int = 0) -> dict:
+        """vecs[s p] = rule(s, vecs[p]) - sum_{w<p, sw<w} mu(w,p) 2^(lift*(len(sp)-len(w))/2) vecs[w]
+        for s p > p: one mu-recursion step on packed vectors, for the KL
+        build (P_{.,w}, lift PACK_W: the factor is q^((len(sp)-len(w))/2))
+        and for the structure-constant columns (C'_x C'_y in C'
+        coordinates, lift 0).
+        fan_in bounds the digits that rule(s, .) sums into one; the
+        result passes _check_packed with the subtracted mu added."""
+        g = self.group
+        ldesc, words = g._ldesc, g._words
         vec = rule(s, vecs[pid])
+        top = len(words[pid]) + 1
         for w, mu in self._mu_down[pid]:
             if s in ldesc[w]:
-                _vec_addmul(vec, vecs[w], -mu)
+                fan_in += mu
+                m = mu << (lift * (top - len(words[w])) >> 1)
+                for y, c in vecs[w].items():
+                    vec[y] = vec.get(y, 0) - m * c
+        if 0 in vec.values():
+            vec = {y: c for y, c in vec.items() if c}
+        _check_packed(vec, fan_in, floor)
         return vec
 
-    def _cprime_s(self, s: int, vec: dict[int, dict]) -> dict[int, dict]:
-        """C'_s = ~T_s + v^-1 times a ~T vector on Coxeter ids:
-        C'_s ~T_y = ~T_{sy} + v^-1 ~T_y if sy > y, ~T_{sy} + v ~T_y if sy < y."""
+    def _cprime_s(self, s: int, vec: dict[int, int]) -> dict[int, int]:
+        """C'_s times C'_u on packed P_{.,u}: C'_s ~T_y = ~T_{sy} + v^-1 ~T_y
+        if sy > y, ~T_{sy} + v ~T_y if sy < y, so both terms of y add P_{y,u}
+        to P_{.,su}, times q when sy < y."""
         g = self.group
-        out: dict[int, dict] = {}
+        lmul, ldesc = g._lmul, g._ldesc
+        out: dict[int, int] = {}
         for y, c in vec.items():
-            _addmul_at(out, g._lmul(s, y), c)
-            _addmul_at(out, y, c, shift=1 if s in g._ldesc[y] else -1)
+            if s in ldesc[y]:
+                c <<= PACK_W
+            sy = lmul(s, y)
+            out[sy] = out.get(sy, 0) + c
+            out[y] = out.get(y, 0) + c
         return out
 
     def _build(self, wid: int) -> None:
         g = self.group
-        word = g._words[wid]
+        words = g._words
+        word = words[wid]
         if not word:
-            self._coords[wid] = {0: {0: 1}}
+            self._coords[wid] = {0: 1}
             self._mu_down[wid] = []
+            self._mu_mass[wid] = 0
             return
         s = word[0]
-        res = self._mu_step(self._coords, self._cprime_s, s, g._lmul(s, wid))
-        if res.get(wid) != {0: 1}:
+        res = self._mu_step(self._coords, self._cprime_s, s, g._lmul(s, wid), 2, PACK_W)
+        if res.get(wid) != 1:
             raise HeckejError(f"C'_w is not unitriangular at w = {word}")
+        # mu(y, w) is the coefficient of q^((len(w)-len(y)-1)/2) in P_{y,w}
         mu_list = []
+        n = len(word)
         for y, c in res.items():
-            if y == wid:
-                continue
-            mu = c.get(-1, 0)
-            if mu:
-                mu_list.append((y, mu))
+            d = n - len(words[y])
+            if d & 1:
+                mu = _digit(c, d >> 1, 0)
+                if mu:
+                    mu_list.append((y, mu))
         self._coords[wid] = res
         self._mu_down[wid] = mu_list
+        self._mu_mass[wid] = sum(mu for _, mu in mu_list)
 
     # -- queries -----------------------------------------------------------
 
@@ -362,12 +437,8 @@ class KLTable:
         wid = self._require(w.word)
         if y.omega != w.omega:
             return ZERO
-        yid = self.group._id_of(y.word)
-        c = self._coords[wid].get(yid)
-        if c is None:
-            return ZERO
-        shift = len(w.word) - len(y.word)
-        return Laurent({e + shift: v for e, v in c.items()})
+        c = self._coords[wid].get(self.group._id_of(y.word))
+        return ZERO if c is None else _p_laurent(c)
 
     def mu(self, y: GroupElement, w: GroupElement) -> int:
         wid = self._require(w.word)
@@ -378,6 +449,19 @@ class KLTable:
             if z == yid:
                 return m
         return 0
+
+    def _expansion(self, wid: int) -> dict[int, dict]:
+        """C'_w in ~T coordinates {yid: {exponent: int}}, decoded once."""
+        got = self._expansions.get(wid)
+        if got is None:
+            words = self.group._words
+            n = len(words[wid])
+            got = {
+                y: {2 * k + len(words[y]) - n: c for k, c in _unpack(p, 0).items()}
+                for y, p in self._coords[wid].items()
+            }
+            self._expansions[wid] = got
+        return got
 
     def c_basis_element(self, w: GroupElement, signed: bool = False) -> HeckeElement:
         """C_w (signed) or C'_w (unsigned) expanded in the ~T basis."""
@@ -392,13 +476,11 @@ class KLTable:
         for wid in g._ball_ids(self.radius):
             wword = g._words[wid]
             for yid, c in sorted(self._coords[wid].items()):
-                shift = len(wword) - len(g._words[yid])
-                p = Laurent({e + shift: v for e, v in c.items()})
                 entries.append(
                     {
                         "y": {"word": list(g._words[yid]), "omega": 0},
                         "w": {"word": list(wword), "omega": 0},
-                        "P": p.to_json(),
+                        "P": _p_laurent(c).to_json(),
                     }
                 )
         return {
@@ -436,6 +518,9 @@ class StructureConstants:
     here is for the unsigned basis on Coxeter parts; omega parts and
     the signed convention are layered on top (signed constants are the
     image of unsigned ones under v -> -v^-1).
+
+    Columns are computed on packed coefficients (v = 2^PACK_W, offset
+    PACK_OFF) and decoded once, when `column` caches them.
     """
 
     def __init__(self, table: KLTable):
@@ -446,37 +531,44 @@ class StructureConstants:
 
     # -- the left s-rule on a C'-coordinate vector -------------------------
 
-    def _s_mult(self, s: int, vec: dict[int, dict]) -> dict[int, dict]:
+    def _s_mult(self, s: int, vec: dict[int, int]) -> dict[int, int]:
         g = self.group
         mu_down = self.table._mu_down
-        ldesc = g._ldesc
-        out: dict[int, dict] = {}
+        ldesc, lmul = g._ldesc, g._lmul
+        out: dict[int, int] = {}
         for z, c in vec.items():
             if s in ldesc[z]:
-                _addmul_at(out, z, c, shift=1)
-                _addmul_at(out, z, c, shift=-1)
+                # (v + v^-1) c; exact, since digit 0 of c is empty
+                out[z] = out.get(z, 0) + (((c << 2 * PACK_W) + c) >> PACK_W)
             else:
-                _addmul_at(out, g._lmul(s, z), c)
+                sz = lmul(s, z)
+                out[sz] = out.get(sz, 0) + c
                 for w, mu in mu_down[z]:
                     if s in ldesc[w]:
-                        _addmul_at(out, w, c, mu)
+                        out[w] = out.get(w, 0) + mu * c
         return out
 
-    def _compute_column(self, yid: int, xmax: int, ids: list[int]) -> dict[int, dict[int, dict]]:
-        """The column of y over ids, the Coxeter ids of the ball of radius
-        xmax in enumeration order."""
+    def _compute_column(self, yid: int, xmax: int, ids: list[int]) -> dict[int, dict[int, int]]:
+        """The packed column of y over ids, the Coxeter ids of the ball of
+        radius xmax in enumeration order."""
         g = self.group
+        table = self.table
         ylen = len(g._words[yid])
-        if xmax + ylen - 1 > self.table.radius:
+        if xmax + ylen - 1 > table.radius:
             raise RadiusExceeded(
-                f"column ({ylen}) x radius {xmax} needs mu data beyond table radius {self.table.radius}"
+                f"column ({ylen}) x radius {xmax} needs mu data beyond table radius {table.radius}"
             )
-        col: dict[int, dict[int, dict]] = {0: {yid: {0: 1}}}
+        mass = table._mu_mass.__getitem__
+        col: dict[int, dict[int, int]] = {0: {yid: _pack({0: 1})}}
         for xid in ids:
             if xid == 0:
                 continue
             s = g._words[xid][0]
-            col[xid] = self.table._mu_step(col, self._s_mult, s, g._lmul(s, xid))
+            pid = g._lmul(s, xid)
+            # a digit of _s_mult's output sums at most 2 digits of (v + v^-1) c_z,
+            # 1 of c_{sz} and mu(w, z) of each c_z with w in _mu_down[z]
+            fan_in = 3 + sum(map(mass, col[pid]))
+            col[xid] = table._mu_step(col, self._s_mult, s, pid, fan_in, floor=_DIGIT)
         return col
 
     def column(self, yid: int, xmax: int) -> dict[int, dict[int, dict]]:
@@ -484,7 +576,8 @@ class StructureConstants:
         cached = self._columns.get(yid)
         if cached and cached[0] >= xmax:
             return cached[1]
-        col = self._compute_column(yid, xmax, self.group._ball_ids(xmax))
+        packed = self._compute_column(yid, xmax, self.group._ball_ids(xmax))
+        col = {xid: {z: _unpack(c) for z, c in vec.items()} for xid, vec in packed.items()}
         self._columns[yid] = (xmax, col)
         return col
 
@@ -528,21 +621,24 @@ class StructureConstants:
         ids = g._ball_ids(scan_radius)
         length = {i: len(g._words[i]) for i in ids}
         reps = [i for i in ids if i == min(g._permuted_id(p, i) for p in auts)]
-        rep_mins = {i: [NO_PAIR] * (scan_radius + 1) for i in ids if length[i] <= track_len}
+        # per stratum, the least lowest set bit c & -c of the packed h_{x,y,z}:
+        # its digit is the valuation
+        rep_mins = {i: [math.inf] * (scan_radius + 1) for i in ids if length[i] <= track_len}
         for yid in reps:
-            reach, col = self._columns.get(yid, (-1, None))
-            if reach < scan_radius:
-                col = self._compute_column(yid, scan_radius, ids)
+            col = self._compute_column(yid, scan_radius, ids)
             ylen = length[yid]
             for xid in ids:
                 m = max(length[xid], ylen)
                 for z, c in col[xid].items():
                     row = rep_mins.get(z)
                     if row is not None:
-                        low = min(c)
+                        low = c & -c
                         if low < row[m]:
                             row[m] = low
         return {
-            z: [min(vals) for vals in zip(*(rep_mins[g._permuted_id(p, z)] for p in auts))]
+            z: [
+                NO_PAIR if low == math.inf else _valuation(low)
+                for low in map(min, zip(*(rep_mins[g._permuted_id(p, z)] for p in auts)))
+            ]
             for z in rep_mins
         }

@@ -5,9 +5,12 @@ stored sparsely as {exponent: coefficient}.  A second small type,
 QuadExt, represents a0 + a1*v with v^2 = q for an exact rational q;
 it is the target of specialization at v = q^(1/2).
 
-The module-level helpers below are the package's only sparse arithmetic
-on raw {exponent: int} dicts; Laurent wraps them, and the Hecke-algebra
-code calls them directly on its coefficient vectors.
+The module-level helpers below are the sparse arithmetic on raw
+{exponent: int} dicts; Laurent wraps them, and the Hecke-algebra code
+calls them directly on its coefficient vectors.  Next to them sits the
+packed codec: a coefficient as one int, its value at v = 2^PACK_W
+(Kronecker substitution), on which the KL build and the
+structure-constant sweep add shifted multiples in C.
 """
 
 from __future__ import annotations
@@ -49,6 +52,57 @@ def _mul_raw(a: dict, b: dict) -> dict:
 def _star_raw(c: dict) -> dict:
     # v -> -v^-1
     return {-e: (v if e % 2 == 0 else -v) for e, v in c.items()}
+
+
+# -- packed coefficients (one int each) --------------------------------------
+#
+# c = sum c_e v^e with every e >= -off is packed as sum c_e 2^(PACK_W (e + off)):
+# digit e + off, PACK_W bits wide, holds c_e.  Packing is Z-linear and v^s c
+# is a left shift by PACK_W s, so sums of shifted multiples stay exact in
+# the ints; v^-1 c is an exact right shift while digit 0 is empty.  The
+# digits are read back balanced, which is exact while every |c_e| stays
+# below 2^(PACK_W-1): keeping that true is the caller's job.
+
+PACK_W = 20
+PACK_OFF = 8
+_HALF = 1 << (PACK_W - 1)
+_DIGIT = (1 << PACK_W) - 1
+
+
+def _pack(d: dict, off: int = PACK_OFF) -> int:
+    """Raises ValueError (a negative shift) on an exponent below -off."""
+    return sum(c << PACK_W * (e + off) for e, c in d.items())
+
+
+def _unpack(c: int, off: int = PACK_OFF) -> dict:
+    """The zero-free {exponent: int} dict of a packed coefficient."""
+    out = {}
+    if not c:
+        return out
+    e = _valuation(c, off)
+    c >>= PACK_W * (e + off)
+    while c:
+        d = ((c + _HALF) & _DIGIT) - _HALF
+        if d:
+            out[e] = d
+        c = (c - d) >> PACK_W
+        e += 1
+    return out
+
+
+def _valuation(c: int, off: int = PACK_OFF) -> int:
+    """Lowest exponent of a nonzero packed coefficient: the digit of its
+    lowest set bit."""
+    return ((c & -c).bit_length() - 1) // PACK_W - off
+
+
+def _digit(c: int, e: int, off: int = PACK_OFF) -> int:
+    """Coefficient of v^e in a packed coefficient.  The digits below sum to
+    less than half a unit of digit e + off, so rounding strips them."""
+    k = PACK_W * (e + off)
+    if k:
+        c = (c + (1 << (k - 1))) >> k
+    return ((c + _HALF) & _DIGIT) - _HALF
 
 
 def _accumulate(out: dict, key, value) -> None:

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import GroupMismatch, HeckejError, UnsupportedType
+from .errors import BudgetExceeded, GroupMismatch, HeckejError, UnsupportedType
 
 __all__ = [
     "GroupDescriptor",
@@ -41,6 +41,12 @@ _OMEGA_PERMS = {
 
 # Longest length in the finite Weyl group, used for certification bounds.
 _FINITE_LONGEST = {"A1~": 1, "A2~": 3}
+
+# Budget on the elements of one ball (Coxeter parts times omega parts),
+# checked before any enumeration.  The largest balls the tests and the
+# benchmark build are the KL tables of JRing(A2~, 10) (radius 35, 1,891
+# elements) and of JRing(A1~ extended, 24) (radius 55, 222 elements).
+BALL_BUDGET = 10**4
 
 
 @dataclass(frozen=True)
@@ -334,9 +340,17 @@ class WeylGroup:
         """Coxeter ids of length <= radius, sorted by (length, word).  A
         prefix of a ShortLex-least word is one too, so each element of length
         n + 1 is found once, as the i * s whose word is word(i) + (s,); so
-        extending a sorted stratum letter by letter keeps the next sorted."""
+        extending a sorted stratum letter by letter keeps the next sorted.
+        A ball past BALL_BUDGET is refused before any enumeration."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
+        # each length n >= 1 has 2 Coxeter elements in A1~ and 3n in A2~
+        if self.desc.affine_type == "A1~":
+            size = 1 + 2 * radius
+        else:
+            size = 1 + 3 * radius * (radius + 1) // 2
+        if size * self.desc.omega_order > BALL_BUDGET:
+            raise BudgetExceeded(f"a ball of radius {radius} has over {BALL_BUDGET} elements")
         strata = [[0]]
         for _ in range(radius):
             nxt = []

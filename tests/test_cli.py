@@ -273,6 +273,14 @@ def test_kl_table_budget(capsys, cache):
         assert time.perf_counter() - started < 5, argv
 
 
+def test_group_ball_budget(capsys):
+    """A ball past the size budget is refused before any enumeration."""
+    started = time.perf_counter()
+    code, out, err = run(capsys, "group", "--type", "A2~", "--radius", "100000")
+    assert code == 3 and out == "" and "refused" in err
+    assert time.perf_counter() - started < 5
+
+
 def test_usage_errors(capsys, cache):
     code, _, err = run(capsys, "kl", "--type", "A1~", "--y", "x!", "--w", "0")
     assert code == 2

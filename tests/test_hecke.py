@@ -10,6 +10,7 @@ from heckej import (
     BudgetExceeded,
     GroupDescriptor,
     GroupElement,
+    HeckejError,
     KLTable,
     Laurent,
     NonInvertibleTerm,
@@ -21,6 +22,7 @@ from heckej import (
     WeylGroup,
     ZERO,
     hecke_algebra,
+    laurent,
     make_group,
 )
 
@@ -416,3 +418,55 @@ def test_kl_entry_budget(monkeypatch, affine_type, radius):
     monkeypatch.setattr(heckej.hecke, "KL_ENTRY_BUDGET", estimate - 1)
     with pytest.raises(BudgetExceeded):
         KLTable(g, radius)
+
+
+def test_packed_guard_refuses_wide_digits(monkeypatch):
+    """With stored digits cut to one bit, the first KL polynomial with a
+    coefficient 2 (A2~, length 7) and the first column with an h_{x,y,z}
+    that has one (A1~, y = 01, len(x) = 2) are refused, not returned."""
+    monkeypatch.setattr(heckej.hecke, "PACK_T", 1)
+    table = KLTable(WeylGroup(GroupDescriptor("A2~")), 6)
+    with pytest.raises(BudgetExceeded):
+        table.extend(7)
+    assert table.radius == 6
+    g = WeylGroup(GroupDescriptor("A1~"))
+    columns = StructureConstants(KLTable(g, 5))
+    yid = g._id_of((0, 1))
+    assert max(max(c.values()) for vec in columns.column(yid, 1).values() for c in vec.values()) == 1
+    with pytest.raises(BudgetExceeded):
+        columns.column(yid, 2)
+
+
+def test_packed_guard_refuses_a_step_too_wide_for_its_digits(monkeypatch):
+    """Two digits of 2^PACK_T summed may pass 2^(PACK_W-1), where a digit
+    no longer reads back: the first KL step and the first column step are
+    refused."""
+    g = WeylGroup(GroupDescriptor("A1~"))
+    columns = StructureConstants(KLTable(g, 3))
+    monkeypatch.setattr(heckej.hecke, "PACK_T", laurent.PACK_W - 2)
+    with pytest.raises(BudgetExceeded):
+        KLTable(WeylGroup(GroupDescriptor("A1~")), 1)
+    with pytest.raises(BudgetExceeded):
+        columns.column(g._id_of((0,)), 1)
+
+
+def test_packed_guard_refuses_negative_coefficients():
+    """A mu one too large subtracts q^((len w - len z)/2) P_{z,z} past the
+    degree of P_{z,w}: that digit goes negative, and positivity fails."""
+    table = KLTable(WeylGroup(GroupDescriptor("A2~")), 4)
+    for wid, mus in table._mu_down.items():
+        table._mu_down[wid] = [(y, mu + 1) for y, mu in mus]
+    with pytest.raises(HeckejError) as err:
+        table.extend(5)
+    assert err.type is HeckejError and "negative" in str(err.value)
+
+
+def test_packed_guard_refuses_exponents_past_the_offset(monkeypatch):
+    """A column started one digit above digit 0 (its unit at v^(1-PACK_OFF))
+    reaches digit 0 at its first v^-1, where a second v^-1 would shift it
+    out: that step is refused."""
+    g = WeylGroup(GroupDescriptor("A1~"))
+    columns = StructureConstants(KLTable(g, 3))
+    monkeypatch.setattr(heckej.hecke, "_pack", lambda d: 1 << laurent.PACK_W)
+    with pytest.raises(BudgetExceeded):
+        columns.column(g._id_of((0,)), 1)

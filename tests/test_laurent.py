@@ -152,3 +152,25 @@ def test_quadext_eval_sqrt():
     assert x.eval_sqrt(Fraction(2)) == 2
     with pytest.raises(ValueError):
         x.eval_sqrt(Fraction(3))
+
+
+def test_packed_codec_roundtrip_valuation_and_digits():
+    """pack/unpack, the valuation as the lowest set bit and the signed
+    digit, on random coefficients of both signs up to 2^(W-1) - 1, with
+    exponents reaching both ends -(OFF-1) and OFF-1."""
+    rng = random.Random(20261018)
+    w, off = laurent.PACK_W, laurent.PACK_OFF
+    top = (1 << (w - 1)) - 1
+    for i in range(300):
+        exps = rng.sample(range(-off + 1, off), rng.randint(1, 6))
+        exps[0] = (-off + 1, off - 1)[i % 2]
+        d = {e: rng.choice((-1, 1)) * rng.choice((1, rng.randint(1, top), top)) for e in exps}
+        p = Laurent(d)
+        c = laurent._pack(p._c)
+        assert Laurent._raw(laurent._unpack(c)) == p
+        assert laurent._valuation(c) == p.min_exp()
+        for e in range(-off, off + 1):
+            assert laurent._digit(c, e) == p.coeff(e), (d, e)
+    assert laurent._pack({}) == 0 and laurent._unpack(0) == {}
+    with pytest.raises(ValueError):
+        laurent._pack({-off - 1: 1})

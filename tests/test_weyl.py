@@ -6,7 +6,7 @@ import pytest
 import sympy
 
 import heckej.weyl
-from heckej import GroupDescriptor, GroupMismatch, UnsupportedType, WeylGroup, make_group
+from heckej import BudgetExceeded, GroupDescriptor, GroupMismatch, UnsupportedType, WeylGroup, make_group
 
 
 def poincare_counts(affine_type: str, upto: int) -> list[int]:
@@ -295,3 +295,24 @@ def test_element_string_and_json_round_trip():
     assert str(w) == "010@2"
     assert g.from_json(w.to_json()) == w
     assert str(g.identity) == "e"
+
+
+@pytest.mark.parametrize("affine_type, extended, radius", [("A1~", True, 7), ("A2~", False, 6), ("A2~", True, 4)])
+def test_ball_budget(monkeypatch, affine_type, extended, radius):
+    """The ball size estimated from the length series is exact, and a ball
+    past BALL_BUDGET is refused before any enumeration."""
+    g = WeylGroup(GroupDescriptor(affine_type, extended))
+    size = len(g.enumerate_ball(radius))
+    monkeypatch.setattr(heckej.weyl, "BALL_BUDGET", size)
+    assert len(g.enumerate_ball(radius)) == size
+
+    def no_enumeration(self, i, s):
+        raise AssertionError("enumerated past the budget")
+
+    fresh = WeylGroup(GroupDescriptor(affine_type, extended))
+    monkeypatch.setattr(WeylGroup, "_rmul", no_enumeration)
+    with pytest.raises(BudgetExceeded):
+        fresh.enumerate_ball(radius + 1)
+    monkeypatch.setattr(heckej.weyl, "BALL_BUDGET", size - 1)
+    with pytest.raises(BudgetExceeded):
+        fresh.enumerate_ball(radius)
