@@ -14,6 +14,12 @@ truncating, except jta_multiply: a product in J tensor A drops each t_z
 with len(z) > L.  The scan is one pass at S, over one right factor y
 per diagram-automorphism orbit, stratified by max(len x, len y), so
 the value at any smaller scan radius r is the minimum over strata 0..r.
+
+Memoization.  A ring computes each read-off once: the certified a(z) per
+z, the gammas of each (x, y, convention) and the phi image of each
+(x, convention).  Every refusal runs before a memo is read, and only
+successful results are stored, so a call that raised raises again; the
+memos are bounded by the certified radius.  Callers get copies.
 """
 
 from __future__ import annotations
@@ -93,6 +99,10 @@ class JRing:
         self.constants = StructureConstants(self.table)
         self._a_values: dict[int, list[int]] | None = None
         self._dinv: dict[int, list[GroupElement]] = {}
+        # read-offs, computed once per ring and stored only on success
+        self._certified: dict[tuple[int, ...], int] = {}
+        self._gammas: dict[tuple, tuple[tuple[GroupElement, int], ...]] = {}
+        self._phis: dict[tuple, tuple[tuple[GroupElement, Laurent], ...]] = {}
 
     # -- a-function --------------------------------------------------------
 
@@ -128,33 +138,41 @@ class JRing:
 
     def _certified_a(self, z: GroupElement) -> int:
         self._within(len(z.word), "len(z)")
-        av = self.a_function(z, self.scan_radius)
-        if not av.certified:
-            raise HeckejError(f"a({z}) at scan radius {av.scan_radius} is not certified")
-        return av.value
+        got = self._certified.get(z.word)
+        if got is None:
+            av = self.a_function(z, self.scan_radius)
+            if not av.certified:
+                raise HeckejError(f"a({z}) at scan radius {av.scan_radius} is not certified")
+            got = self._certified[z.word] = av.value
+        return got
 
     # -- gamma constants ---------------------------------------------------
 
-    def _gamma_terms(self, x: GroupElement, y: GroupElement, signed: bool) -> dict[GroupElement, int]:
-        """The nonzero gamma_{x,y,z}, each the constant term of v^a(z) h_{x,y,z},
-        for the z of h_{x,y,.} within the certified radius."""
-        out = {}
-        for z, h in self.constants.h_map(x, y, signed=signed).items():
-            if len(z.word) <= self.radius:
-                g = h.constant_term_after_shift(self._certified_a(z))
-                if g:
-                    out[z] = g
-        return out
+    def _gamma_terms(self, x: GroupElement, y: GroupElement, signed: bool) -> tuple[tuple[GroupElement, int], ...]:
+        """The pairs (z, gamma_{x,y,z}) with gamma nonzero, each the constant
+        term of v^a(z) h_{x,y,z}, for the z of h_{x,y,.} within the certified
+        radius (memoized)."""
+        key = (x, y, signed)
+        got = self._gammas.get(key)
+        if got is None:
+            got = []
+            for z, h in self.constants.h_map(x, y, signed=signed).items():
+                if len(z.word) <= self.radius:
+                    g = h.constant_term_after_shift(self._certified_a(z))
+                    if g:
+                        got.append((z, g))
+            got = self._gammas[key] = tuple(got)
+        return got
 
     def gamma(self, x: GroupElement, y: GroupElement, z: GroupElement, signed: bool = False) -> int:
         """Constant term of v^a(z) h_{x,y,z} in the chosen convention."""
         self._certified_a(z)
-        return self._gamma_terms(x, y, signed).get(z, 0)
+        return dict(self._gamma_terms(x, y, signed)).get(z, 0)
 
     def gamma_map(self, x: GroupElement, y: GroupElement, signed: bool = False) -> dict[GroupElement, int]:
         """All nonzero gamma_{x,y,z}; needs len(x)+len(y) within the radius."""
         self._within(len(x.word) + len(y.word), "len(x) + len(y)")
-        return self._gamma_terms(x, y, signed)
+        return dict(self._gamma_terms(x, y, signed))
 
     # -- J multiplication --------------------------------------------------
 
@@ -171,7 +189,7 @@ class JRing:
         for x, c1 in a.terms.items():
             for y, c2 in b.terms.items():
                 c = c1 * c2
-                for z, g in self._gamma_terms(x, y, signed).items():
+                for z, g in self._gamma_terms(x, y, signed):
                     _accumulate(out, z, c * g)
         return JElement(self.desc, out, self.radius)
 
@@ -219,14 +237,18 @@ class JRing:
         dinvs = self.distinguished_involutions(self.radius)
         for d in dinvs:
             self._within(len(x.word) + len(d.word), f"len(x) + len(d) for d = {d}")
-        out: dict[GroupElement, Laurent] = {}
-        for d in dinvs:
-            ad = self._certified_a(d)
-            for z, h in self.constants.h_map(x, d, signed=signed).items():
-                if self._certified_a(z) != ad:
-                    continue
-                _accumulate(out, z, -h if signed and len(z.word) % 2 else h)
-        return JElement(self.desc, out, self.radius)
+        key = (x, signed)
+        got = self._phis.get(key)
+        if got is None:
+            out: dict[GroupElement, Laurent] = {}
+            for d in dinvs:
+                ad = self._certified_a(d)
+                for z, h in self.constants.h_map(x, d, signed=signed).items():
+                    if self._certified_a(z) != ad:
+                        continue
+                    _accumulate(out, z, -h if signed and len(z.word) % 2 else h)
+            got = self._phis[key] = tuple(out.items())
+        return JElement(self.desc, dict(got), self.radius)
 
     def phi_of_element(self, h: HeckeElement, signed: bool = False) -> JElement:
         """phi extended A-linearly to a canonical-basis element."""

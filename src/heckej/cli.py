@@ -6,9 +6,9 @@ structure constants, the a-function with certified truncation, gamma
 constants, J-multiplication, distinguished involutions, the map phi
 into J tensor A, and the SL(2) convolution oracles.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 certification refusal (a result would be uncertified or an oracle
-precondition fails).
+Exit codes: 0 success, 1 verification failure or internal error,
+2 usage error, 3 certification refusal (a result would be uncertified
+or an oracle precondition fails).
 """
 
 from __future__ import annotations
@@ -528,6 +528,10 @@ def main(argv: list[str] | None = None) -> int:
     except (Refusal, RadiusExceeded, DepthTooSmall, BudgetExceeded) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
+    except HeckejError as exc:
+        # a broken invariant, not a refusal: one line, the exit code of a traceback
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

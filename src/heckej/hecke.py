@@ -203,15 +203,32 @@ class HeckeAlgebra:
         return out
 
     def _mul_ttilde_raw(self, vec1: dict, vec2: dict) -> dict:
-        g = self.group
+        """vec1 * vec2 as the sum of c * (~T_w ~T_omega vec2) over the terms
+        c ~T_w ~T_omega of vec1.  Each piece ~T_w ~T_omega vec2 is
+        ~T_s (~T_{sw} ~T_omega vec2) for the first letter s of w, built once
+        per key (cox_id, omega) from the piece of sw.  The support of a
+        canonical expansion is closed under dropping the first letter, so
+        its product costs one generator step per support key."""
+        pieces: dict = {}
         out: dict = {}
-        for (i, om), c in vec1.items():
-            piece = self._lmul_omega_raw(om, vec2)
-            for s in reversed(g._words[i]):
-                piece = self._lmul_gen_raw(s, piece)
-            for key, c2 in piece.items():
-                _addmul_at(out, key, _mul_raw(c, c2))
+        for key, c in vec1.items():
+            for key2, c2 in self._ttilde_piece(pieces, key, vec2).items():
+                _addmul_at(out, key2, _mul_raw(c, c2))
         return out
+
+    def _ttilde_piece(self, pieces: dict, key: tuple[int, int], vec2: dict) -> dict:
+        """~T_w ~T_omega vec2 for key = (id of w, omega), memoized in pieces."""
+        got = pieces.get(key)
+        if got is None:
+            i, om = key
+            if i == 0:
+                got = self._lmul_omega_raw(om, vec2)
+            else:
+                s = self.group._words[i][0]
+                below = self._ttilde_piece(pieces, (self.group._lmul(s, i), om), vec2)
+                got = self._lmul_gen_raw(s, below)
+            pieces[key] = got
+        return got
 
     # -- basis conversion --------------------------------------------------
 
@@ -389,12 +406,15 @@ class KLTable:
         if sy > y, ~T_{sy} + v ~T_y if sy < y, so both terms of y add P_{y,u}
         to P_{.,su}, times q when sy < y."""
         g = self.group
-        lmul, ldesc = g._lmul, g._ldesc
+        memo, ldesc = g._lmul_memo, g._ldesc
         out: dict[int, int] = {}
         for y, c in vec.items():
             if s in ldesc[y]:
                 c <<= PACK_W
-            sy = lmul(s, y)
+            # the memo read inline, as the call costs more than the lookup
+            sy = memo.get((s, y))
+            if sy is None:
+                sy = g._lmul(s, y)
             out[sy] = out.get(sy, 0) + c
             out[y] = out.get(y, 0) + c
         return out
@@ -534,14 +554,16 @@ class StructureConstants:
     def _s_mult(self, s: int, vec: dict[int, int]) -> dict[int, int]:
         g = self.group
         mu_down = self.table._mu_down
-        ldesc, lmul = g._ldesc, g._lmul
+        ldesc, memo = g._ldesc, g._lmul_memo
         out: dict[int, int] = {}
         for z, c in vec.items():
             if s in ldesc[z]:
                 # (v + v^-1) c; exact, since digit 0 of c is empty
                 out[z] = out.get(z, 0) + (((c << 2 * PACK_W) + c) >> PACK_W)
             else:
-                sz = lmul(s, z)
+                sz = memo.get((s, z))
+                if sz is None:
+                    sz = g._lmul(s, z)
                 out[sz] = out.get(sz, 0) + c
                 for w, mu in mu_down[z]:
                     if s in ldesc[w]:

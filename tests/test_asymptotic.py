@@ -172,6 +172,73 @@ def test_uncertified_a_value_is_an_error(a1_desc, monkeypatch):
         ring.gamma(s0, s0, s0)
 
 
+def test_memoized_read_offs_are_copies(a1_ring, monkeypatch):
+    g = a1_ring.group
+    x, y = g.element((0, 1)), g.element((1, 0))
+    s0 = g.generator(0)
+    calls = []
+    h_map = StructureConstants.h_map
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return h_map(self, *args, **kwargs)
+
+    monkeypatch.setattr(StructureConstants, "h_map", counting)
+    gm = a1_ring.gamma_map(x, y)
+    expect = dict(gm)
+    gm[s0] = 99
+    gm.clear()
+    assert a1_ring.gamma_map(x, y) == expect
+    img = a1_ring.phi(s0)
+    expect_phi = dict(img.terms)
+    img.terms[s0] = Laurent({5: 1})
+    img.terms.pop(g.element((0, 1)))
+    assert a1_ring.phi(s0).terms == expect_phi
+    # the second gamma_map and phi calls were read from the memos
+    calls.clear()
+    a1_ring.gamma_map(x, y)
+    a1_ring.j_multiply(a1_ring.t(x), a1_ring.t(y))
+    a1_ring.phi(s0)
+    assert calls == []
+
+
+def test_failed_read_offs_are_not_memoized(a1_desc, monkeypatch):
+    ring = JRing(a1_desc, 2)
+    s0 = ring.group.generator(0)
+    monkeypatch.setattr(
+        JRing, "a_function", lambda self, z, scan_radius=None: AValue(z, 1, 1, False)
+    )
+    for _ in range(2):
+        with pytest.raises(HeckejError, match="not certified"):
+            ring.gamma(s0, s0, s0)
+        with pytest.raises(HeckejError, match="not certified"):
+            ring.gamma_map(s0, s0)
+        with pytest.raises(HeckejError, match="not certified"):
+            ring.phi(ring.group.identity)
+    monkeypatch.undo()
+    assert ring.gamma(s0, s0, s0) == 1
+    assert ring.gamma_map(s0, s0) == {s0: 1}
+
+
+def test_refusals_run_before_the_memos(a1_desc, a2_desc):
+    ring = JRing(a1_desc, 2)
+    g = ring.group
+    tx, ty = ring.t(g.element((0, 1))), ring.t(g.element((1, 0)))
+    # jta_multiply truncates instead of refusing, so it memoizes the gammas
+    # of (01, 10) that j_multiply must still refuse to use
+    ring.jta_multiply(tx, ty)
+    for _ in range(2):
+        with pytest.raises(RadiusExceeded):
+            ring.j_multiply(tx, ty)
+    # phi(e) memoizes the a-values of every d; phi(s0) still passes len(x) + len(d)
+    small = JRing(a2_desc, 3)
+    small.phi(small.group.identity)
+    s0 = small.group.generator(0)
+    for _ in range(2):
+        with pytest.raises(RadiusExceeded):
+            small.phi(s0)
+
+
 def test_j_multiply_refuses_past_radius(a1_desc):
     small = JRing(a1_desc, 2)
     g = small.group

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from heckej import GroupDescriptor, KLTable, make_group
+from heckej import AValue, GroupDescriptor, JRing, KLTable, make_group
 from heckej.cli import main
 
 
@@ -279,6 +279,20 @@ def test_group_ball_budget(capsys):
     code, out, err = run(capsys, "group", "--type", "A2~", "--radius", "100000")
     assert code == 3 and out == "" and "refused" in err
     assert time.perf_counter() - started < 5
+
+
+def test_internal_error_is_one_line(capsys, cache, monkeypatch):
+    """A HeckejError that is not a refusal exits 1 with one stderr line."""
+    monkeypatch.setattr(
+        JRing, "a_function", lambda self, z, scan_radius=None: AValue(z, 1, 1, False)
+    )
+    code, out, err = run(
+        capsys, "gamma", "--type", "A1~", "--x", "0", "--y", "0", "--z", "0",
+        "--cache-dir", cache,
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: internal: ") and "not certified" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_usage_errors(capsys, cache):

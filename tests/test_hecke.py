@@ -37,6 +37,13 @@ def a1():
 
 
 @pytest.fixture(scope="module")
+def a1x():
+    desc = GroupDescriptor("A1~", extended=True)
+    g = make_group(desc)
+    return g, hecke_algebra(desc), KLTable(g, 8)
+
+
+@pytest.fixture(scope="module")
 def a2():
     desc = GroupDescriptor("A2~")
     g = make_group(desc)
@@ -257,24 +264,25 @@ def h_oracle(alg, table, x, y, signed):
     return dict(alg.to_basis(prod, basis, table).terms)
 
 
-@pytest.mark.parametrize("signed", [False, True])
-def test_structure_constants_against_product_oracle_a1(a1, signed):
-    g, alg, table = a1
-    sc = StructureConstants(table)
-    ball = g.enumerate_ball(4)
-    for x in ball:
-        for y in ball:
-            assert sc.h_map(x, y, signed=signed) == h_oracle(alg, table, x, y, signed)
+def check_against_product_oracle(groups, radius, signed):
+    # on the extended groups the oracle's products run through ~T pieces
+    # keyed by (cox_id, omega) with omega != 0
+    for g, alg, table in groups:
+        sc = StructureConstants(table)
+        ball = g.enumerate_ball(radius)
+        for x in ball:
+            for y in ball:
+                assert sc.h_map(x, y, signed=signed) == h_oracle(alg, table, x, y, signed), (x, y)
 
 
 @pytest.mark.parametrize("signed", [False, True])
-def test_structure_constants_against_product_oracle_a2(a2, signed):
-    g, alg, table = a2
-    sc = StructureConstants(table)
-    ball = g.enumerate_ball(2)
-    for x in ball:
-        for y in ball:
-            assert sc.h_map(x, y, signed=signed) == h_oracle(alg, table, x, y, signed)
+def test_structure_constants_against_product_oracle_a1(a1, a1x, signed):
+    check_against_product_oracle([a1, a1x], 4, signed)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_structure_constants_against_product_oracle_a2(a2, a2x, signed):
+    check_against_product_oracle([a2, a2x], 2, signed)
 
 
 def test_structure_constant_spot_values(a1):
