@@ -125,14 +125,14 @@ def emit(ns, meta: dict, rows: list[dict], stream=None) -> None:
         print(json.dumps(record, sort_keys=True, default=str), file=stream)
         return
     keys = list(rows[0].keys()) if rows else []
+    meta_line = " ".join(f"{k}={v}" for k, v in sorted(meta.items()))
+    print(f"# {meta_line}", file=stream)
     if ns.format == "csv":
         writer = csv_mod.writer(stream)
         writer.writerow(keys)
         for row in rows:
             writer.writerow([row[k] for k in keys])
         return
-    meta_line = " ".join(f"{k}={v}" for k, v in sorted(meta.items()))
-    print(f"# {meta_line}", file=stream)
     if not rows:
         return
     table = [[str(row[k]) for k in keys] for row in rows]

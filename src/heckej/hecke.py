@@ -21,10 +21,11 @@ one in any basis.
 The KL table and the structure-constant columns are {cox_id: coeff}
 vectors whose coefficients are packed ints (heckej.laurent's codec):
 P_{y,w} with q = 2^PACK_W, and h_{x,y,z} with v = 2^PACK_W, so each
-recursion step is int shifts and adds.  They are decoded once per entry
-at the public edges.  Exactness is guarded at every step: each stored
-vector has all digits in [0, 2^PACK_T), which positivity guarantees, and
-a step sums at most 2^(PACK_W-1-PACK_T) such digits into one.
+recursion step is int shifts and adds.  Both stay packed: `_expansion`
+decodes one w once, `h_map` one row per query.  Exactness is guarded at
+every step: each stored vector has all digits in [0, 2^PACK_T), which
+positivity guarantees, and a step sums at most 2^(PACK_W-1-PACK_T) such
+digits into one.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import BudgetExceeded, GroupMismatch, HeckejError, NonInvertibleTer
 from .laurent import (
     PACK_W, _DIGIT, Laurent, ONE, ZERO, _accumulate, _addmul, _digit, _mul_raw, _pack, _star_raw, _unpack, _valuation,
 )
-from .weyl import GroupDescriptor, GroupElement, WeylGroup, make_group
+from .weyl import GroupDescriptor, GroupElement, WeylGroup, _stratum_size, make_group
 
 __all__ = [
     "HeckeElement",
@@ -334,11 +335,10 @@ def _p_laurent(c: int) -> Laurent:
 def _check_kl_budget(desc: GroupDescriptor, radius: int) -> None:
     """Refuse a KL table of this radius when sum_n |stratum n| * |ball(n)|,
     a bound on its entries (pairs y <= w), passes KL_ENTRY_BUDGET.  The
-    strata come from the length series, not from enumeration: each length
-    n >= 1 has 2 Coxeter elements in A1~ and 3n in A2~."""
+    strata come from the length series, not from enumeration."""
     ball = entries = 1
     for n in range(1, radius + 1):
-        stratum = 2 if desc.affine_type == "A1~" else 3 * n
+        stratum = _stratum_size(desc, n)
         ball += stratum
         entries += stratum * ball
         if entries > KL_ENTRY_BUDGET:
@@ -534,20 +534,21 @@ class StructureConstants:
         C'_s C'_z = (v + v^-1) C'_z             if sz < z,
         C'_s C'_z = C'_{sz} + sum mu(w,z) C'_w  otherwise (sw < w),
 
-    so whole columns are computed in one sweep and cached.  All data
-    here is for the unsigned basis on Coxeter parts; omega parts and
-    the signed convention are layered on top (signed constants are the
-    image of unsigned ones under v -> -v^-1).
+    so a column is one sweep over a ball of x, each row from the row of
+    s x.  All data here is for the unsigned basis on Coxeter parts; omega
+    parts and the signed convention are layered on top (signed constants
+    are the image of unsigned ones under v -> -v^-1).
 
-    Columns are computed on packed coefficients (v = 2^PACK_W, offset
-    PACK_OFF) and decoded once, when `column` caches them.
+    `column` keeps each column packed (v = 2^PACK_W, offset PACK_OFF)
+    with the largest x-radius it covers, and a longer x grows it from its
+    last stratum; `h_map` decodes only the row it reads.
     """
 
     def __init__(self, table: KLTable):
         self.table = table
         self.group = table.group
         self.desc = table.desc
-        self._columns: dict[int, tuple[int, dict[int, dict[int, dict]]]] = {}
+        self._columns: dict[int, tuple[int, dict[int, dict[int, int]]]] = {}
 
     # -- the left s-rule on a C'-coordinate vector -------------------------
 
@@ -570,9 +571,9 @@ class StructureConstants:
                         out[w] = out.get(w, 0) + mu * c
         return out
 
-    def _compute_column(self, yid: int, xmax: int, ids: list[int]) -> dict[int, dict[int, int]]:
-        """The packed column of y over ids, the Coxeter ids of the ball of
-        radius xmax in enumeration order."""
+    def _grow(self, yid: int, col: dict[int, dict[int, int]], xmax: int, ids: list[int]) -> dict:
+        """Add to the packed column col of y the rows it lacks among ids, the
+        Coxeter ids of ball(xmax) in enumeration order; returns col."""
         g = self.group
         table = self.table
         ylen = len(g._words[yid])
@@ -581,9 +582,9 @@ class StructureConstants:
                 f"column ({ylen}) x radius {xmax} needs mu data beyond table radius {table.radius}"
             )
         mass = table._mu_mass.__getitem__
-        col: dict[int, dict[int, int]] = {0: {yid: _pack({0: 1})}}
+        col.setdefault(0, {yid: _pack({0: 1})})
         for xid in ids:
-            if xid == 0:
+            if xid in col:
                 continue
             s = g._words[xid][0]
             pid = g._lmul(s, xid)
@@ -593,14 +594,12 @@ class StructureConstants:
             col[xid] = table._mu_step(col, self._s_mult, s, pid, fan_in, floor=_DIGIT)
         return col
 
-    def column(self, yid: int, xmax: int) -> dict[int, dict[int, dict]]:
-        """h_{x,y,.} for all Coxeter ids x with len(x) <= xmax (cached)."""
-        cached = self._columns.get(yid)
-        if cached and cached[0] >= xmax:
-            return cached[1]
-        packed = self._compute_column(yid, xmax, self.group._ball_ids(xmax))
-        col = {xid: {z: _unpack(c) for z, c in vec.items()} for xid, vec in packed.items()}
-        self._columns[yid] = (xmax, col)
+    def column(self, yid: int, xmax: int) -> dict[int, dict[int, int]]:
+        """The packed h_{x,y,.} for all Coxeter ids x with len(x) <= xmax."""
+        xdone, col = self._columns.get(yid, (-1, {}))
+        if xdone < xmax:
+            self._grow(yid, col, xmax, self.group._ball_ids(xmax))
+            self._columns[yid] = (xmax, col)
         return col
 
     # -- public h-constants -----------------------------------------------
@@ -616,7 +615,7 @@ class StructureConstants:
         omega = (x.omega + y.omega) % self.desc.omega_order
         out = {}
         for z, c in col[xid].items():
-            coeff = _star_raw(c) if signed else dict(c)
+            coeff = _star_raw(_unpack(c)) if signed else _unpack(c)
             out[GroupElement(self.desc, g._words[z], omega)] = Laurent._raw(coeff)
         return out
 
@@ -647,7 +646,7 @@ class StructureConstants:
         # its digit is the valuation
         rep_mins = {i: [math.inf] * (scan_radius + 1) for i in ids if length[i] <= track_len}
         for yid in reps:
-            col = self._compute_column(yid, scan_radius, ids)
+            col = self._grow(yid, {}, scan_radius, ids)
             ylen = length[yid]
             for xid in ids:
                 m = max(length[xid], ylen)

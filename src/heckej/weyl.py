@@ -344,13 +344,11 @@ class WeylGroup:
         A ball past BALL_BUDGET is refused before any enumeration."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        # each length n >= 1 has 2 Coxeter elements in A1~ and 3n in A2~
-        if self.desc.affine_type == "A1~":
-            size = 1 + 2 * radius
-        else:
-            size = 1 + 3 * radius * (radius + 1) // 2
-        if size * self.desc.omega_order > BALL_BUDGET:
-            raise BudgetExceeded(f"a ball of radius {radius} has over {BALL_BUDGET} elements")
+        size = 0
+        for n in range(radius + 1):
+            size += _stratum_size(self.desc, n)
+            if size * self.desc.omega_order > BALL_BUDGET:
+                raise BudgetExceeded(f"a ball of radius {radius} has over {BALL_BUDGET} elements")
         strata = [[0]]
         for _ in range(radius):
             nxt = []
@@ -402,14 +400,17 @@ class WeylGroup:
             pos += 1
 
 
+def _stratum_size(desc: GroupDescriptor, n: int) -> int:
+    """Coxeter elements of length n (the length series): 1 at n = 0, else 2 in A1~ and 3n in A2~."""
+    if n == 0:
+        return 1
+    return 2 if desc.affine_type == "A1~" else 3 * n
+
+
 @lru_cache(maxsize=None)
-def _group_cache(desc: GroupDescriptor) -> WeylGroup:
-    return WeylGroup(desc)
-
-
 def make_group(desc: GroupDescriptor) -> WeylGroup:
     """Return the (memoized) group handle for a supported descriptor."""
-    return _group_cache(desc)
+    return WeylGroup(desc)
 
 
 def bruhat_leq(y: GroupElement, w: GroupElement) -> bool:

@@ -18,6 +18,7 @@ from heckej import (
     certification_bound,
     hecke_algebra,
 )
+from heckej.laurent import _unpack
 
 
 def test_certification_bound_values(a1_desc, a2_desc):
@@ -116,7 +117,7 @@ def test_a_function_every_scan_radius_against_unreduced_minimum(affine_type, ext
             for xid, vec in columns.column(yid, r).items():
                 if xid in ids:
                     for z, c in vec.items():
-                        mins[z] = min(mins.get(z, 0), min(c))
+                        mins[z] = min(mins.get(z, 0), min(_unpack(c)))
         for z in g.enumerate_ball(r):
             assert ring.a_function(z, r).value == -mins[g._id_of(z.word)], (z, r)
 

@@ -320,5 +320,12 @@ def test_csv_format(capsys, cache):
     )
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "z,gamma"
-    assert lines[1] == "0,-1"
+    assert lines[0] == "# basis=signed certified=True radius=2"
+    assert lines[1] == "z,gamma"
+    assert lines[2] == "0,-1"
+    code, out, _ = run(
+        capsys, "afn", "--type", "A2~", "--z", "010", "--scan", "3",
+        "--allow-uncertified", "--format", "csv", "--cache-dir", cache,
+    )
+    assert code == 0
+    assert out.splitlines()[:3] == ["# basis=signed certified=False radius=3", "z,a,scan_radius", "010,3,3"]

@@ -326,6 +326,33 @@ def test_structure_constants_radius_guard(a2):
         sc.h_map(x, y)
 
 
+def test_column_grows_each_row_once(a2, monkeypatch):
+    """A longer x adds to a stored column only the rows of its new strata,
+    each computed once, and a shorter x computes none; the grown column
+    equals one built at the longer radius from the start."""
+    g, alg, table = a2
+    yid = g._id_of((0, 1))
+    sc = StructureConstants(table)
+    before = set(sc.column(yid, 2))
+    rows = []
+    s_mult = StructureConstants._s_mult
+
+    def counting(self, s, vec):
+        rows.append(s)
+        return s_mult(self, s, vec)
+
+    monkeypatch.setattr(StructureConstants, "_s_mult", counting)
+    grown = sc.column(yid, 5)
+    new = set(grown) - before
+    assert new == {i for i in g._ball_ids(5) if len(g._words[i]) >= 3}
+    assert len(rows) == len(new)
+    rows.clear()
+    assert sc.column(yid, 3) is grown
+    assert rows == []
+    monkeypatch.undo()
+    assert grown == StructureConstants(table).column(yid, 5)
+
+
 def test_extended_product_reduces_to_coxeter_part(a2x):
     g, alg, table = a2x
     sc = StructureConstants(table)
@@ -440,7 +467,7 @@ def test_packed_guard_refuses_wide_digits(monkeypatch):
     g = WeylGroup(GroupDescriptor("A1~"))
     columns = StructureConstants(KLTable(g, 5))
     yid = g._id_of((0, 1))
-    assert max(max(c.values()) for vec in columns.column(yid, 1).values() for c in vec.values()) == 1
+    assert max(max(laurent._unpack(c).values()) for vec in columns.column(yid, 1).values() for c in vec.values()) == 1
     with pytest.raises(BudgetExceeded):
         columns.column(yid, 2)
 

@@ -45,6 +45,7 @@ def test_ball_sizes_match_length_series(affine_type, upto):
     for w in ball:
         by_len[len(w.word)] = by_len.get(len(w.word), 0) + 1
     assert [by_len.get(k, 0) for k in range(upto + 1)] == counts
+    assert [heckej.weyl._stratum_size(g.desc, k) for k in range(upto + 1)] == counts
 
 
 @pytest.mark.parametrize("affine_type", ["A1~", "A2~"])
