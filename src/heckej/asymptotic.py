@@ -16,10 +16,15 @@ per diagram-automorphism orbit, stratified by max(len x, len y), so
 the value at any smaller scan radius r is the minimum over strata 0..r.
 
 Memoization.  A ring computes each read-off once: the certified a(z) per
-z, the gammas of each (x, y, convention) and the phi image of each
-(x, convention).  Every refusal runs before a memo is read, and only
-successful results are stored, so a call that raised raises again; the
-memos are bounded by the certified radius.  Callers get copies.
+z, its distinguished involutions, and in the unsigned convention only, the
+gammas of each (x, y) and the phi image of each x.  Signed h is star(h)
+(v -> -v^-1), and h is bar-invariant with exponents of the parity of
+len x + len y + len z, so signed gamma_{x,y,z} is (-1)^(len x + len y +
+len z) times the unsigned one, and v^a(z) h lies in Z[v] in both or in
+neither (for phi see its docstring).  Every refusal runs before a memo is
+read, and only successful results are stored, so a call that raised
+raises again; the memos are bounded by the certified radius.  Callers get
+copies.
 """
 
 from __future__ import annotations
@@ -98,11 +103,11 @@ class JRing:
         self.table = KLTable(self.group, 2 * self.scan_radius - 1)
         self.constants = StructureConstants(self.table)
         self._a_values: dict[int, list[int]] | None = None
-        self._dinv: dict[int, list[GroupElement]] = {}
         # read-offs, computed once per ring and stored only on success
+        self._dinv: list[GroupElement] | None = None
         self._certified: dict[tuple[int, ...], int] = {}
         self._gammas: dict[tuple, tuple[tuple[GroupElement, int], ...]] = {}
-        self._phis: dict[tuple, tuple[tuple[GroupElement, Laurent], ...]] = {}
+        self._phis: dict[GroupElement, tuple[tuple[GroupElement, Laurent], ...]] = {}
 
     # -- a-function --------------------------------------------------------
 
@@ -148,31 +153,33 @@ class JRing:
 
     # -- gamma constants ---------------------------------------------------
 
-    def _gamma_terms(self, x: GroupElement, y: GroupElement, signed: bool) -> tuple[tuple[GroupElement, int], ...]:
-        """The pairs (z, gamma_{x,y,z}) with gamma nonzero, each the constant
-        term of v^a(z) h_{x,y,z}, for the z of h_{x,y,.} within the certified
-        radius (memoized)."""
-        key = (x, y, signed)
-        got = self._gammas.get(key)
+    def _gamma_terms(self, x: GroupElement, y: GroupElement) -> tuple[tuple[GroupElement, int], ...]:
+        """The pairs (z, gamma_{x,y,z}) with gamma nonzero in the unsigned
+        convention, each the constant term of v^a(z) h_{x,y,z}, for the z of
+        h_{x,y,.} within the certified radius (memoized)."""
+        got = self._gammas.get((x, y))
         if got is None:
             got = []
-            for z, h in self.constants.h_map(x, y, signed=signed).items():
+            for z, h in self.constants.h_map(x, y).items():
                 if len(z.word) <= self.radius:
                     g = h.constant_term_after_shift(self._certified_a(z))
                     if g:
                         got.append((z, g))
-            got = self._gammas[key] = tuple(got)
+            got = self._gammas[x, y] = tuple(got)
         return got
 
     def gamma(self, x: GroupElement, y: GroupElement, z: GroupElement, signed: bool = False) -> int:
         """Constant term of v^a(z) h_{x,y,z} in the chosen convention."""
         self._certified_a(z)
-        return dict(self._gamma_terms(x, y, signed)).get(z, 0)
+        g = dict(self._gamma_terms(x, y)).get(z, 0)
+        return (-1) ** (len(x) + len(y) + len(z)) * g if signed else g
 
     def gamma_map(self, x: GroupElement, y: GroupElement, signed: bool = False) -> dict[GroupElement, int]:
         """All nonzero gamma_{x,y,z}; needs len(x)+len(y) within the radius."""
         self._within(len(x.word) + len(y.word), "len(x) + len(y)")
-        return dict(self._gamma_terms(x, y, signed))
+        if signed:
+            return {z: (-1) ** (len(x) + len(y) + len(z)) * g for z, g in self._gamma_terms(x, y)}
+        return dict(self._gamma_terms(x, y))
 
     # -- J multiplication --------------------------------------------------
 
@@ -188,9 +195,9 @@ class JRing:
         out: dict = {}
         for x, c1 in a.terms.items():
             for y, c2 in b.terms.items():
-                c = c1 * c2
-                for z, g in self._gamma_terms(x, y, signed):
-                    _accumulate(out, z, c * g)
+                c = c1 * c2 * (-1) ** (len(x) + len(y)) if signed else c1 * c2
+                for z, g in self._gamma_terms(x, y):
+                    _accumulate(out, z, -c * g if signed and len(z) % 2 else c * g)
         return JElement(self.desc, out, self.radius)
 
     def j_multiply(self, j1: JElement, j2: JElement, signed: bool = False) -> JElement:
@@ -207,22 +214,20 @@ class JRing:
         if radius is None:
             radius = self.radius
         self._within(radius, "radius")
-        got = self._dinv.get(radius)
-        if got is not None:
-            return got
-        e = self.group.identity
-        out = []
-        for d in self.group.enumerate_ball(radius):
-            if not self.group.multiply(d, d).is_identity():
-                continue
-            p = self.table.kl_polynomial(e, d)
-            if p.is_zero():
-                continue
-            # stored on v-exponents, so max_exp is twice the q-degree of P
-            if self._certified_a(d) == len(d.word) - p.max_exp():
-                out.append(d)
-        self._dinv[radius] = out
-        return out
+        if self._dinv is None:
+            e = self.group.identity
+            out = []
+            for d in self.group.enumerate_ball(self.radius):
+                if not self.group.multiply(d, d).is_identity():
+                    continue
+                p = self.table.kl_polynomial(e, d)
+                if p.is_zero():
+                    continue
+                # stored on v-exponents, so max_exp is twice the q-degree of P
+                if self._certified_a(d) == len(d.word) - p.max_exp():
+                    out.append(d)
+            self._dinv = out
+        return [d for d in self._dinv if len(d) <= radius]
 
     # -- the homomorphism into J tensor A ----------------------------------
 
@@ -233,21 +238,22 @@ class JRing:
         In the signed convention each term carries an extra (-1)^len(z):
         the signed map is the unsigned one transported through v -> -1/v
         on coefficients and t_w -> (-1)^len(w) t_w on J, and the two
-        semilinear twists cancel, leaving an A-linear ring map."""
-        dinvs = self.distinguished_involutions(self.radius)
+        semilinear twists cancel, leaving an A-linear ring map; so only the
+        unsigned image is memoized, and the signed one is read from it."""
+        dinvs = self.distinguished_involutions()
         for d in dinvs:
             self._within(len(x.word) + len(d.word), f"len(x) + len(d) for d = {d}")
-        key = (x, signed)
-        got = self._phis.get(key)
+        got = self._phis.get(x)
         if got is None:
             out: dict[GroupElement, Laurent] = {}
             for d in dinvs:
                 ad = self._certified_a(d)
-                for z, h in self.constants.h_map(x, d, signed=signed).items():
-                    if self._certified_a(z) != ad:
-                        continue
-                    _accumulate(out, z, -h if signed and len(z.word) % 2 else h)
-            got = self._phis[key] = tuple(out.items())
+                for z, h in self.constants.h_map(x, d).items():
+                    if self._certified_a(z) == ad:
+                        _accumulate(out, z, h)
+            got = self._phis[x] = tuple(out.items())
+        if signed:
+            got = [(z, -c.star() if len(z) % 2 else c.star()) for z, c in got]
         return JElement(self.desc, dict(got), self.radius)
 
     def phi_of_element(self, h: HeckeElement, signed: bool = False) -> JElement:

@@ -9,7 +9,8 @@ unsigned canonical basis is
 
 and the signed one replaces each coefficient c(v) by c(-v^-1), which
 gives the alternating-sign form with P_{y,w}(v^-2).  Both are fixed by
-the bar involution; the table certifies this rather than assuming it.
+the bar involution.  The table checks only unitriangularity; bar
+invariance is certified in tests/test_hecke.py.
 
 Internally every Hecke-algebra vector is a raw ~T vector
 {(cox_id, omega): coeff}, the coefficients being the zero-free
@@ -154,9 +155,6 @@ class HeckeElement:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def max_length(self) -> int:
-        return max((len(w.word) for w in self.terms), default=0)
 
 
 class HeckeAlgebra:

@@ -86,11 +86,12 @@ class GroupElement:
     word: tuple[int, ...]
     omega: int = 0
 
-    def __len__(self) -> int:
-        return len(self.word)
+    def __hash__(self) -> int:
+        # consistent with the generated __eq__, which also compares desc;
+        # leaving desc out spares a GroupDescriptor hash on every memo lookup
+        return hash((self.word, self.omega))
 
-    @property
-    def length(self) -> int:
+    def __len__(self) -> int:
         return len(self.word)
 
     def is_identity(self) -> bool:
@@ -187,9 +188,6 @@ class WeylGroup:
         if not 0 <= k < self.desc.omega_order:
             raise ValueError(f"no omega element {k}")
         return GroupElement(self.desc, (), k)
-
-    def omega_elements(self) -> list[GroupElement]:
-        return [self.omega_element(k) for k in range(self.desc.omega_order)]
 
     def element(self, word, omega: int = 0) -> GroupElement:
         """Build an element from an arbitrary (not necessarily reduced) word."""
@@ -331,10 +329,6 @@ class WeylGroup:
         for i, p in enumerate(perm):
             inv_perm[p] = i
         return frozenset(inv_perm[s] for s in base)
-
-    def length(self, a: GroupElement) -> int:
-        self._check(a)
-        return len(a.word)
 
     def _ball_ids(self, radius: int) -> list[int]:
         """Coxeter ids of length <= radius, sorted by (length, word).  A

@@ -201,6 +201,44 @@ def test_memoized_read_offs_are_copies(a1_ring, monkeypatch):
     a1_ring.j_multiply(a1_ring.t(x), a1_ring.t(y))
     a1_ring.phi(s0)
     assert calls == []
+    # the distinguished involutions too, also on a ring that has not read phi yet
+    fresh = JRing(a1_ring.desc, 4)
+    dinv = fresh.distinguished_involutions()
+    expect_dinv = list(dinv)
+    dinv.clear()
+    assert fresh.distinguished_involutions() == expect_dinv
+    assert fresh.phi(fresh.group.generator(0)).terms == {
+        fresh.group.generator(0): V + VINV,
+        fresh.group.element((0, 1)): Laurent({0: 1}),
+    }
+
+
+def test_memo_hits_hash_no_descriptor(a1_desc, a2_desc, monkeypatch):
+    ring = JRing(GroupDescriptor("A1~", extended=True), 4)
+    g = ring.group
+    x, y = g.element((0,), 1), g.element((1, 0))
+    for signed in (False, True):
+        ring.gamma_map(x, y, signed)
+        ring.j_multiply(ring.t(x), ring.t(y), signed)
+    hashes = []
+    desc_hash = GroupDescriptor.__hash__
+
+    def counting(self):
+        hashes.append(self)
+        return desc_hash(self)
+
+    monkeypatch.setattr(GroupDescriptor, "__hash__", counting)
+    for _ in range(2):
+        for signed in (False, True):
+            ring.gamma_map(x, y, signed)
+            ring.j_multiply(ring.t(x), ring.t(y), signed)
+    assert hashes == []
+    monkeypatch.undo()
+    # equal words in different groups stay different elements
+    a1_s0 = JRing(a1_desc, 0).group.generator(0)
+    a2_s0 = JRing(a2_desc, 0).group.generator(0)
+    assert a1_s0.word == a2_s0.word and a1_s0 != a2_s0
+    assert len({a1_s0, a2_s0}) == 2
 
 
 def test_failed_read_offs_are_not_memoized(a1_desc, monkeypatch):
@@ -319,6 +357,53 @@ def test_phi_signed_is_twist_of_unsigned(a2_ring):
             for z, c in unsigned.terms.items()
         }
         assert signed.terms == expect
+
+
+def _check_signed_against_star_path(ring, xs):
+    """Signed gamma and phi read off the signed h_map directly: gamma_{x,y,z}
+    is the constant term of v^a(z) h_{x,y,z}, and phi(C_x) sums
+    (-1)^len(z) h_{x,d,z} over distinguished d and z with a(z) = a(d)."""
+    sc = ring.constants
+
+    def a_of(z):
+        return ring.a_function(z).value
+
+    for x in xs:
+        for y in xs:
+            expect = {}
+            for z, h in sc.h_map(x, y, signed=True).items():
+                if len(z.word) <= ring.radius:
+                    g = h.constant_term_after_shift(a_of(z))
+                    if g:
+                        expect[z] = g
+            assert ring.gamma_map(x, y, signed=True) == expect, (x, y)
+        expect = {}
+        for d in ring.distinguished_involutions():
+            for z, h in sc.h_map(x, d, signed=True).items():
+                if a_of(z) == a_of(d):
+                    expect[z] = expect.get(z, Laurent({})) + (-h if len(z.word) % 2 else h)
+        assert ring.phi(x, signed=True).terms == {z: c for z, c in expect.items() if not c.is_zero()}, x
+
+
+def test_signed_read_offs_match_the_star_path(a2_ring, monkeypatch):
+    ring = JRing(GroupDescriptor("A1~", extended=True), 6)
+    g = ring.group
+    calls = []
+    h_map = StructureConstants.h_map
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return h_map(self, *args, **kwargs)
+
+    # one h_map read serves both conventions
+    x, y = g.element((0, 1), 1), g.element((1,))
+    monkeypatch.setattr(StructureConstants, "h_map", counting)
+    ring.gamma_map(x, y, signed=True)
+    ring.gamma_map(x, y, signed=False)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    _check_signed_against_star_path(ring, g.enumerate_ball(3))
+    _check_signed_against_star_path(a2_ring, a2_ring.group.enumerate_ball(2))
 
 
 @pytest.mark.parametrize("signed", [False, True])
