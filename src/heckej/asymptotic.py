@@ -3,17 +3,37 @@ multiplication, distinguished involutions, and the map from the Hecke
 algebra into J tensor A.
 
 Truncation discipline.  a(z) is an infimum over all pairs (x, y), so a
-finite scan only ever yields a certified lower bound.  A JRing is
-created with a working radius L; it scans all pairs up to
+finite scan only ever yields a lower bound.  A JRing is created with a
+working radius L, and a(z) is certified for len(z) <= L by one of four
+certificates, tried in this order (see JRing._prove); a witness that
+does not give the claimed valuation raises HeckejError:
 
-    S = L + 2*len(w0) + 2          (w0 = finite longest element)
+- identity: a(z) = 0 when z has no Coxeter part (e and the Omega
+  elements).
+- unique-word: z != e with a unique reduced word has a(z) = 1 (Lusztig,
+  Some examples of square integrable representations of semisimple
+  p-adic groups, 1983); witness (s, z) for the left descent s, with
+  h_{s,z,z} = v + v^-1.
+- witness+bound: z = x w_J y with lengths adding and len(w_J) = len(w0)
+  (w0 = finite longest element) has a(z) >= len(w_J), by the witness
+  h_{x w_J, w_J y, z} of valuation -len(w_J), and a(z) <= len(w0) for
+  every z (Lusztig, Cells in affine Weyl groups, 1985).
+- scan-radius: anything else is the minimum over all pairs up to
 
-and treats a(z) as certified for len(z) <= L.  Every gamma, J-product
-and phi image refuses to go past that contract instead of silently
-truncating, except jta_multiply: a product in J tensor A drops each t_z
-with len(z) > L.  The scan is one pass at S, over one right factor y
-per diagram-automorphism orbit, stratified by max(len x, len y), so
-the value at any smaller scan radius r is the minimum over strata 0..r.
+    S = L + 2*len(w0) + 2,
+
+  a working assumption rather than a proof.  The scan is one pass at S,
+  over one right factor y per diagram-automorphism orbit, stratified by
+  max(len x, len y), so the value at any smaller scan radius r is the
+  minimum over strata 0..r; it also serves every a_function(z, r) with an
+  explicit r.
+
+The KL table has radius L + len(w0) - 1, which holds every witness and
+every h_{x,y,z} with len x + len y <= L; the scan extends it to 2S - 1 on
+first use.  Every gamma, J-product and phi image refuses to go past the
+certified radius instead of silently truncating, except jta_multiply: a
+product in J tensor A drops each t_z with len(z) > L (its factors may
+need the table extended, never past 2S - 1).
 
 Memoization.  A ring computes each read-off once: the certified a(z) per
 z, its distinguished involutions, and in the unsigned convention only, the
@@ -36,7 +56,7 @@ from fractions import Fraction
 
 from .errors import HeckejError, RadiusExceeded
 from .hecke import HeckeElement, KLTable, StructureConstants, hecke_algebra
-from .laurent import Laurent, QuadExt, _accumulate
+from .laurent import Laurent, QuadExt, _accumulate, _unpack
 from .weyl import GroupDescriptor, GroupElement, make_group
 
 __all__ = ["AValue", "JElement", "JTensorAElement", "JRing"]
@@ -44,10 +64,16 @@ __all__ = ["AValue", "JElement", "JTensorAElement", "JRing"]
 
 @dataclass(frozen=True)
 class AValue:
+    """a(z) and how it is known: scan_radius is the certification bound, or
+    the scan radius asked for; certificate names the proof (see the module
+    docstring) and witness its pair (x, y), if it has one."""
+
     z: GroupElement
     value: int
     scan_radius: int
     certified: bool
+    certificate: str = "scan-radius"
+    witness: tuple | None = None
 
 
 @dataclass
@@ -100,11 +126,12 @@ class JRing:
         self.group = make_group(desc)
         self.algebra = hecke_algebra(desc)
         self.scan_radius = certification_bound(desc, radius)
-        self.table = KLTable(self.group, 2 * self.scan_radius - 1)
+        self.table = KLTable(self.group, radius + desc.finite_longest_length - 1)
         self.constants = StructureConstants(self.table)
         self._a_values: dict[int, list[int]] | None = None
         # read-offs, computed once per ring and stored only on success
         self._dinv: list[GroupElement] | None = None
+        self._proofs: dict[GroupElement, tuple[str, int, tuple | None]] = {}
         self._certified: dict[tuple[int, ...], int] = {}
         self._gammas: dict[tuple, tuple[tuple[GroupElement, int], ...]] = {}
         self._phis: dict[GroupElement, tuple[tuple[GroupElement, Laurent], ...]] = {}
@@ -115,17 +142,54 @@ class JRing:
         """Scan values a(z) at every scan radius r <= self.scan_radius, by
         Coxeter id of z: the minima over strata 0..r of one scan pass."""
         if self._a_values is None:
+            self.table.extend(2 * self.scan_radius - 1)
             strata = self.constants.scan_min_exponents(self.scan_radius, self.scan_radius)
             self._a_values = {
                 z: [-low for low in itertools.accumulate(mins, min)] for z, mins in strata.items()
             }
         return self._a_values
 
+    def _prove(self, z: GroupElement) -> tuple[str, int, tuple | None]:
+        """(certificate, a(z), witness) for len(z) <= radius, in the order of
+        the module docstring.  A witness (x, y) must give h_{x,y,z} of
+        valuation -a(z), and a unique word must have no factor w_J longer
+        than a generator; either failure raises HeckejError."""
+        if not z.word:
+            return "identity", 0, None
+        g = self.group
+        top = self.desc.finite_longest_length
+        factor = g.parabolic_factor(z, top)
+        if g.has_unique_reduced_word(z):
+            if factor is not None and top > 1:
+                raise HeckejError(f"{z} has a unique reduced word and a factor w_J of length {top}")
+            certificate, value, witness = "unique-word", 1, (g.generator(z.word[0]), z)
+        elif factor is not None:
+            certificate, value, witness = "witness+bound", top, factor
+        else:
+            return "scan-radius", self._scan()[g._id_of(z.word)][certification_bound(self.desc, len(z))], None
+        # x has no Omega part and y the Omega part of z, so h_{x,y,z} is read
+        # off the packed column of the Coxeter part of y
+        x, y = witness
+        col = self.constants.column(g._id_of(y.word), len(x))
+        h = _unpack(col[g._id_of(x.word)].get(g._id_of(z.word), 0))
+        if min(h, default=None) != -value:
+            raise HeckejError(f"witness ({x}, {y}) of a({z}) = {value} gives h = {Laurent._raw(h)}")
+        return certificate, value, witness
+
     def a_function(self, z: GroupElement, scan_radius: int | None = None) -> AValue:
-        """Monotone scan value of a(z); certified past the stabilization bound."""
+        """a(z): for len(z) <= radius and no scan radius, proved by a
+        certificate and reported at the stabilization bound; otherwise the
+        monotone scan value at scan_radius (by default that bound, capped at
+        the ring's scan radius), certified from the bound on."""
         zlen = len(z.word)
         bound = certification_bound(self.desc, zlen)
         if scan_radius is None:
+            if zlen <= self.radius:
+                got = self._proofs.get(z)
+                if got is None:
+                    got = self._proofs[z] = self._prove(z)
+                certificate, value, witness = got
+                return AValue(z, value, bound, True, certificate, witness)
             if zlen > self.scan_radius:
                 raise RadiusExceeded(f"len(z) = {zlen} beyond scan radius {self.scan_radius}")
             scan_radius = min(bound, self.scan_radius)
@@ -145,7 +209,7 @@ class JRing:
         self._within(len(z.word), "len(z)")
         got = self._certified.get(z.word)
         if got is None:
-            av = self.a_function(z, self.scan_radius)
+            av = self.a_function(z)
             if not av.certified:
                 raise HeckejError(f"a({z}) at scan radius {av.scan_radius} is not certified")
             got = self._certified[z.word] = av.value
@@ -156,9 +220,11 @@ class JRing:
     def _gamma_terms(self, x: GroupElement, y: GroupElement) -> tuple[tuple[GroupElement, int], ...]:
         """The pairs (z, gamma_{x,y,z}) with gamma nonzero in the unsigned
         convention, each the constant term of v^a(z) h_{x,y,z}, for the z of
-        h_{x,y,.} within the certified radius (memoized)."""
+        h_{x,y,.} within the certified radius (memoized).  A pair past the
+        radius (from jta_multiply) extends the table, never past 2S - 1."""
         got = self._gammas.get((x, y))
         if got is None:
+            self.table.extend(min(len(x.word) + len(y.word), 2 * self.scan_radius) - 1)
             got = []
             for z, h in self.constants.h_map(x, y).items():
                 if len(z.word) <= self.radius:
@@ -169,10 +235,10 @@ class JRing:
         return got
 
     def gamma(self, x: GroupElement, y: GroupElement, z: GroupElement, signed: bool = False) -> int:
-        """Constant term of v^a(z) h_{x,y,z} in the chosen convention."""
+        """Constant term of v^a(z) h_{x,y,z} in the chosen convention; refused
+        for z past the radius, and wherever gamma_map is."""
         self._certified_a(z)
-        g = dict(self._gamma_terms(x, y)).get(z, 0)
-        return (-1) ** (len(x) + len(y) + len(z)) * g if signed else g
+        return self.gamma_map(x, y, signed).get(z, 0)
 
     def gamma_map(self, x: GroupElement, y: GroupElement, signed: bool = False) -> dict[GroupElement, int]:
         """All nonzero gamma_{x,y,z}; needs len(x)+len(y) within the radius."""

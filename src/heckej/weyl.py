@@ -43,9 +43,9 @@ _OMEGA_PERMS = {
 _FINITE_LONGEST = {"A1~": 1, "A2~": 3}
 
 # Budget on the elements of one ball (Coxeter parts times omega parts),
-# checked before any enumeration.  The largest balls the tests and the
-# benchmark build are the KL tables of JRing(A2~, 10) (radius 35, 1,891
-# elements) and of JRing(A1~ extended, 24) (radius 55, 222 elements).
+# checked before any enumeration.  The largest ball the tests and the
+# benchmark build is the KL table that the scan of JRing(A2~, 10) needs
+# (radius 35, 1,891 elements).
 BALL_BUDGET = 10**4
 
 
@@ -329,6 +329,37 @@ class WeylGroup:
         for i, p in enumerate(perm):
             inv_perm[p] = i
         return frozenset(inv_perm[s] for s in base)
+
+    def has_unique_reduced_word(self, z: GroupElement) -> bool:
+        """Whether the Coxeter part of z has exactly one reduced word.  Every
+        reduced word starts with a left descent, so that holds exactly when
+        each left descent set met walking down its word is a singleton."""
+        self._check(z)
+        i = self._id_of(z.word)
+        while i:
+            if len(self._ldesc[i]) != 1:
+                return False
+            i = self._lmul(self._words[i][0], i)
+        return True
+
+    def parabolic_factor(self, z: GroupElement, length: int) -> tuple[GroupElement, GroupElement] | None:
+        """The pair (x w_J, w_J y) of a factorization z = x w_J y with lengths
+        adding and len(w_J) = length, or None.  Walking down the word of z,
+        u = w_J y for J = ldesc(u), where y, the shortest element of W_J u,
+        is reached by stripping left descents in J; then x w_J = z y^-1.
+        The Omega part of z goes on the right factor."""
+        self._check(z)
+        words, ldesc = self._words, self._ldesc
+        zid = u = self._id_of(z.word)
+        while u:
+            J, y = ldesc[u], u
+            while d := ldesc[y] & J:
+                y = self._lmul(min(d), y)
+            if len(words[u]) - len(words[y]) == length:
+                left = self._word_id(reversed(words[y]), None, zid)
+                return GroupElement(self.desc, words[left]), GroupElement(self.desc, words[u], z.omega)
+            u = self._lmul(words[u][0], u)
+        return None
 
     def _ball_ids(self, radius: int) -> list[int]:
         """Coxeter ids of length <= radius, sorted by (length, word).  A

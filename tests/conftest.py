@@ -1,8 +1,10 @@
 """Shared fixtures.
 
-The JRing objects are expensive (their KL tables reach radius ~35 so
-that every a-value in the working ball is certified), so they are built
-once per session and shared by all test modules.
+The JRing objects are built once per session and shared by all test
+modules.  Their own KL tables are small (radius L + len(w0) - 1: 15 and
+12), but the first explicit-radius a_function query, as the cell oracle
+of test_a_oracle.py makes, extends a table to the scan's radius 2S - 1
+(37 and 35) and runs the scan; every later test reuses both.
 """
 
 import pytest

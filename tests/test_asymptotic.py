@@ -15,6 +15,7 @@ from heckej import (
     StructureConstants,
     V,
     VINV,
+    WeylGroup,
     certification_bound,
     hecke_algebra,
 )
@@ -109,6 +110,8 @@ def test_a_function_every_scan_radius_against_unreduced_minimum(affine_type, ext
     ball(r), one column per y, with no orbits and no strata."""
     ring = JRing(GroupDescriptor(affine_type, extended), radius)
     g = ring.group
+    # the ring's own table covers its certificates; columns at scan size need more
+    ring.table.extend(2 * ring.scan_radius - 1)
     columns = StructureConstants(ring.table)
     for r in range(ring.scan_radius, -1, -1):
         ids = {g._id_of(w.word) for w in g.enumerate_ball(r)}
@@ -482,3 +485,110 @@ def test_gamma_symmetry_under_inversion(a2_ring):
             gm = a2_ring.gamma_map(x, y)
             flipped = a2_ring.gamma_map(g.inverse(y), g.inverse(x))
             assert gm == {g.inverse(z): c for z, c in flipped.items()}
+
+
+@pytest.mark.parametrize("ring_name", ["a1_ring", "a2_ring"])
+def test_default_a_values_are_proved_by_certificates(ring_name, request):
+    """Every default a-value on the certified ball has a certificate that is
+    not the scan, and each witness (x, y), read through the public h_map,
+    gives h_{x,y,z} of valuation -a(z)."""
+    ring = request.getfixturevalue(ring_name)
+    g = ring.group
+    counts = {}
+    for z in g.enumerate_ball(ring.radius):
+        av = ring.a_function(z)
+        counts[av.certificate] = counts.get(av.certificate, 0) + 1
+        assert av.certified and av.scan_radius == certification_bound(ring.desc, len(z))
+        if z.is_identity():
+            assert (av.certificate, av.value, av.witness) == ("identity", 0, None)
+            continue
+        x, y = av.witness
+        assert len(x) + len(y) == len(z) + av.value, z
+        assert ring.constants.h_map(x, y)[z].min_exp() == -av.value, z
+        if av.certificate == "unique-word":
+            assert av.value == 1 and y == z and len(x) == 1
+    if ring.desc.affine_type == "A1~":
+        assert counts == {"identity": 1, "unique-word": 2 * ring.radius}
+    else:
+        assert ring.radius == 10
+        assert counts == {"identity": 1, "unique-word": 57, "witness+bound": 108}
+
+
+def test_extended_certificates_carry_the_omega_part():
+    ring = JRing(GroupDescriptor("A2~", extended=True), 4)
+    g = ring.group
+    for z in g.enumerate_ball(4):
+        av = ring.a_function(z)
+        if z.word:
+            x, y = av.witness
+            assert x.omega == 0 and y.omega == z.omega
+            assert ring.constants.h_map(x, y)[z].min_exp() == -av.value, z
+        else:
+            assert (av.certificate, av.value) == ("identity", 0)
+
+
+def test_wrong_witness_is_an_error(a2_desc, monkeypatch):
+    ring = JRing(a2_desc, 4)
+    g = ring.group
+    z = g.element((0, 1, 0, 2))
+    factor = WeylGroup.parabolic_factor
+    # the right pair, with its factors swapped: h_{w_J y, x w_J, z} is 0 here
+    monkeypatch.setattr(WeylGroup, "parabolic_factor", lambda self, z, n: factor(self, z, n)[::-1])
+    for _ in range(2):
+        with pytest.raises(HeckejError, match="witness"):
+            ring.a_function(z)
+    # (e, z) gives h = 1, of valuation 0; 010 is in the support of C'_01 C'_0
+    monkeypatch.setattr(WeylGroup, "parabolic_factor", lambda self, z, n: factor(self, z, n) and (self.identity, z))
+    with pytest.raises(HeckejError, match="witness"):
+        ring.gamma_map(g.element((0, 1)), g.generator(0))
+    monkeypatch.undo()
+    assert ring.a_function(z).value == 3
+    assert ring.a_function(z).certificate == "witness+bound"
+
+
+def test_wrong_unique_word_test_is_an_error(a2_desc, monkeypatch):
+    ring = JRing(a2_desc, 6)
+    g = ring.group
+    # accept every word: 010 has the factor iji, and so does 2010 (whose
+    # left descent set is {2}), so h_{s,z,z} = v + v^-1 alone cannot tell
+    monkeypatch.setattr(WeylGroup, "has_unique_reduced_word", lambda self, z: True)
+    for word in ((0, 1, 0), (2, 0, 1, 0), (0, 1, 2, 1, 0)):
+        z = g.element(word)
+        with pytest.raises(HeckejError, match="unique reduced word"):
+            ring.a_function(z)
+    monkeypatch.undo()
+    assert [ring.a_function(g.element(w)).value for w in ((0, 1, 0), (2, 0, 1, 0))] == [3, 3]
+    assert g.has_unique_reduced_word(g.element((0, 1, 2, 0)))
+    assert not g.has_unique_reduced_word(g.element((2, 0, 1, 0)))
+
+
+def test_explicit_scan_radius_still_scans(a2_desc, monkeypatch):
+    """Default queries never scan; a(z, r) with an explicit r, as the cell
+    oracle of test_a_oracle.py asks it, still runs the scan."""
+    calls = []
+    scan = StructureConstants.scan_min_exponents
+
+    def counting(self, *args):
+        calls.append(args)
+        return scan(self, *args)
+
+    monkeypatch.setattr(StructureConstants, "scan_min_exponents", counting)
+    ring = JRing(a2_desc, 3)
+    ball = ring.group.enumerate_ball(3)
+    values = [ring.a_function(z).value for z in ball]
+    ring.distinguished_involutions()
+    ring.gamma_map(ball[1], ball[2])
+    assert calls == [] and ring.table.radius == 5
+    assert [ring.a_function(z, ring.scan_radius).value for z in ball] == values
+    assert calls == [(ring.scan_radius, ring.scan_radius)]
+    assert ring.table.radius == 2 * ring.scan_radius - 1
+
+
+def test_gamma_refuses_long_pairs(a1_desc):
+    ring = JRing(a1_desc, 2)
+    g = ring.group
+    x, y, z = g.element((0, 1, 0, 1)), g.element((1, 0, 1, 0)), g.element((0, 1))
+    with pytest.raises(RadiusExceeded, match="len\\(x\\) \\+ len\\(y\\)"):
+        ring.gamma_map(x, y)
+    with pytest.raises(RadiusExceeded, match="len\\(x\\) \\+ len\\(y\\)"):
+        ring.gamma(x, y, z)

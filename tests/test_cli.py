@@ -264,13 +264,30 @@ def test_sl2_size_budgets(capsys):
 def test_kl_table_budget(capsys, cache):
     """KL tables past the entry budget are refused before any work."""
     for argv in (
-        ("afn", "--type", "A2~", "--z", "01201201201201"),  # KL radius 43
+        ("afn", "--type", "A2~", "--z", "01201201201201", "--scan", "22"),  # KL radius 43
         ("kl", "--type", "A2~", "--radius", "100000", "--y", "e", "--w", "0"),
     ):
         started = time.perf_counter()
         code, out, err = run(capsys, *argv, "--cache-dir", cache)
         assert code == 3 and out == "" and "refused" in err, argv
         assert time.perf_counter() - started < 5, argv
+
+
+def test_certified_afn_needs_no_scan(capsys, cache):
+    """Past the scan's KL budget, a certificate still answers: a unique
+    reduced word (a = 1) and a factor w_J of length len(w0) (a = 3)."""
+    # the z column prints the ShortLex-least word
+    for z, shortlex, a in (
+        ("01201201201201", "01201201201201", 1),
+        ("0120120120121", "0102012012012", 3),
+    ):
+        started = time.perf_counter()
+        code, out, _ = run(capsys, "afn", "--type", "A2~", "--z", z, "--format", "json", "--cache-dir", cache)
+        assert code == 0
+        record = json.loads(out)
+        assert record["rows"] == [{"z": shortlex, "a": a, "scan_radius": len(z) + 8}]
+        assert record["certified"] is True
+        assert time.perf_counter() - started < 5
 
 
 def test_group_ball_budget(capsys):
