@@ -4,29 +4,34 @@ algebra into J tensor A.
 
 Truncation discipline.  a(z) is an infimum over all pairs (x, y), so a
 finite scan only ever yields a lower bound.  A JRing is created with a
-working radius L, and a(z) is certified for len(z) <= L by one of four
-certificates, tried in this order (see JRing._prove); a witness that
-does not give the claimed valuation raises HeckejError:
+working radius L, and a(z) is certified for len(z) <= L by one of three
+certificates (see JRing._prove); a witness that does not give the
+claimed valuation raises HeckejError:
 
 - identity: a(z) = 0 when z has no Coxeter part (e and the Omega
   elements).
-- unique-word: z != e with a unique reduced word has a(z) = 1 (Lusztig,
-  Some examples of square integrable representations of semisimple
-  p-adic groups, 1983); witness (s, z) for the left descent s, with
-  h_{s,z,z} = v + v^-1.
 - witness+bound: z = x w_J y with lengths adding and len(w_J) = len(w0)
   (w0 = finite longest element) has a(z) >= len(w_J), by the witness
   h_{x w_J, w_J y, z} of valuation -len(w_J), and a(z) <= len(w0) for
   every z (Lusztig, Cells in affine Weyl groups, 1985).
-- scan-radius: anything else is the minimum over all pairs up to
+- unique-word: z != e with a unique reduced word has a(z) = 1 (Lusztig,
+  Some examples of square integrable representations of semisimple
+  p-adic groups, 1983); witness (s, z) for the left descent s, with
+  h_{s,z,z} = v + v^-1.  One walk down the word of z decides between
+  the two: on A1~ and A2~ a left descent set of two or more elements
+  gives a factor w_J of length len(w0), so a z without one has a unique
+  word.  On A1~, len(w0) = 1 and both certificates say the same.
+
+a_function(z, r) with an explicit scan radius r, and a(z) for
+L < len(z) <= S, read a scan of all pairs up to
 
     S = L + 2*len(w0) + 2,
 
-  a working assumption rather than a proof.  The scan is one pass at S,
-  over one right factor y per diagram-automorphism orbit, stratified by
-  max(len x, len y), so the value at any smaller scan radius r is the
-  minimum over strata 0..r; it also serves every a_function(z, r) with an
-  explicit r.
+reported with the certificate name scan-radius; the value is certified
+when r reaches the stabilization bound, a working assumption rather than
+a proof.  The scan is one pass at S, over one right factor y per
+diagram-automorphism orbit, stratified by max(len x, len y), so the
+value at any smaller scan radius r is the minimum over strata 0..r.
 
 The KL table has radius L + len(w0) - 1, which holds every witness and
 every h_{x,y,z} with len x + len y <= L; the scan extends it to 2S - 1 on
@@ -132,7 +137,6 @@ class JRing:
         # read-offs, computed once per ring and stored only on success
         self._dinv: list[GroupElement] | None = None
         self._proofs: dict[GroupElement, tuple[str, int, tuple | None]] = {}
-        self._certified: dict[tuple[int, ...], int] = {}
         self._gammas: dict[tuple, tuple[tuple[GroupElement, int], ...]] = {}
         self._phis: dict[GroupElement, tuple[tuple[GroupElement, Laurent], ...]] = {}
 
@@ -150,31 +154,34 @@ class JRing:
         return self._a_values
 
     def _prove(self, z: GroupElement) -> tuple[str, int, tuple | None]:
-        """(certificate, a(z), witness) for len(z) <= radius, in the order of
-        the module docstring.  A witness (x, y) must give h_{x,y,z} of
-        valuation -a(z), and a unique word must have no factor w_J longer
-        than a generator; either failure raises HeckejError."""
-        if not z.word:
-            return "identity", 0, None
+        """(certificate, a(z), witness) for len(z) <= radius, as the module
+        docstring sets out (memoized).  A witness (x, y) must give
+        h_{x,y,z} of valuation -a(z), or HeckejError is raised."""
+        got = self._proofs.get(z)
+        if got is not None:
+            return got
         g = self.group
         top = self.desc.finite_longest_length
-        factor = g.parabolic_factor(z, top)
-        if g.has_unique_reduced_word(z):
-            if factor is not None and top > 1:
-                raise HeckejError(f"{z} has a unique reduced word and a factor w_J of length {top}")
-            certificate, value, witness = "unique-word", 1, (g.generator(z.word[0]), z)
-        elif factor is not None:
-            certificate, value, witness = "witness+bound", top, factor
+        if not z.word:
+            got = "identity", 0, None
         else:
-            return "scan-radius", self._scan()[g._id_of(z.word)][certification_bound(self.desc, len(z))], None
-        # x has no Omega part and y the Omega part of z, so h_{x,y,z} is read
-        # off the packed column of the Coxeter part of y
-        x, y = witness
-        col = self.constants.column(g._id_of(y.word), len(x))
-        h = _unpack(col[g._id_of(x.word)].get(g._id_of(z.word), 0))
-        if min(h, default=None) != -value:
-            raise HeckejError(f"witness ({x}, {y}) of a({z}) = {value} gives h = {Laurent._raw(h)}")
-        return certificate, value, witness
+            factor = g.parabolic_factor(z, top)
+            if factor is not None:
+                got = "unique-word" if top == 1 else "witness+bound", top, factor
+            else:
+                # the walk met no left descent set J with len(w_J) = top; on A1~
+                # and A2~ that is every J of two or more elements, so each one
+                # was a singleton and z has a unique reduced word
+                got = "unique-word", 1, (g.generator(z.word[0]), z)
+            # x has no Omega part and y the Omega part of z, so h_{x,y,z} is
+            # read off the packed column of the Coxeter part of y
+            (x, y), value = got[2], got[1]
+            col = self.constants.column(g._id_of(y.word), len(x))
+            h = _unpack(col[g._id_of(x.word)].get(g._id_of(z.word), 0))
+            if min(h, default=None) != -value:
+                raise HeckejError(f"witness ({x}, {y}) of a({z}) = {value} gives h = {Laurent._raw(h)}")
+        self._proofs[z] = got
+        return got
 
     def a_function(self, z: GroupElement, scan_radius: int | None = None) -> AValue:
         """a(z): for len(z) <= radius and no scan radius, proved by a
@@ -185,10 +192,7 @@ class JRing:
         bound = certification_bound(self.desc, zlen)
         if scan_radius is None:
             if zlen <= self.radius:
-                got = self._proofs.get(z)
-                if got is None:
-                    got = self._proofs[z] = self._prove(z)
-                certificate, value, witness = got
+                certificate, value, witness = self._prove(z)
                 return AValue(z, value, bound, True, certificate, witness)
             if zlen > self.scan_radius:
                 raise RadiusExceeded(f"len(z) = {zlen} beyond scan radius {self.scan_radius}")
@@ -207,13 +211,13 @@ class JRing:
 
     def _certified_a(self, z: GroupElement) -> int:
         self._within(len(z.word), "len(z)")
-        got = self._certified.get(z.word)
-        if got is None:
-            av = self.a_function(z)
-            if not av.certified:
-                raise HeckejError(f"a({z}) at scan radius {av.scan_radius} is not certified")
-            got = self._certified[z.word] = av.value
-        return got
+        got = self._proofs.get(z)
+        if got is not None:
+            return got[1]
+        av = self.a_function(z)
+        if not av.certified:
+            raise HeckejError(f"a({z}) at scan radius {av.scan_radius} is not certified")
+        return av.value
 
     # -- gamma constants ---------------------------------------------------
 

@@ -330,18 +330,6 @@ class WeylGroup:
             inv_perm[p] = i
         return frozenset(inv_perm[s] for s in base)
 
-    def has_unique_reduced_word(self, z: GroupElement) -> bool:
-        """Whether the Coxeter part of z has exactly one reduced word.  Every
-        reduced word starts with a left descent, so that holds exactly when
-        each left descent set met walking down its word is a singleton."""
-        self._check(z)
-        i = self._id_of(z.word)
-        while i:
-            if len(self._ldesc[i]) != 1:
-                return False
-            i = self._lmul(self._words[i][0], i)
-        return True
-
     def parabolic_factor(self, z: GroupElement, length: int) -> tuple[GroupElement, GroupElement] | None:
         """The pair (x w_J, w_J y) of a factorization z = x w_J y with lengths
         adding and len(w_J) = length, or None.  Walking down the word of z,

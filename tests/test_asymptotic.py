@@ -546,22 +546,6 @@ def test_wrong_witness_is_an_error(a2_desc, monkeypatch):
     assert ring.a_function(z).certificate == "witness+bound"
 
 
-def test_wrong_unique_word_test_is_an_error(a2_desc, monkeypatch):
-    ring = JRing(a2_desc, 6)
-    g = ring.group
-    # accept every word: 010 has the factor iji, and so does 2010 (whose
-    # left descent set is {2}), so h_{s,z,z} = v + v^-1 alone cannot tell
-    monkeypatch.setattr(WeylGroup, "has_unique_reduced_word", lambda self, z: True)
-    for word in ((0, 1, 0), (2, 0, 1, 0), (0, 1, 2, 1, 0)):
-        z = g.element(word)
-        with pytest.raises(HeckejError, match="unique reduced word"):
-            ring.a_function(z)
-    monkeypatch.undo()
-    assert [ring.a_function(g.element(w)).value for w in ((0, 1, 0), (2, 0, 1, 0))] == [3, 3]
-    assert g.has_unique_reduced_word(g.element((0, 1, 2, 0)))
-    assert not g.has_unique_reduced_word(g.element((2, 0, 1, 0)))
-
-
 def test_explicit_scan_radius_still_scans(a2_desc, monkeypatch):
     """Default queries never scan; a(z, r) with an explicit r, as the cell
     oracle of test_a_oracle.py asks it, still runs the scan."""

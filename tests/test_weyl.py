@@ -148,6 +148,37 @@ def test_descents(affine_type, extended):
             assert (s in rd) == shorter
 
 
+@pytest.mark.parametrize("affine_type", ["A1~", "A2~"])
+def test_parabolic_factor_against_reduced_words(affine_type):
+    """parabolic_factor(z, len(w0)) gives (x w, w y) with z = x w y, lengths
+    adding, for some w of length len(w0).  It finds none only when z has one
+    reduced word (the a-function's unique-word certificate rests on this),
+    and on A2~ exactly then; reduced words are counted by brute force."""
+    g = make_group(GroupDescriptor(affine_type))
+    top = g.desc.finite_longest_length
+    counts = {}
+    for n in range(7):
+        for word in itertools.product(range(g.rank), repeat=n):
+            z = g.element(word)
+            if len(z.word) == n:
+                counts[z] = counts.get(z, 0) + 1
+    longest = [w for w in g.enumerate_ball(top) if len(w) == top]
+    for z, count in counts.items():
+        factor = g.parabolic_factor(z, top)
+        if factor is None:
+            assert count == 1, z
+            continue
+        assert top == 1 or count > 1, z
+        xw, wy = factor
+        assert len(xw) + len(wy) == len(z) + top
+        assert any(
+            len(x := g.multiply(xw, w)) == len(xw) - top
+            and len(y := g.multiply(w, wy)) == len(wy) - top
+            and g.multiply(g.multiply(x, w), y) == z
+            for w in longest
+        ), z
+
+
 def test_interning_cost_is_linear(monkeypatch):
     products = [0]
     mat_mul = heckej.weyl._mat_mul
