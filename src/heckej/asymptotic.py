@@ -22,12 +22,9 @@ claimed valuation raises HeckejError:
   gives a factor w_J of length len(w0), so a z without one has a unique
   word.  On A1~, len(w0) = 1 and both certificates say the same.
 
-a_function(z, r) with an explicit scan radius r, and a(z) for
-L < len(z) <= S, read a scan of all pairs up to
-
-    S = L + 2*len(w0) + 2,
-
-reported with the certificate name scan-radius; the value is certified
+a_function(z) refuses len(z) > L.  a_function(z, r) with an explicit
+scan radius r <= S = L + 2*len(w0) + 2 reads a scan of all pairs up to r,
+reported with the certificate name scan-radius: a lower bound, certified
 when r reaches the stabilization bound, a working assumption rather than
 a proof.  The scan is one pass at S, over one right factor y per
 diagram-automorphism orbit, stratified by max(len x, len y), so the
@@ -40,7 +37,7 @@ certified radius instead of silently truncating, except jta_multiply: a
 product in J tensor A drops each t_z with len(z) > L (its factors may
 need the table extended, never past 2S - 1).
 
-Memoization.  A ring computes each read-off once: the certified a(z) per
+Memoization.  A ring computes each read-off once: the proved a(z) per
 z, its distinguished involutions, and in the unsigned convention only, the
 gammas of each (x, y) and the phi image of each x.  Signed h is star(h)
 (v -> -v^-1), and h is bar-invariant with exponents of the parity of
@@ -49,7 +46,7 @@ len z) times the unsigned one, and v^a(z) h lies in Z[v] in both or in
 neither (for phi see its docstring).  Every refusal runs before a memo is
 read, and only successful results are stored, so a call that raised
 raises again; the memos are bounded by the certified radius.  Callers get
-copies.
+copies, apart from the frozen AValue of a proof.
 """
 
 from __future__ import annotations
@@ -69,9 +66,10 @@ __all__ = ["AValue", "JElement", "JTensorAElement", "JRing"]
 
 @dataclass(frozen=True)
 class AValue:
-    """a(z) and how it is known: scan_radius is the certification bound, or
-    the scan radius asked for; certificate names the proof (see the module
-    docstring) and witness its pair (x, y), if it has one."""
+    """a(z) and how it is known: a proof, reported at the certification
+    bound with the certificate that names it (see the module docstring) and
+    its witness pair (x, y), if it has one; or a scan at the scan radius
+    asked for, with certificate scan-radius and no witness."""
 
     z: GroupElement
     value: int
@@ -136,7 +134,7 @@ class JRing:
         self._a_values: dict[int, list[int]] | None = None
         # read-offs, computed once per ring and stored only on success
         self._dinv: list[GroupElement] | None = None
-        self._proofs: dict[GroupElement, tuple[str, int, tuple | None]] = {}
+        self._proofs: dict[GroupElement, AValue] = {}
         self._gammas: dict[tuple, tuple[tuple[GroupElement, int], ...]] = {}
         self._phis: dict[GroupElement, tuple[tuple[GroupElement, Laurent], ...]] = {}
 
@@ -153,8 +151,8 @@ class JRing:
             }
         return self._a_values
 
-    def _prove(self, z: GroupElement) -> tuple[str, int, tuple | None]:
-        """(certificate, a(z), witness) for len(z) <= radius, as the module
+    def _prove(self, z: GroupElement) -> AValue:
+        """a(z) for len(z) <= radius by a certificate, as the module
         docstring sets out (memoized).  A witness (x, y) must give
         h_{x,y,z} of valuation -a(z), or HeckejError is raised."""
         got = self._proofs.get(z)
@@ -163,61 +161,47 @@ class JRing:
         g = self.group
         top = self.desc.finite_longest_length
         if not z.word:
-            got = "identity", 0, None
+            certificate, value, witness = "identity", 0, None
         else:
-            factor = g.parabolic_factor(z, top)
-            if factor is not None:
-                got = "unique-word" if top == 1 else "witness+bound", top, factor
+            witness = g.parabolic_factor(z, top)
+            if witness is not None:
+                certificate, value = "unique-word" if top == 1 else "witness+bound", top
             else:
                 # the walk met no left descent set J with len(w_J) = top; on A1~
                 # and A2~ that is every J of two or more elements, so each one
                 # was a singleton and z has a unique reduced word
-                got = "unique-word", 1, (g.generator(z.word[0]), z)
+                certificate, value, witness = "unique-word", 1, (g.generator(z.word[0]), z)
             # x has no Omega part and y the Omega part of z, so h_{x,y,z} is
             # read off the packed column of the Coxeter part of y
-            (x, y), value = got[2], got[1]
+            x, y = witness
             col = self.constants.column(g._id_of(y.word), len(x))
             h = _unpack(col[g._id_of(x.word)].get(g._id_of(z.word), 0))
             if min(h, default=None) != -value:
                 raise HeckejError(f"witness ({x}, {y}) of a({z}) = {value} gives h = {Laurent._raw(h)}")
-        self._proofs[z] = got
+        got = self._proofs[z] = AValue(
+            z, value, certification_bound(self.desc, len(z.word)), True, certificate, witness
+        )
         return got
 
     def a_function(self, z: GroupElement, scan_radius: int | None = None) -> AValue:
-        """a(z): for len(z) <= radius and no scan radius, proved by a
-        certificate and reported at the stabilization bound; otherwise the
-        monotone scan value at scan_radius (by default that bound, capped at
-        the ring's scan radius), certified from the bound on."""
+        """a(z): with no scan radius, proved by a certificate for len(z) <=
+        radius and reported at the stabilization bound; with one, the
+        monotone scan value at scan_radius, certified from the bound on."""
         zlen = len(z.word)
-        bound = certification_bound(self.desc, zlen)
         if scan_radius is None:
-            if zlen <= self.radius:
-                certificate, value, witness = self._prove(z)
-                return AValue(z, value, bound, True, certificate, witness)
-            if zlen > self.scan_radius:
-                raise RadiusExceeded(f"len(z) = {zlen} beyond scan radius {self.scan_radius}")
-            scan_radius = min(bound, self.scan_radius)
+            self._within(zlen, "len(z)")
+            return self._prove(z)
         if scan_radius < zlen:
             raise ValueError(f"scan radius {scan_radius} below len(z) = {zlen}")
         if scan_radius > self.scan_radius:
             raise RadiusExceeded(f"scan radius {scan_radius} beyond {self.scan_radius}")
         value = self._scan()[self.group._id_of(z.word)][scan_radius]
-        return AValue(z, value, scan_radius, scan_radius >= bound)
+        return AValue(z, value, scan_radius, scan_radius >= certification_bound(self.desc, zlen))
 
     def _within(self, length: int, what: str) -> None:
         """The one refusal of a request past the certified radius."""
         if length > self.radius:
             raise RadiusExceeded(f"{what} = {length} beyond certified radius {self.radius}")
-
-    def _certified_a(self, z: GroupElement) -> int:
-        self._within(len(z.word), "len(z)")
-        got = self._proofs.get(z)
-        if got is not None:
-            return got[1]
-        av = self.a_function(z)
-        if not av.certified:
-            raise HeckejError(f"a({z}) at scan radius {av.scan_radius} is not certified")
-        return av.value
 
     # -- gamma constants ---------------------------------------------------
 
@@ -232,7 +216,7 @@ class JRing:
             got = []
             for z, h in self.constants.h_map(x, y).items():
                 if len(z.word) <= self.radius:
-                    g = h.constant_term_after_shift(self._certified_a(z))
+                    g = h.constant_term_after_shift(self._prove(z).value)
                     if g:
                         got.append((z, g))
             got = self._gammas[x, y] = tuple(got)
@@ -241,15 +225,13 @@ class JRing:
     def gamma(self, x: GroupElement, y: GroupElement, z: GroupElement, signed: bool = False) -> int:
         """Constant term of v^a(z) h_{x,y,z} in the chosen convention; refused
         for z past the radius, and wherever gamma_map is."""
-        self._certified_a(z)
+        self._within(len(z.word), "len(z)")
         return self.gamma_map(x, y, signed).get(z, 0)
 
     def gamma_map(self, x: GroupElement, y: GroupElement, signed: bool = False) -> dict[GroupElement, int]:
         """All nonzero gamma_{x,y,z}; needs len(x)+len(y) within the radius."""
         self._within(len(x.word) + len(y.word), "len(x) + len(y)")
-        if signed:
-            return {z: (-1) ** (len(x) + len(y) + len(z)) * g for z, g in self._gamma_terms(x, y)}
-        return dict(self._gamma_terms(x, y))
+        return self._product(self.t(x), self.t(y), signed).terms
 
     # -- J multiplication --------------------------------------------------
 
@@ -294,7 +276,7 @@ class JRing:
                 if p.is_zero():
                     continue
                 # stored on v-exponents, so max_exp is twice the q-degree of P
-                if self._certified_a(d) == len(d.word) - p.max_exp():
+                if self._prove(d).value == len(d.word) - p.max_exp():
                     out.append(d)
             self._dinv = out
         return [d for d in self._dinv if len(d) <= radius]
@@ -317,9 +299,9 @@ class JRing:
         if got is None:
             out: dict[GroupElement, Laurent] = {}
             for d in dinvs:
-                ad = self._certified_a(d)
+                ad = self._prove(d).value
                 for z, h in self.constants.h_map(x, d).items():
-                    if self._certified_a(z) == ad:
+                    if self._prove(z).value == ad:
                         _accumulate(out, z, h)
             got = self._phis[x] = tuple(out.items())
         if signed:

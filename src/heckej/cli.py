@@ -65,7 +65,11 @@ def group_from_args(ns) -> WeylGroup:
 
 
 def _radius(ns, default: int) -> int:
-    return default if ns.radius is None else ns.radius
+    if ns.radius is None:
+        return default
+    if ns.radius < 0:
+        raise UsageError("--radius must be >= 0")
+    return ns.radius
 
 
 def parse_element(group: WeylGroup, text: str) -> GroupElement:
@@ -443,6 +447,10 @@ def cmd_sl2_decay(ns) -> int:
 
 # Every subcommand option, defined once; COMMANDS picks them by name.
 OPTIONS = {
+    "type": {"default": "A1~", "choices": ["A1~", "A2~"]},
+    "extended": {"action": "store_true"},
+    "radius": {"type": int},
+    "allow-uncertified": {"action": "store_true"},
     "x": {},
     "y": {},
     "z": {},
@@ -463,16 +471,16 @@ OPTIONS = {
 # (command path, handler, help, options with "!" marking the required
 # ones); a handler of None makes a group of subcommands.
 COMMANDS = [
-    ("group", cmd_group, "enumerate a ball", ""),
-    ("kl", cmd_kl, "Kazhdan-Lusztig polynomial", "y! w!"),
-    ("hmul", cmd_hmul, "Hecke product of basis elements", "x! y! hecke-basis"),
-    ("hconst", cmd_hconst, "structure constants h_{x,y,z}", "x! y! z"),
-    ("afn", cmd_afn, "a-function value", "z! scan"),
-    ("gamma", cmd_gamma, "gamma constants of J", "x! y! z"),
-    ("jmul", cmd_jmul, "product t_x t_y in J", "x! y!"),
-    ("dinv", cmd_dinv, "distinguished involutions", ""),
-    ("phi", cmd_phi, "image of a canonical basis element in J tensor A", "x! q"),
-    ("phi-check", cmd_phi_check, "verify multiplicativity of phi", "max-len"),
+    ("group", cmd_group, "enumerate a ball", "type extended radius"),
+    ("kl", cmd_kl, "Kazhdan-Lusztig polynomial", "type extended radius y! w!"),
+    ("hmul", cmd_hmul, "Hecke product of basis elements", "type extended radius x! y! hecke-basis"),
+    ("hconst", cmd_hconst, "structure constants h_{x,y,z}", "type extended radius x! y! z"),
+    ("afn", cmd_afn, "a-function value", "type extended z! scan allow-uncertified"),
+    ("gamma", cmd_gamma, "gamma constants of J", "type extended radius x! y! z"),
+    ("jmul", cmd_jmul, "product t_x t_y in J", "type extended radius x! y!"),
+    ("dinv", cmd_dinv, "distinguished involutions", "type extended radius"),
+    ("phi", cmd_phi, "image of a canonical basis element in J tensor A", "type extended radius x! q"),
+    ("phi-check", cmd_phi_check, "verify multiplicativity of phi", "type extended max-len"),
     ("sl2", None, "SL(2) volumes, convolutions, oracles", ""),
     ("sl2 gamma", cmd_sl2_gamma, "cell coefficient of f", "n!"),
     ("sl2 volume", cmd_sl2_volume, "vol(K x_n I)/vol(K)", "n!"),
@@ -490,13 +498,9 @@ def build_parser() -> argparse.ArgumentParser:
         "extended affine Weyl group, and the SL(2) convolution picture.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--type", default="A1~", choices=["A1~", "A2~"])
-    common.add_argument("--extended", action="store_true")
-    common.add_argument("--radius", type=int, default=None)
     common.add_argument("--basis", default="signed", choices=["signed", "unsigned"])
     common.add_argument("--format", default="table", choices=["table", "json", "csv"])
     common.add_argument("--cache-dir", default=None)
-    common.add_argument("--allow-uncertified", action="store_true")
 
     groups = {"": parser.add_subparsers(dest="command", required=True)}
     for path, func, help_text, options in COMMANDS:
@@ -519,8 +523,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        if ns.radius is not None and ns.radius < 0:
-            raise UsageError("--radius must be >= 0")
         return ns.func(ns)
     except (UsageError, GroupMismatch, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -56,8 +56,8 @@ BASES = ("T", "Ttilde", "Cprime", "Csigned")
 NO_PAIR = 1 << 30
 
 # Budget on the entries of one KL table, checked before any enumeration.
-# The largest table the tests and the benchmark build (A2~, radius 35:
-# 1.13 M entries) is estimated at 1.86 M by _check_kl_budget.
+# The largest table the tests build (A2~, radius 35: 1.13 M entries) is
+# estimated at 1.86 M by _check_kl_budget.
 KL_ENTRY_BUDGET = 2 * 10**6
 
 # Bits of a stored packed digit: every coefficient of a KL polynomial and

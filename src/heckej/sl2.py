@@ -278,8 +278,11 @@ def brute_force_count(p: int, m: int, n: int, r: int, lattice: Lattice) -> Fract
         raise DepthTooSmall(
             f"thresholds ({th_a}, {th_c}) not decidable at depth p^{m}"
         )
-    if p ** (3 * m) > ENUMERATION_BUDGET:
-        raise BudgetExceeded(f"p^(3m) = {p ** (3 * m)} exceeds {ENUMERATION_BUDGET}")
+    # p^(3m) >= 2^(3m (bit_length(p) - 1)), so the first test refuses from m
+    # and the bit length alone, and p^(3m) is computed only below 2^46
+    bits = 3 * m * (p.bit_length() - 1)
+    if bits >= ENUMERATION_BUDGET.bit_length() or p ** (3 * m) > ENUMERATION_BUDGET:
+        raise BudgetExceeded(f"p = {p}, m = {m}: p^(3m) exceeds {ENUMERATION_BUDGET}")
     census = _completion_census(p, m)
     hits = sum(c for (va, vc), c in census.items() if va >= th_a and vc >= th_c)
     total = sum(census.values())

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from heckej import (
-    AValue,
     GroupDescriptor,
     HeckejError,
     JRing,
@@ -101,6 +100,18 @@ def test_a_function_past_scan_radius_is_radius_exceeded(a1_desc):
         ring.a_function(ring.group.generator(0), ring.scan_radius + 1)
 
 
+def test_default_a_function_is_proved_or_refused(a1_desc):
+    """Without a scan radius a(z) is a proof, refused past the working
+    radius L even where the scan reaches; with one it is the scan."""
+    ring = JRing(a1_desc, 2)
+    z = ring.group.element((0, 1, 0, 1))
+    assert ring.scan_radius == 6 < certification_bound(a1_desc, len(z.word))
+    with pytest.raises(RadiusExceeded, match="len\\(z\\) = 4 beyond certified radius 2"):
+        ring.a_function(z)
+    av = ring.a_function(z, 6)
+    assert (av.value, av.scan_radius, av.certified, av.certificate, av.witness) == (1, 6, False, "scan-radius", None)
+
+
 @pytest.mark.parametrize(
     "affine_type, extended, radius",
     [("A1~", False, 6), ("A1~", True, 6), ("A2~", False, 2), ("A2~", True, 1)],
@@ -164,16 +175,6 @@ def test_j_unit_element(a1_ring):
     for w in g.enumerate_ball(3):
         assert a1_ring.j_multiply(unit, a1_ring.t(w)) == a1_ring.t(w)
         assert a1_ring.j_multiply(a1_ring.t(w), unit) == a1_ring.t(w)
-
-
-def test_uncertified_a_value_is_an_error(a1_desc, monkeypatch):
-    ring = JRing(a1_desc, 2)
-    s0 = ring.group.generator(0)
-    monkeypatch.setattr(
-        JRing, "a_function", lambda self, z, scan_radius=None: AValue(z, 1, 1, False)
-    )
-    with pytest.raises(HeckejError, match="not certified"):
-        ring.gamma(s0, s0, s0)
 
 
 def test_memoized_read_offs_are_copies(a1_ring, monkeypatch):
@@ -247,15 +248,14 @@ def test_memo_hits_hash_no_descriptor(a1_desc, a2_desc, monkeypatch):
 def test_failed_read_offs_are_not_memoized(a1_desc, monkeypatch):
     ring = JRing(a1_desc, 2)
     s0 = ring.group.generator(0)
-    monkeypatch.setattr(
-        JRing, "a_function", lambda self, z, scan_radius=None: AValue(z, 1, 1, False)
-    )
+    # (e, z) gives h = 1, of valuation 0, a wrong witness for every z != e
+    monkeypatch.setattr(WeylGroup, "parabolic_factor", lambda self, z, n: (self.identity, z))
     for _ in range(2):
-        with pytest.raises(HeckejError, match="not certified"):
+        with pytest.raises(HeckejError, match="witness"):
             ring.gamma(s0, s0, s0)
-        with pytest.raises(HeckejError, match="not certified"):
+        with pytest.raises(HeckejError, match="witness"):
             ring.gamma_map(s0, s0)
-        with pytest.raises(HeckejError, match="not certified"):
+        with pytest.raises(HeckejError, match="witness"):
             ring.phi(ring.group.identity)
     monkeypatch.undo()
     assert ring.gamma(s0, s0, s0) == 1

@@ -6,8 +6,8 @@ import time
 
 import pytest
 
-from heckej import AValue, GroupDescriptor, JRing, KLTable, make_group
-from heckej.cli import main
+from heckej import GroupDescriptor, KLTable, WeylGroup, make_group
+from heckej.cli import COMMANDS, build_parser, main
 
 
 def run(capsys, *argv):
@@ -251,6 +251,8 @@ def test_sl2_size_budgets(capsys):
         ("decay", "--q", "3", "--N", "100000000"),
         # weighted values of about 5,000 digits, past the digit budget
         ("decay", "--q", "100000", "--N", "1000"),
+        # p^(3m) of about 143,000 digits, refused before it is computed
+        ("count", "--p", "3", "--m", "100000", "--n", "0", "--r", "0"),
     ):
         started = time.perf_counter()
         code, out, err = run(capsys, "sl2", *argv)
@@ -300,15 +302,14 @@ def test_group_ball_budget(capsys):
 
 def test_internal_error_is_one_line(capsys, cache, monkeypatch):
     """A HeckejError that is not a refusal exits 1 with one stderr line."""
-    monkeypatch.setattr(
-        JRing, "a_function", lambda self, z, scan_radius=None: AValue(z, 1, 1, False)
-    )
+    # (e, z) gives h = 1, of valuation 0, a wrong witness for every z != e
+    monkeypatch.setattr(WeylGroup, "parabolic_factor", lambda self, z, n: (self.identity, z))
     code, out, err = run(
         capsys, "gamma", "--type", "A1~", "--x", "0", "--y", "0", "--z", "0",
         "--cache-dir", cache,
     )
     assert code == 1 and out == ""
-    assert err.startswith("error: internal: ") and "not certified" in err
+    assert err.startswith("error: internal: ") and "witness" in err
     assert len(err.splitlines()) == 1
 
 
@@ -328,6 +329,41 @@ def test_usage_errors(capsys, cache):
     code, out, _ = run(capsys, "sl2", "count", "--p", "2000000000081000000000117",
                        "--m", "1", "--n", "0", "--r", "0")
     assert code == 2 and out == ""
+
+
+# The subcommands whose handlers read each flag.
+GROUP_COMMANDS = {"group", "kl", "hmul", "hconst", "afn", "gamma", "jmul", "dinv", "phi", "phi-check"}
+FLAG_READERS = {
+    "--type A2~": GROUP_COMMANDS,
+    "--extended": GROUP_COMMANDS,
+    "--radius 7": GROUP_COMMANDS - {"afn", "phi-check"},
+    "--allow-uncertified": {"afn"},
+}
+
+
+def test_each_flag_only_where_it_is_read(capsys):
+    """A subcommand rejects a flag its handler does not read (exit 2)."""
+    parser = build_parser()
+    accepted = set()
+    for path, func, _, options in COMMANDS:
+        if func is None:
+            continue
+        required = [arg for opt in options.split() if opt.endswith("!") for arg in (f"--{opt[:-1]}", "1")]
+        for flag in FLAG_READERS:
+            try:
+                parser.parse_args([*path.split(), *required, *flag.split()])
+            except SystemExit as exc:
+                assert exc.code == 2, (path, flag)
+            else:
+                accepted.add((path, flag))
+    assert accepted == {(path, flag) for flag, paths in FLAG_READERS.items() for path in paths}
+    for argv in (
+        ("gamma", "--type", "A1~", "--x", "0", "--y", "0", "--allow-uncertified"),
+        ("sl2", "conv", "--r", "0", "--radius", "7"),
+        ("sl2", "conv", "--r", "0", "--type", "A2~"),
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code == 2 and out == "", argv
 
 
 def test_csv_format(capsys, cache):
