@@ -1,10 +1,15 @@
 """Command-line entry point.
 
 One executable wires together the whole pipeline: group enumeration,
-Kazhdan-Lusztig tables (with an on-disk cache), Hecke products,
-structure constants, the a-function with certified truncation, gamma
-constants, J-multiplication, distinguished involutions, the map phi
-into J tensor A, and the SL(2) convolution oracles.
+Kazhdan-Lusztig tables, Hecke products, structure constants, the
+a-function with certified truncation, gamma constants, J-multiplication,
+distinguished involutions, the map phi into J tensor A, and the SL(2)
+convolution oracles.
+
+kl, hmul and hconst keep each KL table they build in a cache directory
+(--cache-dir, else $HECKEJ_CACHE_DIR, else ~/.cache/heckej).  A cache
+file is only compared byte for byte with the rebuilt table and rewritten
+when it differs; it is never read into a result.
 
 Exit codes: 0 success, 1 verification failure or internal error,
 2 usage error, 3 certification refusal (a result would be uncertified
@@ -181,31 +186,35 @@ def cache_directory(ns) -> Path:
 
 
 def cached_kl_table(ns, desc: GroupDescriptor, radius: int) -> KLTable:
-    """Load or build the KL table for (group, radius).
+    """Build the KL table for (group, radius) and keep it in the cache
+    directory as `KLTable.to_json` with sorted keys.
 
-    Cached entries are never trusted blindly: loading recomputes the
-    table and checks every stored polynomial, so warm and cold runs
-    produce identical results.  A file that does not load, or that holds
-    another group or radius, is a cache miss and is overwritten.
+    The table is always built, and a cache file only compared with it: a
+    file whose bytes equal the table's serialization is a hit and is left
+    untouched; any other file is rewritten.  So a cache file never changes
+    a result.  A directory that cannot hold the file is a usage error.
     """
+    table = KLTable(make_group(desc), radius)
+    blob = json.dumps(table.to_json(), sort_keys=True).encode()
     key = hashlib.sha256(
         json.dumps(desc.to_json(), sort_keys=True).encode()
     ).hexdigest()[:12]
     path = cache_directory(ns) / f"kl_{key}_r{radius}.json"
     try:
-        with open(path) as fh:
-            data = json.load(fh)
-        if data["group"] == desc.to_json() and data["radius"] == radius:
-            return KLTable.from_json(data)
-    except (OSError, ValueError, LookupError, TypeError, HeckejError):
+        with open(path, "rb") as fh:
+            if fh.read(len(blob) + 1) == blob:
+                return table
+    except OSError:
         pass
-    table = KLTable(make_group(desc), radius)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "w") as fh:
-        # json.dumps runs the C encoder; json.dump never does
-        fh.write(json.dumps(table.to_json(), sort_keys=True))
-    tmp.replace(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_suffix(".tmp")
+        tmp.write_bytes(blob)
+        tmp.replace(path)
+    except OSError as exc:
+        raise UsageError(
+            f"cannot use {path.parent} as the KL cache directory: {exc.strerror or exc}"
+        ) from exc
     return table
 
 
@@ -352,6 +361,8 @@ def cmd_phi(ns) -> int:
 def cmd_phi_check(ns) -> int:
     g = group_from_args(ns)
     max_len = ns.max_len
+    if max_len < 0:
+        raise UsageError("--max-len must be >= 0")
     radius = max_len + 2 * g.desc.finite_longest_length - 1
     ring = JRing(g.desc, radius)
     alg = ring.algebra
@@ -466,15 +477,16 @@ OPTIONS = {
     "lattice": {"default": "std", "choices": ["std", "sub"]},
     "R": {"type": int, "default": 50},
     "N": {"type": int, "default": 10},
+    "cache-dir": {},
 }
 
 # (command path, handler, help, options with "!" marking the required
 # ones); a handler of None makes a group of subcommands.
 COMMANDS = [
     ("group", cmd_group, "enumerate a ball", "type extended radius"),
-    ("kl", cmd_kl, "Kazhdan-Lusztig polynomial", "type extended radius y! w!"),
-    ("hmul", cmd_hmul, "Hecke product of basis elements", "type extended radius x! y! hecke-basis"),
-    ("hconst", cmd_hconst, "structure constants h_{x,y,z}", "type extended radius x! y! z"),
+    ("kl", cmd_kl, "Kazhdan-Lusztig polynomial", "type extended radius y! w! cache-dir"),
+    ("hmul", cmd_hmul, "Hecke product of basis elements", "type extended radius x! y! hecke-basis cache-dir"),
+    ("hconst", cmd_hconst, "structure constants h_{x,y,z}", "type extended radius x! y! z cache-dir"),
     ("afn", cmd_afn, "a-function value", "type extended z! scan allow-uncertified"),
     ("gamma", cmd_gamma, "gamma constants of J", "type extended radius x! y! z"),
     ("jmul", cmd_jmul, "product t_x t_y in J", "type extended radius x! y!"),
@@ -500,7 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--basis", default="signed", choices=["signed", "unsigned"])
     common.add_argument("--format", default="table", choices=["table", "json", "csv"])
-    common.add_argument("--cache-dir", default=None)
 
     groups = {"": parser.add_subparsers(dest="command", required=True)}
     for path, func, help_text, options in COMMANDS:

@@ -330,6 +330,12 @@ def _p_laurent(c: int) -> Laurent:
     return Laurent._raw({2 * k: x for k, x in _unpack(c, 0).items()})
 
 
+def _q_coefficients(c: int) -> list[int]:
+    """A packed KL polynomial's coefficients in q, degree 0 first."""
+    d = _unpack(c, 0)
+    return [d.get(k, 0) for k in range(max(d) + 1)]
+
+
 def _check_kl_budget(desc: GroupDescriptor, radius: int) -> None:
     """Refuse a KL table of this radius when sum_n |stratum n| * |ball(n)|,
     a bound on its entries (pairs y <= w), passes KL_ENTRY_BUDGET.  The
@@ -489,38 +495,20 @@ class KLTable:
     # -- persistence --------------------------------------------------------
 
     def to_json(self) -> dict:
+        """The KL cache file's form: P maps each w to {y: the q-coefficients
+        of P_{y,w}, degree 0 first}, elements written as the CLI prints them."""
         g = self.group
-        entries = []
-        for wid in g._ball_ids(self.radius):
-            wword = g._words[wid]
-            for yid, c in sorted(self._coords[wid].items()):
-                entries.append(
-                    {
-                        "y": {"word": list(g._words[yid]), "omega": 0},
-                        "w": {"word": list(wword), "omega": 0},
-                        "P": _p_laurent(c).to_json(),
-                    }
-                )
+        ids = g._ball_ids(self.radius)
+        name = {i: str(GroupElement(self.desc, g._words[i])) for i in ids}
         return {
-            "version": 1,
+            "version": 2,
             "group": self.desc.to_json(),
             "radius": self.radius,
-            "entries": entries,
+            "P": {
+                name[w]: {name[y]: _q_coefficients(c) for y, c in self._coords[w].items()}
+                for w in ids
+            },
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "KLTable":
-        if data.get("version") != 1:
-            raise ValueError("unknown KL cache version")
-        desc = GroupDescriptor.from_json(data["group"])
-        table = cls(make_group(desc), int(data["radius"]))
-        # entries are recomputed rather than trusted; verify they agree
-        for ent in data["entries"]:
-            y = table.group.from_json(ent["y"])
-            w = table.group.from_json(ent["w"])
-            if table.kl_polynomial(y, w) != Laurent.from_json(ent["P"]):
-                raise ValueError(f"cache entry mismatch at y={y}, w={w}")
-        return table
 
 
 class StructureConstants:

@@ -292,16 +292,6 @@ class Laurent:
             out += f" + {p}" if not p.startswith("-") else f" - {p[1:]}"
         return out
 
-    # -- serialization ----------------------------------------------------
-
-    def to_json(self) -> list[list]:
-        """[[exponent, coefficient-as-decimal-string], ...] sorted by exponent."""
-        return [[e, str(c)] for e, c in sorted(self._c.items())]
-
-    @classmethod
-    def from_json(cls, data: Iterable[Iterable]) -> "Laurent":
-        return cls({int(e): int(c) for e, c in data})
-
 
 ZERO = Laurent._raw({})
 ONE = Laurent._raw({0: 1})

@@ -73,10 +73,6 @@ class GroupDescriptor:
     def to_json(self) -> dict:
         return {"affine_type": self.affine_type, "extended": self.extended}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "GroupDescriptor":
-        return cls(data["affine_type"], bool(data.get("extended", False)))
-
 
 @dataclass(frozen=True)
 class GroupElement:
@@ -99,9 +95,6 @@ class GroupElement:
 
     def sort_key(self):
         return (len(self.word), self.word, self.omega)
-
-    def to_json(self) -> dict:
-        return {"word": list(self.word), "omega": self.omega}
 
     def __str__(self) -> str:
         body = "".join(str(i) for i in self.word) or "e"
@@ -198,9 +191,6 @@ class WeylGroup:
         if not 0 <= omega < self.desc.omega_order:
             raise ValueError(f"no omega element {omega}")
         return GroupElement(self.desc, self._words[self._word_id(word)], omega)
-
-    def from_json(self, data: dict) -> GroupElement:
-        return self.element(data["word"], int(data.get("omega", 0)))
 
     # -- Coxeter-part machinery ------------------------------------------
 

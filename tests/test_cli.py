@@ -2,11 +2,13 @@
 certification refusal, and KL cache files."""
 
 import json
+import os
 import time
 
 import pytest
 
 from heckej import GroupDescriptor, KLTable, WeylGroup, make_group
+from heckej.asymptotic import JRing
 from heckej.cli import COMMANDS, build_parser, main
 
 
@@ -41,6 +43,12 @@ def test_kl_nontrivial_polynomial(capsys, cache):
     assert json.loads(out)["rows"][0]["P"] == "1 + q"
 
 
+def _kl_blob(affine_type, radius):
+    """The bytes a cache file holds: the table's serialization, sorted keys."""
+    table = KLTable(make_group(GroupDescriptor(affine_type)), radius)
+    return json.dumps(table.to_json(), sort_keys=True).encode()
+
+
 def test_cache_file_and_transparency(capsys, cache, tmp_path):
     args = (
         "kl", "--type", "A1~", "--radius", "5", "--y", "0", "--w", "01010",
@@ -49,22 +57,59 @@ def test_cache_file_and_transparency(capsys, cache, tmp_path):
     code1, cold, _ = run(capsys, *args)
     files = list((tmp_path / "cache").glob("kl_*.json"))
     assert code1 == 0 and len(files) == 1
-    table = KLTable(make_group(GroupDescriptor("A1~")), 5)
-    assert files[0].read_text() == json.dumps(table.to_json(), sort_keys=True)
+    assert files[0].read_bytes() == _kl_blob("A1~", 5)
+    # an old mtime shows any rewrite, however fine the clock
+    os.utime(files[0], ns=(10**9, 10**9))
+    before = files[0].stat()
     code2, warm, _ = run(capsys, *args)
     assert code2 == 0 and warm == cold
+    after = files[0].stat()
+    assert (after.st_mtime_ns, after.st_ino) == (before.st_mtime_ns, before.st_ino)
+    assert files[0].read_bytes() == _kl_blob("A1~", 5)
+    assert list((tmp_path / "cache").iterdir()) == files
+
+
+def _version_1(radius):
+    """A cache file of the previous format: one object per entry, each
+    polynomial as [[v-exponent, "coefficient"], ...]."""
+    g = make_group(GroupDescriptor("A1~"))
+    table = KLTable(g, radius)
+    ball = g.enumerate_ball(radius)
+    entries = [
+        {
+            "y": {"word": list(y.word), "omega": 0},
+            "w": {"word": list(w.word), "omega": 0},
+            "P": [[e, str(c)] for e, c in table.kl_polynomial(y, w).items()],
+        }
+        for w in ball for y in ball if not table.kl_polynomial(y, w).is_zero()
+    ]
+    data = {"version": 1, "group": {"affine_type": "A1~", "extended": False},
+            "radius": radius, "entries": entries}
+    return json.dumps(data, sort_keys=True).encode()
+
+
+def _tampered(radius):
+    """The right file with one coefficient changed: a single byte differs."""
+    blob = _kl_blob("A1~", radius)
+    assert blob.count(b'"e": [1]') > 1
+    return blob.replace(b'"e": [1]', b'"e": [2]', 1)
 
 
 @pytest.mark.parametrize(
     "content",
     [
-        '{"version": 1}',
-        "not json",
-        json.dumps(KLTable(make_group(GroupDescriptor("A1~")), 2).to_json()),
+        b'{"version": 1}',
+        b"not json",
+        _kl_blob("A1~", 2),
+        _tampered(3),
+        _version_1(3),
+        b"\xff\xfe\x00 not utf-8",
     ],
-    ids=["no-entries", "not-json", "other-radius"],
+    ids=["no-entries", "not-json", "other-radius", "tampered", "version-1", "not-utf8"],
 )
 def test_unusable_cache_file_is_a_miss(capsys, cache, tmp_path, content):
+    """A file that differs from the table in any byte is rewritten, and
+    the output does not change."""
     args = (
         "kl", "--type", "A1~", "--radius", "3", "--y", "", "--w", "010",
         "--cache-dir", cache,
@@ -72,10 +117,11 @@ def test_unusable_cache_file_is_a_miss(capsys, cache, tmp_path, content):
     code, cold, _ = run(capsys, *args)
     assert code == 0
     (path,) = (tmp_path / "cache").glob("kl_*.json")
-    path.write_text(content)
+    assert content != path.read_bytes()
+    path.write_bytes(content)
     code, out, _ = run(capsys, *args)
     assert code == 0 and out == cold
-    assert json.loads(path.read_text())["radius"] == 3  # rebuilt and overwritten
+    assert path.read_bytes() == _kl_blob("A1~", 3)
 
 
 def test_cache_dir_environment_override(capsys, tmp_path, monkeypatch):
@@ -85,10 +131,31 @@ def test_cache_dir_environment_override(capsys, tmp_path, monkeypatch):
     assert list((tmp_path / "envcache").glob("kl_*.json"))
 
 
-def test_group_listing(capsys, cache):
+@pytest.mark.parametrize("argv", [
+    ("kl", "--type", "A1~", "--radius", "3", "--y", "e", "--w", "010"),
+    ("hmul", "--type", "A1~", "--x", "0", "--y", "0"),
+    ("hconst", "--type", "A1~", "--x", "0", "--y", "0"),
+])
+def test_unusable_cache_directory_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
+    """A cache directory under a regular file, or a regular file named as
+    the cache directory, exits 2 with one error line naming the path."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run(capsys, *argv, "--cache-dir", str(blocker / "sub"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(blocker / "sub") in err
+    assert len(err.splitlines()) == 1
+    monkeypatch.setenv("HECKEJ_CACHE_DIR", str(blocker))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(blocker) in err
+    assert len(err.splitlines()) == 1
+
+
+def test_group_listing(capsys):
     code, out, _ = run(
         capsys, "group", "--type", "A1~", "--extended", "--radius", "2",
-        "--format", "json", "--cache-dir", cache,
+        "--format", "json",
     )
     assert code == 0
     rows = json.loads(out)["rows"]
@@ -126,16 +193,13 @@ def test_hconst_sign_conventions(capsys, cache):
     assert json.loads(out)["rows"] == [{"z": "010", "h": "-v^-3 - 2*v^-1 - 2*v - v^3"}]
 
 
-def test_afn_refusal_and_override(capsys, cache):
-    code, _, err = run(
-        capsys, "afn", "--type", "A1~", "--z", "0", "--scan", "2",
-        "--cache-dir", cache,
-    )
+def test_afn_refusal_and_override(capsys):
+    code, _, err = run(capsys, "afn", "--type", "A1~", "--z", "0", "--scan", "2")
     assert code == 3
     assert "uncertified" in err
     code, out, _ = run(
         capsys, "afn", "--type", "A1~", "--z", "0", "--scan", "2",
-        "--allow-uncertified", "--format", "json", "--cache-dir", cache,
+        "--allow-uncertified", "--format", "json",
     )
     assert code == 0
     record = json.loads(out)
@@ -143,11 +207,8 @@ def test_afn_refusal_and_override(capsys, cache):
     assert record["rows"][0]["a"] == 1
 
 
-def test_afn_certified_default(capsys, cache):
-    code, out, _ = run(
-        capsys, "afn", "--type", "A1~", "--z", "010", "--format", "json",
-        "--cache-dir", cache,
-    )
+def test_afn_certified_default(capsys):
+    code, out, _ = run(capsys, "afn", "--type", "A1~", "--z", "010", "--format", "json")
     assert code == 0
     record = json.loads(out)
     assert record["certified"] is True
@@ -155,42 +216,38 @@ def test_afn_certified_default(capsys, cache):
     # a scan past the certification bound widens the ring's working radius
     code, out, _ = run(
         capsys, "afn", "--type", "A1~", "--z", "01", "--scan", "12", "--format", "json",
-        "--cache-dir", cache,
     )
     assert code == 0
     assert json.loads(out)["rows"] == [{"z": "01", "a": 1, "scan_radius": 12}]
 
 
-def test_gamma_and_jmul(capsys, cache):
+def test_gamma_and_jmul(capsys):
     code, out, _ = run(
         capsys, "gamma", "--type", "A1~", "--x", "0", "--y", "0", "--z", "0",
-        "--format", "json", "--cache-dir", cache,
+        "--format", "json",
     )
     assert code == 0
     assert json.loads(out)["rows"] == [{"z": "0", "gamma": -1}]
     code, out, _ = run(
         capsys, "jmul", "--type", "A1~", "--x", "01", "--y", "10",
-        "--basis", "unsigned", "--format", "json", "--cache-dir", cache,
+        "--basis", "unsigned", "--format", "json",
     )
     assert code == 0
     rows = {r["z"]: r["coefficient"] for r in json.loads(out)["rows"]}
     assert rows == {"0": 1, "010": 1}
 
 
-def test_dinv(capsys, cache):
-    code, out, _ = run(
-        capsys, "dinv", "--type", "A2~", "--format", "json", "--cache-dir", cache,
-    )
+def test_dinv(capsys):
+    code, out, _ = run(capsys, "dinv", "--type", "A2~", "--format", "json")
     assert code == 0
     rows = json.loads(out)["rows"]
     assert len(rows) == 10
     assert sorted(r["a"] for r in rows) == [0, 1, 1, 1, 3, 3, 3, 3, 3, 3]
 
 
-def test_phi_check_passes(capsys, cache):
+def test_phi_check_passes(capsys):
     code, out, _ = run(
-        capsys, "phi-check", "--type", "A1~", "--max-len", "3",
-        "--basis", "unsigned", "--cache-dir", cache,
+        capsys, "phi-check", "--type", "A1~", "--max-len", "3", "--basis", "unsigned",
     )
     assert code == 0
     last = out.strip().splitlines()[-1]
@@ -204,7 +261,7 @@ def test_phi_check_passes(capsys, cache):
     ]
 
 
-def test_sl2_subcommands(capsys, cache):
+def test_sl2_subcommands(capsys):
     code, out, _ = run(capsys, "sl2", "gamma", "--n", "2", "--format", "json")
     assert code == 0
     assert json.loads(out)["rows"][0]["gamma"] == "(-1)/(q**3)"
@@ -225,6 +282,22 @@ def test_sl2_subcommands(capsys, cache):
     code, out, _ = run(capsys, "sl2", "decay", "--q", "2", "--N", "5")
     assert code == 0
     assert out.strip().splitlines()[-1] == "RESULT pass=11 fail=0"
+
+
+def test_phi_check_reports_failures(capsys, monkeypatch):
+    """A pair on which phi is not multiplicative fails phi-check: exit 1,
+    the failure count, and at most 10 counterexample rows."""
+    product = JRing.jta_multiply
+    # the factors of J tensor A taken in the wrong order
+    monkeypatch.setattr(JRing, "jta_multiply", lambda self, a, b, signed=False: product(self, b, a, signed))
+    code, out, _ = run(capsys, "phi-check", "--type", "A1~", "--max-len", "4", "--format", "csv")
+    assert code == 1
+    lines = out.strip().splitlines()
+    passes, fails = (int(part.split("=")[1]) for part in lines[-1].split()[1:])
+    assert lines[-1] == f"RESULT pass={passes} fail={fails}"
+    assert passes > 0 and fails > 10
+    assert lines[1] == "x,y"
+    assert len(lines[2:-1]) == 10
 
 
 def test_sl2_count_refusal(capsys):
@@ -267,15 +340,15 @@ def test_kl_table_budget(capsys, cache):
     """KL tables past the entry budget are refused before any work."""
     for argv in (
         ("afn", "--type", "A2~", "--z", "01201201201201", "--scan", "22"),  # KL radius 43
-        ("kl", "--type", "A2~", "--radius", "100000", "--y", "e", "--w", "0"),
+        ("kl", "--type", "A2~", "--radius", "100000", "--y", "e", "--w", "0", "--cache-dir", cache),
     ):
         started = time.perf_counter()
-        code, out, err = run(capsys, *argv, "--cache-dir", cache)
+        code, out, err = run(capsys, *argv)
         assert code == 3 and out == "" and "refused" in err, argv
         assert time.perf_counter() - started < 5, argv
 
 
-def test_certified_afn_needs_no_scan(capsys, cache):
+def test_certified_afn_needs_no_scan(capsys):
     """Past the scan's KL budget, a certificate still answers: a unique
     reduced word (a = 1) and a factor w_J of length len(w0) (a = 3)."""
     # the z column prints the ShortLex-least word
@@ -284,7 +357,7 @@ def test_certified_afn_needs_no_scan(capsys, cache):
         ("0120120120121", "0102012012012", 3),
     ):
         started = time.perf_counter()
-        code, out, _ = run(capsys, "afn", "--type", "A2~", "--z", z, "--format", "json", "--cache-dir", cache)
+        code, out, _ = run(capsys, "afn", "--type", "A2~", "--z", z, "--format", "json")
         assert code == 0
         record = json.loads(out)
         assert record["rows"] == [{"z": shortlex, "a": a, "scan_radius": len(z) + 8}]
@@ -300,35 +373,48 @@ def test_group_ball_budget(capsys):
     assert time.perf_counter() - started < 5
 
 
-def test_internal_error_is_one_line(capsys, cache, monkeypatch):
+def test_internal_error_is_one_line(capsys, monkeypatch):
     """A HeckejError that is not a refusal exits 1 with one stderr line."""
     # (e, z) gives h = 1, of valuation 0, a wrong witness for every z != e
     monkeypatch.setattr(WeylGroup, "parabolic_factor", lambda self, z, n: (self.identity, z))
-    code, out, err = run(
-        capsys, "gamma", "--type", "A1~", "--x", "0", "--y", "0", "--z", "0",
-        "--cache-dir", cache,
-    )
+    code, out, err = run(capsys, "gamma", "--type", "A1~", "--x", "0", "--y", "0", "--z", "0")
     assert code == 1 and out == ""
     assert err.startswith("error: internal: ") and "witness" in err
     assert len(err.splitlines()) == 1
 
 
-def test_usage_errors(capsys, cache):
-    code, _, err = run(capsys, "kl", "--type", "A1~", "--y", "x!", "--w", "0")
-    assert code == 2
-    code, _, _ = run(capsys, "kl", "--type", "A1~", "--y", "2", "--w", "0")
-    assert code == 2  # generator 2 does not exist in the rank-1 type
+def test_usage_errors(capsys):
     code, _, _ = run(capsys, "nonsense")
     assert code == 2
-    code, _, _ = run(capsys, "kl", "--type", "A1~", "--y", "", "--w", "010",
-                     "--radius", "-1")
-    assert code == 2
-    code, out, _ = run(capsys, "sl2", "decay", "--q", "3", "--N", "-1")
-    assert code == 2 and out == ""
-    # 1000000000039 * 2000000000003, a 25-digit composite with no small factor
-    code, out, _ = run(capsys, "sl2", "count", "--p", "2000000000081000000000117",
-                       "--m", "1", "--n", "0", "--r", "0")
-    assert code == 2 and out == ""
+    for argv in (
+        ("kl", "--type", "A1~", "--y", "x!", "--w", "0"),
+        ("kl", "--type", "A1~", "--y", "2", "--w", "0"),  # no generator 2 in the rank-1 type
+        ("kl", "--type", "A1~", "--y", "", "--w", "010", "--radius", "-1"),
+        ("kl", "--type", "A1~", "--y", "", "--w", "010", "--radius", "2"),  # below len(w)
+        ("kl", "--type", "A1~", "--extended", "--y", "0@x", "--w", "0"),  # bad omega suffix
+        ("afn", "--type", "A1~", "--z", "010", "--scan", "2"),  # below len(z)
+        ("phi", "--type", "A1~", "--x", "0", "--q", "0"),
+        ("phi", "--type", "A1~", "--x", "0", "--q", "1/0"),
+        ("phi-check", "--type", "A1~", "--max-len", "-1"),
+        ("sl2", "decay", "--q", "3", "--N", "-1"),
+        # 1000000000039 * 2000000000003, a 25-digit composite with no small factor
+        ("sl2", "count", "--p", "2000000000081000000000117", "--m", "1", "--n", "0", "--r", "0"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, argv
+    code, _, err = run(capsys, "phi-check", "--type", "A1~", "--max-len", "-1")
+    assert "--max-len" in err
+
+
+def test_kl_outside_the_bruhat_interval(capsys, cache):
+    """P_{y,w} = 0 when y is not below w."""
+    code, out, _ = run(
+        capsys, "kl", "--type", "A1~", "--y", "10", "--w", "01",
+        "--cache-dir", cache, "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["rows"] == [{"y": "10", "w": "01", "P": "0", "mu": 0}]
 
 
 # The subcommands whose handlers read each flag.
@@ -338,6 +424,7 @@ FLAG_READERS = {
     "--extended": GROUP_COMMANDS,
     "--radius 7": GROUP_COMMANDS - {"afn", "phi-check"},
     "--allow-uncertified": {"afn"},
+    "--cache-dir d": {"kl", "hmul", "hconst"},
 }
 
 
@@ -359,6 +446,7 @@ def test_each_flag_only_where_it_is_read(capsys):
     assert accepted == {(path, flag) for flag, paths in FLAG_READERS.items() for path in paths}
     for argv in (
         ("gamma", "--type", "A1~", "--x", "0", "--y", "0", "--allow-uncertified"),
+        ("gamma", "--type", "A1~", "--x", "0", "--y", "0", "--cache-dir", "d"),
         ("sl2", "conv", "--r", "0", "--radius", "7"),
         ("sl2", "conv", "--r", "0", "--type", "A2~"),
     ):
@@ -366,10 +454,9 @@ def test_each_flag_only_where_it_is_read(capsys):
         assert code == 2 and out == "", argv
 
 
-def test_csv_format(capsys, cache):
+def test_csv_format(capsys):
     code, out, _ = run(
-        capsys, "gamma", "--type", "A1~", "--x", "0", "--y", "0",
-        "--format", "csv", "--cache-dir", cache,
+        capsys, "gamma", "--type", "A1~", "--x", "0", "--y", "0", "--format", "csv",
     )
     assert code == 0
     lines = out.strip().splitlines()
@@ -378,7 +465,7 @@ def test_csv_format(capsys, cache):
     assert lines[2] == "0,-1"
     code, out, _ = run(
         capsys, "afn", "--type", "A2~", "--z", "010", "--scan", "3",
-        "--allow-uncertified", "--format", "csv", "--cache-dir", cache,
+        "--allow-uncertified", "--format", "csv",
     )
     assert code == 0
     assert out.splitlines()[:3] == ["# basis=signed certified=False radius=3", "z,a,scan_radius", "010,3,3"]

@@ -1,6 +1,5 @@
 """Hecke algebra arithmetic, canonical bases, KL data, structure constants."""
 
-import json
 import random
 
 import pytest
@@ -405,30 +404,6 @@ def test_extended_omega_multiplication(a2x):
     om_inv = alg.basis_element(g.inverse(om), "Ttilde")
     conj = alg.multiply(t_om, alg.multiply(t_s0, om_inv))
     assert conj == alg.basis_element(g.generator(perm[0]), "Ttilde")
-
-
-def test_kl_cache_round_trip(a1):
-    g, alg, table = a1
-    small = KLTable(g, 4)
-    blob = json.dumps(small.to_json(), sort_keys=True)
-    restored = KLTable.from_json(json.loads(blob))
-    assert restored.radius == 4
-    for w in g.enumerate_ball(4):
-        for y in g.enumerate_ball(len(w.word)):
-            assert restored.kl_polynomial(y, w) == small.kl_polynomial(y, w)
-
-
-def test_kl_cache_rejects_tampered_entries(a1):
-    g, alg, table = a1
-    data = KLTable(g, 3).to_json()
-    assert data["version"] == 1
-    tampered = json.loads(json.dumps(data))
-    target = next(e for e in tampered["entries"] if e["y"] != e["w"])
-    target["P"] = [[0, "1"], [2, "7"]]
-    with pytest.raises(ValueError):
-        KLTable.from_json(tampered)
-    with pytest.raises(ValueError):
-        KLTable.from_json({"version": 2})
 
 
 @pytest.mark.parametrize("affine_type, radius", [("A1~", 9), ("A2~", 6)])

@@ -206,7 +206,7 @@ def test_bad_letters_and_unreduced_words_rejected():
         with pytest.raises(ValueError):
             g.element(word)
     with pytest.raises(ValueError):
-        g.from_json({"word": [-1, -3]})
+        g.element([-1, -3])
     s0 = g.generator(0)
     for word in [(0, 0), (0, 1, 0, 1), (3,)]:
         with pytest.raises(ValueError):
@@ -321,11 +321,23 @@ def test_bruhat_incomparable_across_omega():
     assert g.bruhat_leq(g.element((0,), 1), w)
 
 
-def test_element_string_and_json_round_trip():
+def test_module_bruhat_leq():
+    """heckej.bruhat_leq is the group's order, and refuses elements of two
+    groups."""
+    g = make_group(GroupDescriptor("A1~", extended=True))
+    ball = g.enumerate_ball(3)
+    for y in ball:
+        for w in ball:
+            assert heckej.bruhat_leq(y, w) == g.bruhat_leq(y, w)
+    plain = make_group(GroupDescriptor("A1~"))
+    with pytest.raises(GroupMismatch):
+        heckej.bruhat_leq(plain.generator(0), g.generator(0))
+
+
+def test_element_string():
     g = make_group(GroupDescriptor("A2~", extended=True))
     w = g.element((0, 1, 0), 2)
     assert str(w) == "010@2"
-    assert g.from_json(w.to_json()) == w
     assert str(g.identity) == "e"
 
 
