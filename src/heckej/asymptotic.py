@@ -37,16 +37,18 @@ certified radius instead of silently truncating, except jta_multiply: a
 product in J tensor A drops each t_z with len(z) > L (its factors may
 need the table extended, never past 2S - 1).
 
+One convention.  Every read-off is for the canonical basis C'_w.  The
+basis C_w has structure constants star(h), star being v -> -v^-1, and J
+in its convention is the image of this one under JElement.signed_image.
+(h is bar-invariant with exponents of the parity of len x + len y +
+len z, so the gammas of the two conventions differ by that sign.)
+
 Memoization.  A ring computes each read-off once: the proved a(z) per
-z, its distinguished involutions, and in the unsigned convention only, the
-gammas of each (x, y) and the phi image of each x.  Signed h is star(h)
-(v -> -v^-1), and h is bar-invariant with exponents of the parity of
-len x + len y + len z, so signed gamma_{x,y,z} is (-1)^(len x + len y +
-len z) times the unsigned one, and v^a(z) h lies in Z[v] in both or in
-neither (for phi see its docstring).  Every refusal runs before a memo is
-read, and only successful results are stored, so a call that raised
-raises again; the memos are bounded by the certified radius.  Callers get
-copies, apart from the frozen AValue of a proof.
+z, its distinguished involutions, the gammas of each (x, y) and the phi
+image of each x.  Every refusal runs before a memo is read, and only
+successful results are stored, so a call that raised raises again; the
+memos are bounded by the certified radius.  Callers get copies, apart
+from the frozen AValue of a proof.
 """
 
 from __future__ import annotations
@@ -84,18 +86,27 @@ class JElement:
     """Finite combination of t_w, tagged with its certification radius.
 
     Coefficients are integers for elements of J and Laurent polynomials
-    for elements of J tensor A (the images of phi).
+    for elements of J tensor A (the images of phi), none of them zero:
+    JRing.j_element drops zeros, and the ring's products never make one.
     """
 
     desc: GroupDescriptor
     terms: dict[GroupElement, int | Laurent]
     radius: int
 
-    def __post_init__(self):
-        self.terms = {w: c for w, c in self.terms.items() if c}
-
     def max_length(self) -> int:
         return max((len(w.word) for w in self.terms), default=0)
+
+    def signed_image(self) -> "JElement":
+        """tau o star: t_w -> (-1)^len(w) t_w, and star (v -> -v^-1) on
+        Laurent coefficients.  It carries J (tensor A) in the C' convention
+        onto the C convention and back, being its own inverse."""
+        terms = {}
+        for w, c in self.terms.items():
+            if isinstance(c, Laurent):
+                c = c.star()
+            terms[w] = -c if len(w.word) & 1 else c
+        return JElement(self.desc, terms, self.radius)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, JElement):
@@ -206,10 +217,10 @@ class JRing:
     # -- gamma constants ---------------------------------------------------
 
     def _gamma_terms(self, x: GroupElement, y: GroupElement) -> tuple[tuple[GroupElement, int], ...]:
-        """The pairs (z, gamma_{x,y,z}) with gamma nonzero in the unsigned
-        convention, each the constant term of v^a(z) h_{x,y,z}, for the z of
-        h_{x,y,.} within the certified radius (memoized).  A pair past the
-        radius (from jta_multiply) extends the table, never past 2S - 1."""
+        """The pairs (z, gamma_{x,y,z}) with gamma nonzero, each the constant
+        term of v^a(z) h_{x,y,z}, for the z of h_{x,y,.} within the certified
+        radius (memoized).  A pair past the radius (from jta_multiply)
+        extends the table, never past 2S - 1."""
         got = self._gammas.get((x, y))
         if got is None:
             self.table.extend(min(len(x.word) + len(y.word), 2 * self.scan_radius) - 1)
@@ -222,16 +233,16 @@ class JRing:
             got = self._gammas[x, y] = tuple(got)
         return got
 
-    def gamma(self, x: GroupElement, y: GroupElement, z: GroupElement, signed: bool = False) -> int:
-        """Constant term of v^a(z) h_{x,y,z} in the chosen convention; refused
-        for z past the radius, and wherever gamma_map is."""
+    def gamma(self, x: GroupElement, y: GroupElement, z: GroupElement) -> int:
+        """Constant term of v^a(z) h_{x,y,z}; refused for z past the radius,
+        and wherever gamma_map is."""
         self._within(len(z.word), "len(z)")
-        return self.gamma_map(x, y, signed).get(z, 0)
+        return self.gamma_map(x, y).get(z, 0)
 
-    def gamma_map(self, x: GroupElement, y: GroupElement, signed: bool = False) -> dict[GroupElement, int]:
+    def gamma_map(self, x: GroupElement, y: GroupElement) -> dict[GroupElement, int]:
         """All nonzero gamma_{x,y,z}; needs len(x)+len(y) within the radius."""
         self._within(len(x.word) + len(y.word), "len(x) + len(y)")
-        return self._product(self.t(x), self.t(y), signed).terms
+        return self._product(self.t(x), self.t(y)).terms
 
     # -- J multiplication --------------------------------------------------
 
@@ -239,25 +250,28 @@ class JRing:
         return JElement(self.desc, {w: 1}, self.radius)
 
     def j_element(self, terms: dict[GroupElement, int]) -> JElement:
-        return JElement(self.desc, terms, self.radius)
+        return JElement(self.desc, {w: c for w, c in terms.items() if c}, self.radius)
 
-    def _product(self, a: JElement, b: JElement, signed: bool) -> JElement:
+    def _product(self, a: JElement, b: JElement) -> JElement:
         """sum c1 c2 gamma_{x,y,z} t_z over the terms c1 t_x of a and c2 t_y
         of b, for the z within the certified radius."""
         out: dict = {}
         for x, c1 in a.terms.items():
             for y, c2 in b.terms.items():
-                c = c1 * c2 * (-1) ** (len(x) + len(y)) if signed else c1 * c2
+                c = c1 * c2
                 for z, g in self._gamma_terms(x, y):
-                    _accumulate(out, z, -c * g if signed and len(z) % 2 else c * g)
+                    _accumulate(out, z, c * g)
         return JElement(self.desc, out, self.radius)
 
     def j_multiply(self, j1: JElement, j2: JElement, signed: bool = False) -> JElement:
-        """Product in J; refused when its support may pass the radius."""
+        """Product in J; refused when its support may pass the radius.  With
+        signed, in the C convention, through JElement.signed_image."""
         if j1.desc != self.desc or j2.desc != self.desc:
             raise ValueError("elements of a different group")
         self._within(j1.max_length() + j2.max_length(), "product support length")
-        return self._product(j1, j2, signed)
+        if signed:
+            return self._product(j1.signed_image(), j2.signed_image()).signed_image()
+        return self._product(j1, j2)
 
     # -- distinguished involutions ----------------------------------------
 
@@ -283,15 +297,9 @@ class JRing:
 
     # -- the homomorphism into J tensor A ----------------------------------
 
-    def phi(self, x: GroupElement, signed: bool = False) -> JElement:
-        """Image of the canonical basis element of x: sum over distinguished
-        d and z in the same a-stratum of h_{x,d,z} t_z.
-
-        In the signed convention each term carries an extra (-1)^len(z):
-        the signed map is the unsigned one transported through v -> -1/v
-        on coefficients and t_w -> (-1)^len(w) t_w on J, and the two
-        semilinear twists cancel, leaving an A-linear ring map; so only the
-        unsigned image is memoized, and the signed one is read from it."""
+    def phi(self, x: GroupElement) -> JElement:
+        """Image of the canonical basis element C'_x: sum over distinguished
+        d and z in the same a-stratum of h_{x,d,z} t_z (memoized)."""
         dinvs = self.distinguished_involutions()
         for d in dinvs:
             self._within(len(x.word) + len(d.word), f"len(x) + len(d) for d = {d}")
@@ -304,40 +312,37 @@ class JRing:
                     if self._prove(z).value == ad:
                         _accumulate(out, z, h)
             got = self._phis[x] = tuple(out.items())
-        if signed:
-            got = [(z, -c.star() if len(z) % 2 else c.star()) for z, c in got]
         return JElement(self.desc, dict(got), self.radius)
 
-    def phi_of_element(self, h: HeckeElement, signed: bool = False) -> JElement:
-        """phi extended A-linearly to a canonical-basis element."""
-        basis = "Csigned" if signed else "Cprime"
-        h = self.algebra.to_basis(h, basis, self.table)
+    def phi_of_element(self, h: HeckeElement) -> JElement:
+        """phi extended A-linearly to a Hecke-algebra element."""
+        h = self.algebra.to_basis(h, "Cprime", self.table)
         out: dict[GroupElement, Laurent] = {}
         for x, c in h.terms.items():
-            for z, hz in self.phi(x, signed=signed).terms.items():
+            for z, hz in self.phi(x).terms.items():
                 _accumulate(out, z, c * hz)
         return JElement(self.desc, out, self.radius)
 
-    def jta_multiply(self, a: JElement, b: JElement, signed: bool = False) -> JElement:
+    def jta_multiply(self, a: JElement, b: JElement) -> JElement:
         """Product in J tensor A, truncated to the certified radius."""
-        return self._product(a, b, signed)
+        return self._product(a, b)
 
     # -- specialization ----------------------------------------------------
 
-    def phi_specialized(self, x: GroupElement, q: Fraction, signed: bool = False) -> dict[GroupElement, QuadExt]:
+    def phi_specialized(self, x: GroupElement, q: Fraction) -> dict[GroupElement, QuadExt]:
         q = Fraction(q)
         if q <= 0:
             raise ValueError("q must be positive")
-        return {z: c.specialize(q) for z, c in self.phi(x, signed=signed).terms.items()}
+        return {z: c.specialize(q) for z, c in self.phi(x).terms.items()}
 
-    def specialized_rank(self, xs: list[GroupElement], q: Fraction, signed: bool = False) -> int:
+    def specialized_rank(self, xs: list[GroupElement], q: Fraction) -> int:
         """Rank of the specialized phi images of the given basis elements.
 
         For square q the matrix is evaluated at v = +sqrt(q) over Q;
         otherwise Q[v]/(v^2 - q) is a field and elimination runs there.
         """
         q = Fraction(q)
-        images = [self.phi_specialized(x, q, signed=signed) for x in xs]
+        images = [self.phi_specialized(x, q) for x in xs]
         support = dict.fromkeys(z for img in images for z in img)
         zero = QuadExt(0, 0, q)
         rows = [[img.get(z, zero) for z in support] for img in images]

@@ -6,6 +6,10 @@ a-function with certified truncation, gamma constants, J-multiplication,
 distinguished involutions, the map phi into J tensor A, and the SL(2)
 convolution oracles.
 
+The library computes for the basis C'_w; --basis signed (the default)
+prints the image of its results in the convention of C_w (star on h,
+JElement.signed_image on J), and hmul and phi-check multiply in C_w.
+
 kl, hmul and hconst keep each KL table they build in a cache directory
 (--cache-dir, else $HECKEJ_CACHE_DIR, else ~/.cache/heckej).  A cache
 file is only compared byte for byte with the rebuilt table and rewritten
@@ -19,6 +23,7 @@ or an oracle precondition fails).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv as csv_mod
 import hashlib
 import json
@@ -206,12 +211,14 @@ def cached_kl_table(ns, desc: GroupDescriptor, radius: int) -> KLTable:
                 return table
     except OSError:
         pass
+    tmp = path.with_suffix(".tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
         tmp.write_bytes(blob)
         tmp.replace(path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
         raise UsageError(
             f"cannot use {path.parent} as the KL cache directory: {exc.strerror or exc}"
         ) from exc
@@ -281,7 +288,9 @@ def cmd_hconst(ns) -> int:
     g = group_from_args(ns)
     x, y, radius = _xy(ns, g)
     table = cached_kl_table(ns, g.desc, radius)
-    hmap = StructureConstants(table).h_map(x, y, signed=(ns.basis == "signed"))
+    hmap = StructureConstants(table).h_map(x, y)
+    if ns.basis == "signed":
+        hmap = {z: h.star() for z, h in hmap.items()}
     if ns.z is not None:
         z = parse_element(g, ns.z)
         hmap = {z: hmap.get(z, Laurent())}
@@ -313,7 +322,8 @@ def cmd_afn(ns) -> int:
 def cmd_gamma(ns) -> int:
     g = group_from_args(ns)
     x, y, radius = _xy(ns, g)
-    gm = JRing(g.desc, radius).gamma_map(x, y, signed=(ns.basis == "signed"))
+    ring = JRing(g.desc, radius)
+    gm = ring.j_multiply(ring.t(x), ring.t(y), ns.basis == "signed").terms
     if ns.z is not None:
         z = parse_element(g, ns.z)
         gm = {z: gm.get(z, 0)}
@@ -325,7 +335,7 @@ def cmd_jmul(ns) -> int:
     g = group_from_args(ns)
     x, y, radius = _xy(ns, g)
     ring = JRing(g.desc, radius)
-    prod = ring.j_multiply(ring.t(x), ring.t(y), signed=(ns.basis == "signed"))
+    prod = ring.j_multiply(ring.t(x), ring.t(y), ns.basis == "signed")
     emit_terms(ns, meta_for(ns, radius), prod.terms, ("z", "coefficient"), int)
     return EXIT_OK
 
@@ -347,14 +357,16 @@ def cmd_phi(ns) -> int:
     x = parse_element(g, ns.x)
     radius = _radius(ns, len(x.word) + 2 * g.desc.finite_longest_length - 1)
     ring = JRing(g.desc, radius)
-    signed = ns.basis == "signed"
+    q = None if ns.q is None else parse_q(ns.q)
+    img = ring.phi(x)
+    if ns.basis == "signed":
+        img = img.signed_image()
     columns = ("z", "coefficient")
-    if ns.q is None:
-        emit_terms(ns, meta_for(ns, radius), ring.phi(x, signed=signed).terms, columns)
-        return EXIT_OK
-    q = parse_q(ns.q)
-    img = ring.phi_specialized(x, q, signed=signed)
-    emit_terms(ns, meta_for(ns, radius, q=str(q)), img, columns, quadext_str)
+    if q is None:
+        emit_terms(ns, meta_for(ns, radius), img.terms, columns)
+    else:
+        spec = {z: c.specialize(q) for z, c in img.terms.items()}
+        emit_terms(ns, meta_for(ns, radius, q=str(q)), spec, columns, quadext_str)
     return EXIT_OK
 
 
@@ -366,7 +378,6 @@ def cmd_phi_check(ns) -> int:
     radius = max_len + 2 * g.desc.finite_longest_length - 1
     ring = JRing(g.desc, radius)
     alg = ring.algebra
-    signed = ns.basis == "signed"
     basis = _canonical_basis(ns)
     ball = g.enumerate_ball(max_len)
     passes = fails = 0
@@ -375,13 +386,14 @@ def cmd_phi_check(ns) -> int:
         for y in ball:
             if len(x.word) + len(y.word) > max_len:
                 continue
-            lhs = ring.jta_multiply(
-                ring.phi(x, signed=signed), ring.phi(y, signed=signed), signed=signed
-            )
+            lhs = ring.jta_multiply(ring.phi(x), ring.phi(y))
             prod = alg.multiply(
                 alg.basis_element(x, basis), alg.basis_element(y, basis), ring.table
             )
-            rhs = ring.phi_of_element(prod, signed=signed)
+            if basis == "Csigned":
+                # iota (v -> -v^-1, C_w -> C'_w) is a ring map onto C'_x C'_y
+                prod = alg.element({w: c.star() for w, c in prod.terms.items()}, "Cprime")
+            rhs = ring.phi_of_element(prod)
             if lhs == rhs:
                 passes += 1
             else:
@@ -478,6 +490,7 @@ OPTIONS = {
     "R": {"type": int, "default": 50},
     "N": {"type": int, "default": 10},
     "cache-dir": {},
+    "basis": {"default": "signed", "choices": ["signed", "unsigned"]},
 }
 
 # (command path, handler, help, options with "!" marking the required
@@ -485,14 +498,14 @@ OPTIONS = {
 COMMANDS = [
     ("group", cmd_group, "enumerate a ball", "type extended radius"),
     ("kl", cmd_kl, "Kazhdan-Lusztig polynomial", "type extended radius y! w! cache-dir"),
-    ("hmul", cmd_hmul, "Hecke product of basis elements", "type extended radius x! y! hecke-basis cache-dir"),
-    ("hconst", cmd_hconst, "structure constants h_{x,y,z}", "type extended radius x! y! z cache-dir"),
+    ("hmul", cmd_hmul, "Hecke product of basis elements", "type extended radius x! y! hecke-basis basis cache-dir"),
+    ("hconst", cmd_hconst, "structure constants h_{x,y,z}", "type extended radius x! y! z basis cache-dir"),
     ("afn", cmd_afn, "a-function value", "type extended z! scan allow-uncertified"),
-    ("gamma", cmd_gamma, "gamma constants of J", "type extended radius x! y! z"),
-    ("jmul", cmd_jmul, "product t_x t_y in J", "type extended radius x! y!"),
+    ("gamma", cmd_gamma, "gamma constants of J", "type extended radius x! y! z basis"),
+    ("jmul", cmd_jmul, "product t_x t_y in J", "type extended radius x! y! basis"),
     ("dinv", cmd_dinv, "distinguished involutions", "type extended radius"),
-    ("phi", cmd_phi, "image of a canonical basis element in J tensor A", "type extended radius x! q"),
-    ("phi-check", cmd_phi_check, "verify multiplicativity of phi", "type extended max-len"),
+    ("phi", cmd_phi, "image of a canonical basis element in J tensor A", "type extended radius x! q basis"),
+    ("phi-check", cmd_phi_check, "verify multiplicativity of phi", "type extended max-len basis"),
     ("sl2", None, "SL(2) volumes, convolutions, oracles", ""),
     ("sl2 gamma", cmd_sl2_gamma, "cell coefficient of f", "n!"),
     ("sl2 volume", cmd_sl2_volume, "vol(K x_n I)/vol(K)", "n!"),
@@ -510,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
         "extended affine Weyl group, and the SL(2) convolution picture.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--basis", default="signed", choices=["signed", "unsigned"])
     common.add_argument("--format", default="table", choices=["table", "json", "csv"])
 
     groups = {"": parser.add_subparsers(dest="command", required=True)}
@@ -524,7 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
         for opt in options.split():
             opt_name = opt.rstrip("!")
             p.add_argument(f"--{opt_name}", required=opt.endswith("!"), **OPTIONS[opt_name])
-        p.set_defaults(func=func)
+        # a record names a basis also where --basis is not taken
+        p.set_defaults(func=func, basis=OPTIONS["basis"]["default"])
     return parser
 
 

@@ -3,14 +3,14 @@ Kazhdan-Lusztig polynomials and structure constants.
 
 Conventions.  q = v^2 and T_s^2 = (q-1)T_s + q, so the rescaled basis
 ~T_w = v^(-len(w)) T_w satisfies ~T_s^2 = (v-v^-1) ~T_s + 1.  The
-unsigned canonical basis is
+canonical basis is
 
     C'_w = sum_y v^(len(y)-len(w)) P_{y,w}(v^2) ~T_y,
 
-and the signed one replaces each coefficient c(v) by c(-v^-1), which
-gives the alternating-sign form with P_{y,w}(v^-2).  Both are fixed by
-the bar involution.  The table checks only unitriangularity; bar
-invariance is certified in tests/test_hecke.py.
+and the basis C_w (`Csigned`) replaces each coefficient c(v) by
+c(-v^-1), which gives the alternating-sign form with P_{y,w}(v^-2).
+Both are fixed by the bar involution.  The table checks only
+unitriangularity; bar invariance is certified in tests/test_hecke.py.
 
 Internally every Hecke-algebra vector is a raw ~T vector
 {(cox_id, omega): coeff}, the coefficients being the zero-free
@@ -61,7 +61,7 @@ NO_PAIR = 1 << 30
 KL_ENTRY_BUDGET = 2 * 10**6
 
 # Bits of a stored packed digit: every coefficient of a KL polynomial and
-# of an unsigned h_{x,y,z} must stay below 2^PACK_T, and the rest of a
+# of a structure constant h_{x,y,z} must stay below 2^PACK_T, and the rest of a
 # PACK_W-bit digit is headroom for the sums of one recursion step.  The
 # largest table the KL budget admits (A2~, radius 35) has coefficients up
 # to 4; its scan (radius 18) has h-coefficients up to 42 and steps that
@@ -487,11 +487,6 @@ class KLTable:
             self._expansions[wid] = got
         return got
 
-    def c_basis_element(self, w: GroupElement, signed: bool = False) -> HeckeElement:
-        """C_w (signed) or C'_w (unsigned) expanded in the ~T basis."""
-        alg = hecke_algebra(self.desc)
-        return alg.to_basis(alg.basis_element(w, "Csigned" if signed else "Cprime"), "Ttilde", self)
-
     # -- persistence --------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -521,9 +516,9 @@ class StructureConstants:
         C'_s C'_z = C'_{sz} + sum mu(w,z) C'_w  otherwise (sw < w),
 
     so a column is one sweep over a ball of x, each row from the row of
-    s x.  All data here is for the unsigned basis on Coxeter parts; omega
-    parts and the signed convention are layered on top (signed constants
-    are the image of unsigned ones under v -> -v^-1).
+    s x.  All data here is for the basis C'_w on Coxeter parts, and omega
+    parts are layered on top.  The constants of the basis C_w are their
+    images under v -> -v^-1, which the CLI applies at output time.
 
     `column` keeps each column packed (v = 2^PACK_W, offset PACK_OFF)
     with the largest x-radius it covers, and a longer x grows it from its
@@ -590,7 +585,7 @@ class StructureConstants:
 
     # -- public h-constants -----------------------------------------------
 
-    def h_map(self, x: GroupElement, y: GroupElement, signed: bool = False) -> dict[GroupElement, Laurent]:
+    def h_map(self, x: GroupElement, y: GroupElement) -> dict[GroupElement, Laurent]:
         """The finite support {z: h_{x,y,z} != 0} with exact coefficients."""
         g = self.group
         yid = g._id_of(y.word)
@@ -601,8 +596,7 @@ class StructureConstants:
         omega = (x.omega + y.omega) % self.desc.omega_order
         out = {}
         for z, c in col[xid].items():
-            coeff = _star_raw(_unpack(c)) if signed else _unpack(c)
-            out[GroupElement(self.desc, g._words[z], omega)] = Laurent._raw(coeff)
+            out[GroupElement(self.desc, g._words[z], omega)] = Laurent._raw(_unpack(c))
         return out
 
     # -- the a-function scan ------------------------------------------------

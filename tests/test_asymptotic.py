@@ -139,19 +139,22 @@ def test_a_function_every_scan_radius_against_unreduced_minimum(affine_type, ext
 def test_gamma_spot_values(a1_ring):
     g = a1_ring.group
     s0, s1 = g.generator(0), g.generator(1)
-    assert a1_ring.gamma(s0, s0, s0, signed=False) == 1
-    assert a1_ring.gamma(s0, s0, s0, signed=True) == -1
-    assert a1_ring.gamma_map(s0, s1, signed=False) == {}
-    assert a1_ring.gamma_map(s0, s1, signed=True) == {}
+    t = a1_ring.t
+    assert a1_ring.gamma(s0, s0, s0) == 1
+    assert a1_ring.j_multiply(t(s0), t(s0), signed=True).terms == {s0: -1}
+    assert a1_ring.gamma_map(s0, s1) == {}
+    assert a1_ring.j_multiply(t(s0), t(s1), signed=True).terms == {}
 
 
 def test_gamma_sign_transport(a2_ring):
+    """The signed t_x t_y = tau(tau(t_x) tau(t_y)) carries the sign
+    (-1)^(len x + len y + len z) on each gamma."""
     g = a2_ring.group
     ball = g.enumerate_ball(2)
     for x in ball:
         for y in ball:
-            unsigned = a2_ring.gamma_map(x, y, signed=False)
-            signed = a2_ring.gamma_map(x, y, signed=True)
+            unsigned = a2_ring.gamma_map(x, y)
+            signed = a2_ring.j_multiply(a2_ring.t(x), a2_ring.t(y), signed=True).terms
             expect = {
                 z: c * (-1) ** (len(x.word) + len(y.word) + len(z.word))
                 for z, c in unsigned.items()
@@ -221,8 +224,8 @@ def test_memo_hits_hash_no_descriptor(a1_desc, a2_desc, monkeypatch):
     ring = JRing(GroupDescriptor("A1~", extended=True), 4)
     g = ring.group
     x, y = g.element((0,), 1), g.element((1, 0))
+    ring.gamma_map(x, y)
     for signed in (False, True):
-        ring.gamma_map(x, y, signed)
         ring.j_multiply(ring.t(x), ring.t(y), signed)
     hashes = []
     desc_hash = GroupDescriptor.__hash__
@@ -233,8 +236,8 @@ def test_memo_hits_hash_no_descriptor(a1_desc, a2_desc, monkeypatch):
 
     monkeypatch.setattr(GroupDescriptor, "__hash__", counting)
     for _ in range(2):
+        ring.gamma_map(x, y)
         for signed in (False, True):
-            ring.gamma_map(x, y, signed)
             ring.j_multiply(ring.t(x), ring.t(y), signed)
     assert hashes == []
     monkeypatch.undo()
@@ -343,29 +346,20 @@ def test_distinguished_involutions_a2(a2_ring):
 def test_phi_spot_value(a1_ring):
     g = a1_ring.group
     s0 = g.generator(0)
-    img = a1_ring.phi(s0, signed=False)
+    img = a1_ring.phi(s0)
     assert img.terms == {
         s0: V + VINV,
         g.element((0, 1)): Laurent({0: 1}),
     }
 
 
-def test_phi_signed_is_twist_of_unsigned(a2_ring):
-    g = a2_ring.group
-    for x in g.enumerate_ball(3):
-        unsigned = a2_ring.phi(x, signed=False)
-        signed = a2_ring.phi(x, signed=True)
-        expect = {
-            z: c.star() if len(z.word) % 2 == 0 else -c.star()
-            for z, c in unsigned.terms.items()
-        }
-        assert signed.terms == expect
-
-
 def _check_signed_against_star_path(ring, xs):
-    """Signed gamma and phi read off the signed h_map directly: gamma_{x,y,z}
-    is the constant term of v^a(z) h_{x,y,z}, and phi(C_x) sums
-    (-1)^len(z) h_{x,d,z} over distinguished d and z with a(z) = a(d)."""
+    """The signed J product and the signed phi, both through signed_image,
+    against the structure constants of the basis C_w, star(h) with h the
+    h_map of C': signed gamma_{x,y,z} is the constant term of v^a(z)
+    star(h_{x,y,z}), and the signed phi(C_x) sums (-1)^len(z)
+    star(h_{x,d,z}) over distinguished d and z with a(z) = a(d).
+    signed_image is its own inverse."""
     sc = ring.constants
 
     def a_of(z):
@@ -374,18 +368,22 @@ def _check_signed_against_star_path(ring, xs):
     for x in xs:
         for y in xs:
             expect = {}
-            for z, h in sc.h_map(x, y, signed=True).items():
+            for z, h in sc.h_map(x, y).items():
                 if len(z.word) <= ring.radius:
-                    g = h.constant_term_after_shift(a_of(z))
+                    g = h.star().constant_term_after_shift(a_of(z))
                     if g:
                         expect[z] = g
-            assert ring.gamma_map(x, y, signed=True) == expect, (x, y)
+            prod = ring.j_multiply(ring.t(x), ring.t(y), signed=True)
+            assert prod.terms == expect, (x, y)
+            assert prod.signed_image().signed_image() == prod
         expect = {}
         for d in ring.distinguished_involutions():
-            for z, h in sc.h_map(x, d, signed=True).items():
+            for z, h in sc.h_map(x, d).items():
                 if a_of(z) == a_of(d):
-                    expect[z] = expect.get(z, Laurent({})) + (-h if len(z.word) % 2 else h)
-        assert ring.phi(x, signed=True).terms == {z: c for z, c in expect.items() if not c.is_zero()}, x
+                    expect[z] = expect.get(z, Laurent({})) + (-h.star() if len(z.word) % 2 else h.star())
+        img = ring.phi(x)
+        assert img.signed_image().terms == {z: c for z, c in expect.items() if not c.is_zero()}, x
+        assert img.signed_image().signed_image() == img
 
 
 def test_signed_read_offs_match_the_star_path(a2_ring, monkeypatch):
@@ -401,16 +399,19 @@ def test_signed_read_offs_match_the_star_path(a2_ring, monkeypatch):
     # one h_map read serves both conventions
     x, y = g.element((0, 1), 1), g.element((1,))
     monkeypatch.setattr(StructureConstants, "h_map", counting)
-    ring.gamma_map(x, y, signed=True)
-    ring.gamma_map(x, y, signed=False)
+    ring.j_multiply(ring.t(x), ring.t(y), signed=True)
+    ring.gamma_map(x, y)
     assert len(calls) == 1
     monkeypatch.undo()
     _check_signed_against_star_path(ring, g.enumerate_ball(3))
-    _check_signed_against_star_path(a2_ring, a2_ring.group.enumerate_ball(2))
+    _check_signed_against_star_path(a2_ring, a2_ring.group.enumerate_ball(3))
 
 
 @pytest.mark.parametrize("signed", [False, True])
 def test_phi_is_multiplicative_a1(a1_ring, signed):
+    """phi(C'_x) phi(C'_y) = phi(C'_x C'_y); with signed, the product is
+    taken in the basis C_w and carried to C' by iota (v -> -v^-1,
+    C_w -> C'_w), as phi-check --basis signed does."""
     g = a1_ring.group
     alg = a1_ring.algebra
     basis = "Csigned" if signed else "Cprime"
@@ -419,13 +420,13 @@ def test_phi_is_multiplicative_a1(a1_ring, signed):
         for y in ball:
             if len(x.word) + len(y.word) > 4:
                 continue
-            lhs = a1_ring.jta_multiply(
-                a1_ring.phi(x, signed), a1_ring.phi(y, signed), signed
-            )
+            lhs = a1_ring.jta_multiply(a1_ring.phi(x), a1_ring.phi(y))
             prod = alg.multiply(
                 alg.basis_element(x, basis), alg.basis_element(y, basis), a1_ring.table
             )
-            assert lhs == a1_ring.phi_of_element(prod, signed)
+            if signed:
+                prod = alg.element({w: c.star() for w, c in prod.terms.items()}, "Cprime")
+            assert lhs == a1_ring.phi_of_element(prod)
 
 
 def test_phi_refuses_past_radius(a2_desc):
@@ -440,7 +441,7 @@ def test_phi_refuses_past_radius(a2_desc):
 def test_phi_specialized(a1_ring):
     g = a1_ring.group
     s0 = g.generator(0)
-    img = a1_ring.phi_specialized(s0, Fraction(4), signed=False)
+    img = a1_ring.phi_specialized(s0, Fraction(4))
     spec = {str(z): c for z, c in img.items()}
     assert spec["0"].eval_sqrt(Fraction(2)) == Fraction(5, 2)
     assert spec["01"].eval_sqrt(Fraction(2)) == 1

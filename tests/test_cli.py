@@ -137,14 +137,26 @@ def test_cache_dir_environment_override(capsys, tmp_path, monkeypatch):
     ("hconst", "--type", "A1~", "--x", "0", "--y", "0"),
 ])
 def test_unusable_cache_directory_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
-    """A cache directory under a regular file, or a regular file named as
-    the cache directory, exits 2 with one error line naming the path."""
+    """A cache directory under a regular file, a regular file named as the
+    cache directory, or a directory in place of the cache file exits 2 with
+    one error line naming the path, and leaves no temporary file behind."""
     blocker = tmp_path / "file"
     blocker.write_text("")
     code, out, err = run(capsys, *argv, "--cache-dir", str(blocker / "sub"))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and str(blocker / "sub") in err
     assert len(err.splitlines()) == 1
+    # the cache file's name, taken by a directory
+    cache = tmp_path / "cache"
+    assert run(capsys, *argv, "--cache-dir", str(cache))[0] == 0
+    (path,) = cache.iterdir()
+    path.unlink()
+    path.mkdir()
+    code, out, err = run(capsys, *argv, "--cache-dir", str(cache))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(cache) in err
+    assert len(err.splitlines()) == 1
+    assert list(cache.iterdir()) == [path]
     monkeypatch.setenv("HECKEJ_CACHE_DIR", str(blocker))
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
@@ -289,7 +301,7 @@ def test_phi_check_reports_failures(capsys, monkeypatch):
     the failure count, and at most 10 counterexample rows."""
     product = JRing.jta_multiply
     # the factors of J tensor A taken in the wrong order
-    monkeypatch.setattr(JRing, "jta_multiply", lambda self, a, b, signed=False: product(self, b, a, signed))
+    monkeypatch.setattr(JRing, "jta_multiply", lambda self, a, b: product(self, b, a))
     code, out, _ = run(capsys, "phi-check", "--type", "A1~", "--max-len", "4", "--format", "csv")
     assert code == 1
     lines = out.strip().splitlines()
@@ -425,6 +437,7 @@ FLAG_READERS = {
     "--radius 7": GROUP_COMMANDS - {"afn", "phi-check"},
     "--allow-uncertified": {"afn"},
     "--cache-dir d": {"kl", "hmul", "hconst"},
+    "--basis unsigned": {"hmul", "hconst", "gamma", "jmul", "phi", "phi-check"},
 }
 
 
@@ -449,6 +462,7 @@ def test_each_flag_only_where_it_is_read(capsys):
         ("gamma", "--type", "A1~", "--x", "0", "--y", "0", "--cache-dir", "d"),
         ("sl2", "conv", "--r", "0", "--radius", "7"),
         ("sl2", "conv", "--r", "0", "--type", "A2~"),
+        ("dinv", "--type", "A2~", "--basis", "unsigned"),
     ):
         code, out, _ = run(capsys, *argv)
         assert code == 2 and out == "", argv

@@ -23,7 +23,7 @@ def test_kl_polynomials_and_unsigned_h_are_positive(request, ring_name):
     for x in ball:
         for y in ball:
             if len(x.word) + len(y.word) <= ring.radius:
-                for z, c in ring.constants.h_map(x, y, signed=False).items():
+                for z, c in ring.constants.h_map(x, y).items():
                     assert nonnegative(c), (x, y, z, c)
                     h += 1
     assert kl > len(ball) and h > len(ball)
