@@ -48,14 +48,14 @@ z, its distinguished involutions, the gammas of each (x, y) and the phi
 image of each x.  Every refusal runs before a memo is read, and only
 successful results are stored, so a call that raised raises again; the
 memos are bounded by the certified radius.  Callers get copies, apart
-from the frozen AValue of a proof.
+from the immutable AValue of a proof.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import HeckejError, RadiusExceeded
@@ -66,33 +66,36 @@ from .weyl import GroupDescriptor, GroupElement, make_group
 __all__ = ["AValue", "JElement", "JTensorAElement", "JRing"]
 
 
-@dataclass(frozen=True)
-class AValue:
+class AValue(
+    namedtuple(
+        "AValue",
+        "z value scan_radius certified certificate witness",
+        defaults=("scan-radius", None),
+    )
+):
     """a(z) and how it is known: a proof, reported at the certification
     bound with the certificate that names it (see the module docstring) and
     its witness pair (x, y), if it has one; or a scan at the scan radius
     asked for, with certificate scan-radius and no witness."""
 
-    z: GroupElement
-    value: int
-    scan_radius: int
-    certified: bool
-    certificate: str = "scan-radius"
-    witness: tuple | None = None
+    __slots__ = ()
 
 
-@dataclass
 class JElement:
     """Finite combination of t_w, tagged with its certification radius.
 
     Coefficients are integers for elements of J and Laurent polynomials
     for elements of J tensor A (the images of phi), none of them zero:
     JRing.j_element drops zeros, and the ring's products never make one.
+    Mutable and unhashable; equal when the group and terms are.
     """
 
-    desc: GroupDescriptor
-    terms: dict[GroupElement, int | Laurent]
-    radius: int
+    __slots__ = ("desc", "terms", "radius")
+
+    def __init__(self, desc: GroupDescriptor, terms: dict[GroupElement, int | Laurent], radius: int):
+        self.desc = desc
+        self.terms = terms
+        self.radius = radius
 
     def max_length(self) -> int:
         return max((len(w.word) for w in self.terms), default=0)
@@ -258,8 +261,12 @@ class JRing:
         out: dict = {}
         for x, c1 in a.terms.items():
             for y, c2 in b.terms.items():
+                # most read-offs are empty: look before multiplying c1 * c2
+                terms = self._gamma_terms(x, y)
+                if not terms:
+                    continue
                 c = c1 * c2
-                for z, g in self._gamma_terms(x, y):
+                for z, g in terms:
                     _accumulate(out, z, c * g)
         return JElement(self.desc, out, self.radius)
 

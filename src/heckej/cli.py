@@ -15,6 +15,9 @@ kl, hmul and hconst keep each KL table they build in a cache directory
 file is only compared byte for byte with the rebuilt table and rewritten
 when it differs; it is never read into a result.
 
+A standard module that only some subcommands or output formats use is
+imported inside the function that uses it, not at start-up.
+
 Exit codes: 0 success, 1 verification failure or internal error,
 2 usage error, 3 certification refusal (a result would be uncertified
 or an oracle precondition fails).
@@ -24,14 +27,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv as csv_mod
-import hashlib
-import json
 import os
 import sys
 from fractions import Fraction
-from pathlib import Path
 
+# hashlib, json, csv and pathlib are imported in the functions that use
+# them (the KL cache, --format json and --format csv): every call pays
+# for what is imported at start-up.
 from .asymptotic import JRing, certification_bound
 from .errors import (
     BudgetExceeded,
@@ -136,13 +138,17 @@ def emit(ns, meta: dict, rows: list[dict], stream=None) -> None:
     record = dict(meta)
     record["rows"] = rows
     if ns.format == "json":
+        import json
+
         print(json.dumps(record, sort_keys=True, default=str), file=stream)
         return
     keys = list(rows[0].keys()) if rows else []
     meta_line = " ".join(f"{k}={v}" for k, v in sorted(meta.items()))
     print(f"# {meta_line}", file=stream)
     if ns.format == "csv":
-        writer = csv_mod.writer(stream)
+        import csv
+
+        writer = csv.writer(stream)
         writer.writerow(keys)
         for row in rows:
             writer.writerow([row[k] for k in keys])
@@ -182,6 +188,8 @@ def meta_for(ns, radius: int, certified: bool = True, **extra) -> dict:
 
 
 def cache_directory(ns) -> Path:
+    from pathlib import Path
+
     if ns.cache_dir:
         return Path(ns.cache_dir)
     env = os.environ.get("HECKEJ_CACHE_DIR")
@@ -199,6 +207,9 @@ def cached_kl_table(ns, desc: GroupDescriptor, radius: int) -> KLTable:
     untouched; any other file is rewritten.  So a cache file never changes
     a result.  A directory that cannot hold the file is a usage error.
     """
+    import hashlib
+    import json
+
     table = KLTable(make_group(desc), radius)
     blob = json.dumps(table.to_json(), sort_keys=True).encode()
     key = hashlib.sha256(

@@ -16,7 +16,7 @@ structure-constant sweep add shifted multiples in C.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 from .errors import NotInAPlus
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 
@@ -103,21 +103,18 @@ def conv_cell_value(n: int, r: int, lattice: Lattice) -> Laurent:
     return _q(m - r + 1 - t)
 
 
-@dataclass(frozen=True)
-class CellFunction:
+class CellFunction(namedtuple("CellFunction", "exceptional pos_tail neg_tail")):
     """A bi-invariant function sum_n coeff(n) chi_{K x_n I} whose
     coefficients are eventually geometric in both directions.
 
-    pos_tail = (start, value, ratio): coeff(n) = value * ratio^(n-start)
-    for n >= start; neg_tail likewise for n <= its start with the ratio
-    applied per step towards -infinity.  Exceptional values override
-    nothing outside the tails: evaluation first checks ``exceptional``,
-    then the tails.
+    exceptional is a tuple of pairs (n, coeff(n)).  pos_tail = (start,
+    value, ratio): coeff(n) = value * ratio^(n-start) for n >= start;
+    neg_tail likewise for n <= its start with the ratio applied per step
+    towards -infinity.  Exceptional values override nothing outside the
+    tails: evaluation first checks ``exceptional``, then the tails.
     """
 
-    exceptional: tuple[tuple[int, Laurent], ...]
-    pos_tail: tuple[int, Laurent, Laurent]
-    neg_tail: tuple[int, Laurent, Laurent]
+    __slots__ = ()
 
     def coefficient(self, n: int) -> Laurent:
         for k, v in self.exceptional:

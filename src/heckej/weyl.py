@@ -12,7 +12,7 @@ on the right: an element is a pair (coxeter word, omega).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import BudgetExceeded, GroupMismatch, HeckejError, UnsupportedType
@@ -49,14 +49,16 @@ _FINITE_LONGEST = {"A1~": 1, "A2~": 3}
 BALL_BUDGET = 10**4
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
-    affine_type: str
-    extended: bool = False
+class GroupDescriptor(namedtuple("GroupDescriptor", "affine_type extended", defaults=(False,))):
+    """The group: an affine type and whether Omega is adjoined.  A named
+    tuple, so it is immutable and compared and hashed by value in C."""
 
-    def __post_init__(self):
-        if self.affine_type not in SUPPORTED_TYPES:
-            raise UnsupportedType(f"unsupported affine type {self.affine_type!r}")
+    __slots__ = ()
+
+    def __new__(cls, affine_type: str, extended: bool = False):
+        if affine_type not in SUPPORTED_TYPES:
+            raise UnsupportedType(f"unsupported affine type {affine_type!r}")
+        return super().__new__(cls, affine_type, extended)
 
     @property
     def generator_count(self) -> int:
@@ -74,18 +76,14 @@ class GroupDescriptor:
         return {"affine_type": self.affine_type, "extended": self.extended}
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """An element in canonical form: ShortLex-least reduced word + omega part."""
+class GroupElement(namedtuple("GroupElement", "desc word omega", defaults=(0,))):
+    """An element in canonical form: ShortLex-least reduced word + omega part.
 
-    desc: GroupDescriptor
-    word: tuple[int, ...]
-    omega: int = 0
+    A named tuple (desc, word, omega): every memo lookup keyed by
+    elements hashes and compares them in C.  len() is the length of the
+    word, not the number of fields."""
 
-    def __hash__(self) -> int:
-        # consistent with the generated __eq__, which also compares desc;
-        # leaving desc out spares a GroupDescriptor hash on every memo lookup
-        return hash((self.word, self.omega))
+    __slots__ = ()
 
     def __len__(self) -> int:
         return len(self.word)

@@ -69,3 +69,24 @@ def test_golden_commands_run_without_sympy(tmp_path):
         assert (code, out) == (rec["exit"], rec["stdout"]), " ".join(rec["argv"])
     assert report["sympy"] == []
     assert report["sl2_loaded"]
+
+
+# Modules that no subcommand needs at start-up: the KL cache and the json
+# and csv formats import theirs when they run, and the package uses
+# neither dataclasses (which pulls in inspect) nor typing.
+NOT_AT_START_UP = ("dataclasses", "inspect", "hashlib", "csv", "json", "pathlib", "typing")
+
+
+def test_cli_import_loads_no_unused_module():
+    src = str(Path(heckej.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    # -S: no site module, so only what heckej.cli imports is loaded
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, heckej.cli; print(' '.join(sorted(sys.modules)))"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "heckej.cli" in loaded
+    assert [m for m in NOT_AT_START_UP if m in loaded] == []

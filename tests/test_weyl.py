@@ -120,6 +120,8 @@ def test_normal_form_is_shortlex_least_reduced_word():
                 if g.element(word) == w
             ]
             assert min(reduced) == w.word
+            # each reduced word builds a separate element, equal to w and of its hash
+            assert {hash(g.element(word)) for word in reduced} == {hash(w)}
 
 
 @pytest.mark.parametrize(
@@ -339,6 +341,20 @@ def test_element_string():
     w = g.element((0, 1, 0), 2)
     assert str(w) == "010@2"
     assert str(g.identity) == "e"
+    assert repr(make_group(GroupDescriptor("A1~", extended=True)).element((0,), 1)) == (
+        "GroupElement(desc=GroupDescriptor(affine_type='A1~', extended=True), word=(0,), omega=1)"
+    )
+
+
+def test_elements_and_descriptors_are_read_only():
+    desc = GroupDescriptor("A1~", extended=True)
+    w = make_group(desc).element((0,), 1)
+    for obj, field in [(desc, "affine_type"), (desc, "extended"), (w, "desc"), (w, "word"), (w, "omega")]:
+        with pytest.raises(AttributeError):
+            setattr(obj, field, getattr(obj, field))
+    # and they take no new attributes
+    with pytest.raises(AttributeError):
+        w.note = "x"
 
 
 @pytest.mark.parametrize("affine_type, extended, radius", [("A1~", True, 7), ("A2~", False, 6), ("A2~", True, 4)])
