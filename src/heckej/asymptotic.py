@@ -309,7 +309,9 @@ class JRing:
         d and z in the same a-stratum of h_{x,d,z} t_z (memoized)."""
         dinvs = self.distinguished_involutions()
         for d in dinvs:
-            self._within(len(x.word) + len(d.word), f"len(x) + len(d) for d = {d}")
+            length = len(x.word) + len(d.word)
+            if length > self.radius:  # the message names d only on refusal
+                self._within(length, f"len(x) + len(d) for d = {d}")
         got = self._phis.get(x)
         if got is None:
             out: dict[GroupElement, Laurent] = {}

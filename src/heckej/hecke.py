@@ -331,9 +331,15 @@ def _p_laurent(c: int) -> Laurent:
 
 
 def _q_coefficients(c: int) -> list[int]:
-    """A packed KL polynomial's coefficients in q, degree 0 first."""
-    d = _unpack(c, 0)
-    return [d.get(k, 0) for k in range(max(d) + 1)]
+    """A packed KL polynomial's coefficients in q, degree 0 first, read
+    as its base-2^PACK_W digits.  This is exact: `_check_packed` keeps
+    every stored digit in [0, 2^PACK_T), so no digit borrows from the
+    next and the top digit is the leading coefficient."""
+    out = []
+    while c:
+        out.append(c & _DIGIT)
+        c >>= PACK_W
+    return out
 
 
 def _check_kl_budget(desc: GroupDescriptor, radius: int) -> None:

@@ -438,7 +438,7 @@ def test_phi_refuses_past_radius(a2_desc):
     g = small.group
     # distinguished involutions reach length 3 within this radius, so
     # arguments of length 1 already overflow len(x) + len(d)
-    with pytest.raises(RadiusExceeded):
+    with pytest.raises(RadiusExceeded, match=r"^len\(x\) \+ len\(d\) for d = 010 = 4 beyond certified radius 3$"):
         small.phi(g.generator(0))
 
 

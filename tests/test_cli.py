@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: output formats, exit codes,
 certification refusal, and KL cache files."""
 
+import hashlib
 import json
 import os
 import time
@@ -43,10 +44,24 @@ def test_kl_nontrivial_polynomial(capsys, cache):
     assert json.loads(out)["rows"][0]["P"] == "1 + q"
 
 
-def _kl_blob(affine_type, radius):
+def _kl_blob(affine_type, radius, extended=False):
     """The bytes a cache file holds: the table's serialization, sorted keys."""
-    table = KLTable(make_group(GroupDescriptor(affine_type)), radius)
+    table = KLTable(make_group(GroupDescriptor(affine_type, extended)), radius)
     return json.dumps(table.to_json(), sort_keys=True).encode()
+
+
+@pytest.mark.parametrize(
+    "affine_type,extended,size,digest",
+    [
+        ("A2~", False, 45331, "e5871f699f23bc6ee63a69bcad90aa53b639915c7d0680b303f9522710b5e1fc"),
+        ("A1~", True, 1990, "84076df8cb5aa12d4dd421fb64ff13b4540e1792df3917920f749f39b9570b16"),
+    ],
+)
+def test_cache_bytes_are_pinned(affine_type, extended, size, digest):
+    """Cache files of format version 2 keep their exact bytes."""
+    blob = _kl_blob(affine_type, 8, extended)
+    assert len(blob) == size
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 def test_cache_file_and_transparency(capsys, cache, tmp_path):

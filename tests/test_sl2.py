@@ -5,6 +5,7 @@ The library returns Laurent polynomials in v with q = v^2.  The closed
 forms below are stated in sympy, the independent test oracle, and each
 library value is converted with ``sym`` before it is compared."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -277,6 +278,32 @@ def test_counting_oracle_total_is_group_order():
         census = _completion_census(p, m)
         order = p ** (3 * m) * (1 - Fraction(1, p * p))
         assert sum(census.values()) == order
+
+
+def _val(x, p, m):
+    """The largest v <= m with p^v | x, by trial division."""
+    v = 0
+    while v < m and x % p ** (v + 1) == 0:
+        v += 1
+    return v
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (2, 4), (3, 2), (5, 1)])
+def test_census_matches_full_enumeration(p, m):
+    """Every (a, b, c, d) in (Z/p^m)^4 with ad - bc = 1, tallied by
+    (val a, val c), against the census, key by key."""
+    from heckej.sl2 import _completion_census
+
+    pm = p**m
+    tally = {}
+    for a, b, c, d in itertools.product(range(pm), repeat=4):
+        if (a * d - b * c) % pm == 1:
+            key = (_val(a, p, m), _val(c, p, m))
+            tally[key] = tally.get(key, 0) + 1
+    census = _completion_census(p, m)
+    assert sorted(census) == sorted(tally)
+    for key, count in tally.items():
+        assert census[key] == count, key
 
 
 def test_counting_oracle_preconditions():
