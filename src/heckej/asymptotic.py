@@ -22,20 +22,17 @@ claimed valuation raises HeckejError:
   gives a factor w_J of length len(w0), so a z without one has a unique
   word.  On A1~, len(w0) = 1 and both certificates say the same.
 
-a_function(z) refuses len(z) > L.  a_function(z, r) with an explicit
-scan radius r <= S = L + 2*len(w0) + 2 reads a scan of all pairs up to r,
-reported with the certificate name scan-radius: a lower bound, certified
-when r reaches the stabilization bound, a working assumption rather than
-a proof.  The scan is one pass at S, over one right factor y per
-diagram-automorphism orbit, stratified by max(len x, len y), so the
-value at any smaller scan radius r is the minimum over strata 0..r.
+a_function(z) refuses len(z) > L and answers every other z by its
+certificate, reported at the certification bound len(z) + 2*len(w0) + 2.
+No a-value comes from a scan of pairs: the all-pairs minimum
+StructureConstants.scan_min_exponents is only the tests' reference.
 
 The KL table has radius L + len(w0) - 1, which holds every witness and
-every h_{x,y,z} with len x + len y <= L; the scan extends it to 2S - 1 on
-first use.  Every gamma, J-product and phi image refuses to go past the
-certified radius instead of silently truncating, except jta_multiply: a
-product in J tensor A drops each t_z with len(z) > L (its factors may
-need the table extended, never past 2S - 1).
+every h_{x,y,z} with len x + len y <= L.  Every gamma, J-product and phi
+image refuses to go past the certified radius instead of silently
+truncating, except jta_multiply: it refuses a factor with a term past L,
+and its product in J tensor A drops each t_z with len(z) > L (the table
+is extended to len x + len y - 1 <= 2L - 1 for it).
 
 One convention.  Every read-off is for the canonical basis C'_w.  The
 basis C_w has structure constants star(h), star being v -> -v^-1, and J
@@ -53,7 +50,6 @@ from the immutable AValue of a proof.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -66,17 +62,11 @@ from .weyl import GroupDescriptor, GroupElement, make_group
 __all__ = ["AValue", "JElement", "JTensorAElement", "JRing"]
 
 
-class AValue(
-    namedtuple(
-        "AValue",
-        "z value scan_radius certified certificate witness",
-        defaults=("scan-radius", None),
-    )
-):
+class AValue(namedtuple("AValue", "z value scan_radius certified certificate witness")):
     """a(z) and how it is known: a proof, reported at the certification
-    bound with the certificate that names it (see the module docstring) and
-    its witness pair (x, y), if it has one; or a scan at the scan radius
-    asked for, with certificate scan-radius and no witness."""
+    bound (scan_radius) with the certificate that names it (see the module
+    docstring) and its witness pair (x, y), if it has one; certified is
+    always True."""
 
     __slots__ = ()
 
@@ -142,10 +132,8 @@ class JRing:
         self.radius = radius
         self.group = make_group(desc)
         self.algebra = hecke_algebra(desc)
-        self.scan_radius = certification_bound(desc, radius)
         self.table = KLTable(self.group, radius + desc.finite_longest_length - 1)
         self.constants = StructureConstants(self.table)
-        self._a_values: dict[int, list[int]] | None = None
         # read-offs, computed once per ring and stored only on success
         self._dinv: list[GroupElement] | None = None
         self._proofs: dict[GroupElement, AValue] = {}
@@ -153,17 +141,6 @@ class JRing:
         self._phis: dict[GroupElement, tuple[tuple[GroupElement, Laurent], ...]] = {}
 
     # -- a-function --------------------------------------------------------
-
-    def _scan(self) -> dict[int, list[int]]:
-        """Scan values a(z) at every scan radius r <= self.scan_radius, by
-        Coxeter id of z: the minima over strata 0..r of one scan pass."""
-        if self._a_values is None:
-            self.table.extend(2 * self.scan_radius - 1)
-            strata = self.constants.scan_min_exponents(self.scan_radius, self.scan_radius)
-            self._a_values = {
-                z: [-low for low in itertools.accumulate(mins, min)] for z, mins in strata.items()
-            }
-        return self._a_values
 
     def _prove(self, z: GroupElement) -> AValue:
         """a(z) for len(z) <= radius by a certificate, as the module
@@ -197,20 +174,11 @@ class JRing:
         )
         return got
 
-    def a_function(self, z: GroupElement, scan_radius: int | None = None) -> AValue:
-        """a(z): with no scan radius, proved by a certificate for len(z) <=
-        radius and reported at the stabilization bound; with one, the
-        monotone scan value at scan_radius, certified from the bound on."""
-        zlen = len(z.word)
-        if scan_radius is None:
-            self._within(zlen, "len(z)")
-            return self._prove(z)
-        if scan_radius < zlen:
-            raise ValueError(f"scan radius {scan_radius} below len(z) = {zlen}")
-        if scan_radius > self.scan_radius:
-            raise RadiusExceeded(f"scan radius {scan_radius} beyond {self.scan_radius}")
-        value = self._scan()[self.group._id_of(z.word)][scan_radius]
-        return AValue(z, value, scan_radius, scan_radius >= certification_bound(self.desc, zlen))
+    def a_function(self, z: GroupElement) -> AValue:
+        """a(z) for len(z) <= radius, proved by a certificate and reported at
+        the certification bound."""
+        self._within(len(z.word), "len(z)")
+        return self._prove(z)
 
     def _within(self, length: int, what: str) -> None:
         """The one refusal of a request past the certified radius."""
@@ -223,10 +191,10 @@ class JRing:
         """The pairs (z, gamma_{x,y,z}) with gamma nonzero, each the constant
         term of v^a(z) h_{x,y,z}, for the z of h_{x,y,.} within the certified
         radius (memoized).  A pair past the radius (from jta_multiply)
-        extends the table, never past 2S - 1."""
+        extends the table, never past 2L - 1."""
         got = self._gammas.get((x, y))
         if got is None:
-            self.table.extend(min(len(x.word) + len(y.word), 2 * self.scan_radius) - 1)
+            self.table.extend(len(x.word) + len(y.word) - 1)
             got = []
             for z, h in self.constants.h_map(x, y).items():
                 if len(z.word) <= self.radius:
@@ -333,7 +301,9 @@ class JRing:
         return JElement(self.desc, out, self.radius)
 
     def jta_multiply(self, a: JElement, b: JElement) -> JElement:
-        """Product in J tensor A, truncated to the certified radius."""
+        """Product in J tensor A, truncated to the certified radius; refused
+        for a factor with a term past it."""
+        self._within(max(a.max_length(), b.max_length()), "factor length")
         return self._product(a, b)
 
     # -- specialization ----------------------------------------------------

@@ -19,8 +19,8 @@ A standard module that only some subcommands or output formats use is
 imported inside the function that uses it, not at start-up.
 
 Exit codes: 0 success, 1 verification failure or internal error,
-2 usage error, 3 certification refusal (a result would be uncertified
-or an oracle precondition fails).
+2 usage error, 3 refusal (a request past the certified radius or a size
+budget, or an oracle precondition that fails).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from fractions import Fraction
 # hashlib, json, csv and pathlib are imported in the functions that use
 # them (the KL cache, --format json and --format csv): every call pays
 # for what is imported at start-up.
-from .asymptotic import JRing, certification_bound
+from .asymptotic import JRing
 from .errors import (
     BudgetExceeded,
     DepthTooSmall,
@@ -55,10 +55,6 @@ EXIT_REFUSED = 3
 
 
 class UsageError(Exception):
-    pass
-
-
-class Refusal(Exception):
     pass
 
 
@@ -89,14 +85,14 @@ def parse_element(group: WeylGroup, text: str) -> GroupElement:
     is the identity ("010" = s0 s1 s0, "01@1" = s0 s1 followed by omega)."""
     text = text.strip()
     body, _, om_part = text.partition("@")
-    try:
-        omega = int(om_part) if om_part else 0
-    except ValueError as exc:
-        raise UsageError(f"bad omega suffix in element {text!r}") from exc
+    # isdigit alone admits every Unicode decimal digit, and '²' besides
+    if om_part and not (om_part.isascii() and om_part.isdigit()):
+        raise UsageError(f"bad omega suffix in element {text!r}")
+    omega = int(om_part) if om_part else 0
     if body in ("", "e"):
         word: tuple[int, ...] = ()
     else:
-        if not body.isdigit():
+        if not (body.isascii() and body.isdigit()):
             raise UsageError(f"element {text!r} must be generator indices like '010'")
         word = tuple(int(ch) for ch in body)
     try:
@@ -178,8 +174,8 @@ def emit_result(passes: int, fails: int) -> int:
     return EXIT_OK if fails == 0 else EXIT_FAIL
 
 
-def meta_for(ns, radius: int, certified: bool = True, **extra) -> dict:
-    meta = {"certified": certified, "radius": radius, "basis": ns.basis}
+def meta_for(ns, radius: int, **extra) -> dict:
+    meta = {"certified": True, "radius": radius, "basis": ns.basis}
     meta.update(extra)
     return meta
 
@@ -312,21 +308,9 @@ def cmd_hconst(ns) -> int:
 def cmd_afn(ns) -> int:
     g = group_from_args(ns)
     z = parse_element(g, ns.z)
-    bound = certification_bound(g.desc, len(z.word))
-    scan = ns.scan
-    if scan is not None and scan < len(z.word):
-        raise UsageError(f"scan {scan} below len(z) = {len(z.word)}")
-    ring_radius = len(z.word)
-    if scan is not None and scan > bound:
-        ring_radius = scan - (bound - len(z.word))
-    av = JRing(g.desc, ring_radius).a_function(z, scan)
-    if not av.certified and not ns.allow_uncertified:
-        raise Refusal(
-            f"a({z}) at scan radius {av.scan_radius} is a lower bound only "
-            f"(certification needs {bound}); pass --allow-uncertified to print it"
-        )
+    av = JRing(g.desc, len(z.word)).a_function(z)
     rows = [{"z": str(z), "a": av.value, "scan_radius": av.scan_radius}]
-    emit(ns, meta_for(ns, av.scan_radius, certified=av.certified), rows)
+    emit(ns, meta_for(ns, av.scan_radius), rows)
     return EXIT_OK
 
 
@@ -484,13 +468,11 @@ OPTIONS = {
     "type": {"default": "A1~", "choices": ["A1~", "A2~"]},
     "extended": {"action": "store_true"},
     "radius": {"type": int},
-    "allow-uncertified": {"action": "store_true"},
     "x": {},
     "y": {},
     "z": {},
     "w": {},
     "hecke-basis": {"choices": list(BASES)},
-    "scan": {"type": int},
     "q": {"help": "an exact rational, e.g. 4 or 9/4"},
     "max-len": {"type": int, "default": 4},
     "n": {"type": int},
@@ -511,7 +493,7 @@ COMMANDS = [
     ("kl", cmd_kl, "Kazhdan-Lusztig polynomial", "type extended radius y! w! cache-dir"),
     ("hmul", cmd_hmul, "Hecke product of basis elements", "type extended radius x! y! hecke-basis basis cache-dir"),
     ("hconst", cmd_hconst, "structure constants h_{x,y,z}", "type extended radius x! y! z basis cache-dir"),
-    ("afn", cmd_afn, "a-function value", "type extended z! scan allow-uncertified"),
+    ("afn", cmd_afn, "a-function value", "type extended z!"),
     ("gamma", cmd_gamma, "gamma constants of J", "type extended radius x! y! z basis"),
     ("jmul", cmd_jmul, "product t_x t_y in J", "type extended radius x! y! basis"),
     ("dinv", cmd_dinv, "distinguished involutions", "type extended radius"),
@@ -562,7 +544,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, GroupMismatch, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (Refusal, RadiusExceeded, DepthTooSmall, BudgetExceeded) as exc:
+    except (RadiusExceeded, DepthTooSmall, BudgetExceeded) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     except HeckejError as exc:

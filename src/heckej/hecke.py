@@ -52,7 +52,8 @@ __all__ = [
 BASES = ("T", "Ttilde", "Cprime", "Csigned")
 
 # stratum entry of StructureConstants.scan_min_exponents with no pair;
-# larger than any valuation
+# larger than any valuation.  The scan answers no a(z) of the library: it
+# is the reference that the tests check the certified a-function against.
 NO_PAIR = 1 << 30
 
 # Budget on the entries of one KL table, checked before any enumeration.

@@ -44,8 +44,8 @@ _FINITE_LONGEST = {"A1~": 1, "A2~": 3}
 
 # Budget on the elements of one ball (Coxeter parts times omega parts),
 # checked before any enumeration.  The largest ball the tests build is
-# the KL table that the scan of JRing(A2~, 10) needs (radius 35, 1,891
-# elements).
+# the KL table of their reference scan for JRing(A2~, 10) (radius 35,
+# 1,891 elements).
 BALL_BUDGET = 10**4
 
 

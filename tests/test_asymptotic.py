@@ -10,6 +10,7 @@ from heckej import (
     GroupDescriptor,
     HeckejError,
     JRing,
+    KLTable,
     Laurent,
     RadiusExceeded,
     StructureConstants,
@@ -18,6 +19,7 @@ from heckej import (
     WeylGroup,
     certification_bound,
     hecke_algebra,
+    make_group,
 )
 from heckej.laurent import _unpack
 
@@ -75,57 +77,46 @@ def test_a_function_against_direct_minimum(a1_ring):
         assert a1_ring.a_function(z).value == -mins[z]
 
 
-def test_uncertified_scan_is_flagged(a1_ring):
-    g = a1_ring.group
-    z = g.generator(0)
-    av = a1_ring.a_function(z, scan_radius=2)
-    assert not av.certified
-    assert av.value <= a1_ring.a_function(z).value
-
-
-def test_a_monotone_in_scan_radius(a2_ring):
-    g = a2_ring.group
-    z = g.element((0, 1, 0))
-    vals = [a2_ring.a_function(z, s).value for s in range(3, 12)]
+def test_a_monotone_in_scan_radius(a2_ring, scan_a_values):
+    """The reference scan of a(010) rises to the proved value 3."""
+    z = a2_ring.group.element((0, 1, 0))
+    vals = scan_a_values(a2_ring.desc, a2_ring.radius)[a2_ring.group._id_of(z.word)][3:12]
     assert vals == sorted(vals)
-    assert vals[-1] == 3
+    assert vals[-1] == 3 == a2_ring.a_function(z).value
 
 
 def test_a_function_past_scan_radius_is_radius_exceeded(a1_desc):
     ring = JRing(a1_desc, 0)
     z = ring.group.element((0, 1, 0, 1, 0))
-    assert ring.scan_radius == 4
+    assert len(z) > certification_bound(a1_desc, ring.radius) == 4
     with pytest.raises(RadiusExceeded):
         ring.a_function(z)
-    with pytest.raises(RadiusExceeded):
-        ring.a_function(ring.group.generator(0), ring.scan_radius + 1)
 
 
 def test_default_a_function_is_proved_or_refused(a1_desc):
-    """Without a scan radius a(z) is a proof, refused past the working
-    radius L even where the scan reaches; with one it is the scan."""
+    """a(z) is a proof, refused past the working radius L."""
     ring = JRing(a1_desc, 2)
     z = ring.group.element((0, 1, 0, 1))
-    assert ring.scan_radius == 6 < certification_bound(a1_desc, len(z.word))
     with pytest.raises(RadiusExceeded, match="len\\(z\\) = 4 beyond certified radius 2"):
         ring.a_function(z)
-    av = ring.a_function(z, 6)
-    assert (av.value, av.scan_radius, av.certified, av.certificate, av.witness) == (1, 6, False, "scan-radius", None)
+    av = ring.a_function(ring.group.element((0, 1)))
+    assert (av.value, av.scan_radius, av.certified, av.certificate) == (1, 6, True, "unique-word")
 
 
 @pytest.mark.parametrize(
     "affine_type, extended, radius",
     [("A1~", False, 6), ("A1~", True, 6), ("A2~", False, 2), ("A2~", True, 1)],
 )
-def test_a_function_every_scan_radius_against_unreduced_minimum(affine_type, extended, radius):
-    """Every a_function(z, r) against the minimum over all pairs (x, y) of
-    ball(r), one column per y, with no orbits and no strata."""
-    ring = JRing(GroupDescriptor(affine_type, extended), radius)
-    g = ring.group
-    # the ring's own table covers its certificates; columns at scan size need more
-    ring.table.extend(2 * ring.scan_radius - 1)
-    columns = StructureConstants(ring.table)
-    for r in range(ring.scan_radius, -1, -1):
+def test_a_function_every_scan_radius_against_unreduced_minimum(affine_type, extended, radius, scan_a_values):
+    """The reference scan at every scan radius r <= S against the minimum
+    over all pairs (x, y) of ball(r), one column per y, with no orbits and
+    no strata; at S it agrees with every proved a(z) of ball(L)."""
+    desc = GroupDescriptor(affine_type, extended)
+    bound = certification_bound(desc, radius)
+    scanned = scan_a_values(desc, radius)
+    g = make_group(desc)
+    columns = StructureConstants(KLTable(g, 2 * bound - 1))
+    for r in range(bound, -1, -1):
         ids = {g._id_of(w.word) for w in g.enumerate_ball(r)}
         mins = {}
         for yid in ids:
@@ -134,7 +125,10 @@ def test_a_function_every_scan_radius_against_unreduced_minimum(affine_type, ext
                     for z, c in vec.items():
                         mins[z] = min(mins.get(z, 0), min(_unpack(c)))
         for z in g.enumerate_ball(r):
-            assert ring.a_function(z, r).value == -mins[g._id_of(z.word)], (z, r)
+            assert scanned[g._id_of(z.word)][r] == -mins[g._id_of(z.word)], (z, r)
+    ring = JRing(desc, radius)
+    for z in g.enumerate_ball(radius):
+        assert ring.a_function(z).value == scanned[g._id_of(z.word)][bound], z
 
 
 def test_gamma_spot_values(a1_ring):
@@ -170,15 +164,15 @@ def test_j_multiplication_example(a1_ring):
     assert prod.terms == {g.element((0, 1, 0)): 1, g.generator(0): 1}
 
 
-def test_j_unit_element(a1_ring):
-    # the sum of t_d over distinguished involutions is the unit of J
-    g = a1_ring.group
-    unit = a1_ring.j_element(
-        {d: 1 for d in a1_ring.distinguished_involutions()}
-    )
-    for w in g.enumerate_ball(3):
-        assert a1_ring.j_multiply(unit, a1_ring.t(w)) == a1_ring.t(w)
-        assert a1_ring.j_multiply(a1_ring.t(w), unit) == a1_ring.t(w)
+@pytest.mark.parametrize("ring_name", ["a1_ring", "a2_ring", "a1x_ring", "a2x_ring"])
+def test_j_unit_element(ring_name, request):
+    # the sum of t_d over distinguished involutions is the unit of J, on
+    # every t_w that a product with it may reach within the radius
+    ring = request.getfixturevalue(ring_name)
+    unit = ring.j_element({d: 1 for d in ring.distinguished_involutions()})
+    for w in ring.group.enumerate_ball(ring.radius - unit.max_length()):
+        assert ring.j_multiply(unit, ring.t(w)) == ring.t(w)
+        assert ring.j_multiply(ring.t(w), unit) == ring.t(w)
 
 
 def test_memoized_read_offs_are_copies(a1_ring, monkeypatch):
@@ -322,6 +316,25 @@ def test_jta_multiply_drops_terms_past_radius(a1_desc):
     with pytest.raises(RadiusExceeded):
         ring.j_multiply(tx, ty)
     assert ring.jta_multiply(tx, ty).terms == {g.generator(0): one}
+
+
+def test_jta_multiply_refuses_a_factor_past_radius(a1_desc):
+    """A factor with a term past L is refused, in either place; phi images
+    lie within L and keep the KL table within radius 2L - 1."""
+    ring = JRing(a1_desc, 2)
+    g = ring.group
+    one = Laurent({0: 1})
+    long = ring.j_element({g.generator(0): one, g.element((0, 1, 0)): one})
+    short = ring.j_element({g.generator(1): one})
+    for a, b in ((long, short), (short, long)):
+        with pytest.raises(RadiusExceeded, match=r"^factor length = 3 beyond certified radius 2$"):
+            ring.jta_multiply(a, b)
+    # phi(x) needs len(x) + len(d) <= L for every distinguished d
+    ball = g.enumerate_ball(ring.radius - max(len(d) for d in ring.distinguished_involutions()))
+    for x in ball:
+        for y in ball:
+            ring.jta_multiply(ring.phi(x), ring.phi(y))
+    assert ring.table.radius == 2 * ring.radius - 1
 
 
 def test_distinguished_involutions_a1(a1_ring):
@@ -549,28 +562,6 @@ def test_wrong_witness_is_an_error(a2_desc, monkeypatch):
     monkeypatch.undo()
     assert ring.a_function(z).value == 3
     assert ring.a_function(z).certificate == "witness+bound"
-
-
-def test_explicit_scan_radius_still_scans(a2_desc, monkeypatch):
-    """Default queries never scan; a(z, r) with an explicit r, as the cell
-    oracle of test_a_oracle.py asks it, still runs the scan."""
-    calls = []
-    scan = StructureConstants.scan_min_exponents
-
-    def counting(self, *args):
-        calls.append(args)
-        return scan(self, *args)
-
-    monkeypatch.setattr(StructureConstants, "scan_min_exponents", counting)
-    ring = JRing(a2_desc, 3)
-    ball = ring.group.enumerate_ball(3)
-    values = [ring.a_function(z).value for z in ball]
-    ring.distinguished_involutions()
-    ring.gamma_map(ball[1], ball[2])
-    assert calls == [] and ring.table.radius == 5
-    assert [ring.a_function(z, ring.scan_radius).value for z in ball] == values
-    assert calls == [(ring.scan_radius, ring.scan_radius)]
-    assert ring.table.radius == 2 * ring.scan_radius - 1
 
 
 def test_gamma_refuses_long_pairs(a1_desc):

@@ -1,5 +1,5 @@
 """End-to-end command-line behavior: output formats, exit codes,
-certification refusal, and KL cache files."""
+refusals, and KL cache files."""
 
 import hashlib
 import json
@@ -220,32 +220,12 @@ def test_hconst_sign_conventions(capsys, cache):
     assert json.loads(out)["rows"] == [{"z": "010", "h": "-v^-3 - 2*v^-1 - 2*v - v^3"}]
 
 
-def test_afn_refusal_and_override(capsys):
-    code, _, err = run(capsys, "afn", "--type", "A1~", "--z", "0", "--scan", "2")
-    assert code == 3
-    assert "uncertified" in err
-    code, out, _ = run(
-        capsys, "afn", "--type", "A1~", "--z", "0", "--scan", "2",
-        "--allow-uncertified", "--format", "json",
-    )
-    assert code == 0
-    record = json.loads(out)
-    assert record["certified"] is False
-    assert record["rows"][0]["a"] == 1
-
-
 def test_afn_certified_default(capsys):
     code, out, _ = run(capsys, "afn", "--type", "A1~", "--z", "010", "--format", "json")
     assert code == 0
     record = json.loads(out)
     assert record["certified"] is True
     assert record["rows"][0]["a"] == 1
-    # a scan past the certification bound widens the ring's working radius
-    code, out, _ = run(
-        capsys, "afn", "--type", "A1~", "--z", "01", "--scan", "12", "--format", "json",
-    )
-    assert code == 0
-    assert json.loads(out)["rows"] == [{"z": "01", "a": 1, "scan_radius": 12}]
 
 
 def test_gamma_and_jmul(capsys):
@@ -366,7 +346,7 @@ def test_sl2_size_budgets(capsys):
 def test_kl_table_budget(capsys, cache):
     """KL tables past the entry budget are refused before any work."""
     for argv in (
-        ("afn", "--type", "A2~", "--z", "01201201201201", "--scan", "22"),  # KL radius 43
+        ("dinv", "--type", "A2~", "--radius", "40"),  # KL radius 42
         ("kl", "--type", "A2~", "--radius", "100000", "--y", "e", "--w", "0", "--cache-dir", cache),
     ):
         started = time.perf_counter()
@@ -376,8 +356,9 @@ def test_kl_table_budget(capsys, cache):
 
 
 def test_certified_afn_needs_no_scan(capsys):
-    """Past the scan's KL budget, a certificate still answers: a unique
-    reduced word (a = 1) and a factor w_J of length len(w0) (a = 3)."""
+    """Where an all-pairs scan would need a KL table past the budget, a
+    certificate answers: a unique reduced word (a = 1) and a factor w_J of
+    length len(w0) (a = 3)."""
     # the z column prints the ShortLex-least word
     for z, shortlex, a in (
         ("01201201201201", "01201201201201", 1),
@@ -419,7 +400,12 @@ def test_usage_errors(capsys):
         ("kl", "--type", "A1~", "--y", "", "--w", "010", "--radius", "-1"),
         ("kl", "--type", "A1~", "--y", "", "--w", "010", "--radius", "2"),  # below len(w)
         ("kl", "--type", "A1~", "--extended", "--y", "0@x", "--w", "0"),  # bad omega suffix
-        ("afn", "--type", "A1~", "--z", "010", "--scan", "2"),  # below len(z)
+        # only ASCII digits: int() reads every Unicode decimal digit, and
+        # isdigit() passes '²' as well
+        ("jmul", "--type", "A1~", "--x", "٠١", "--y", "10"),
+        ("jmul", "--type", "A1~", "--x", "01", "--y", "²"),
+        ("jmul", "--type", "A1~", "--extended", "--x", "0@١", "--y", "1"),
+        ("jmul", "--type", "A1~", "--extended", "--x", "0@²", "--y", "1"),
         ("phi", "--type", "A1~", "--x", "0", "--q", "0"),
         ("phi", "--type", "A1~", "--x", "0", "--q", "1/0"),
         ("phi-check", "--type", "A1~", "--max-len", "-1"),
@@ -432,6 +418,10 @@ def test_usage_errors(capsys):
         assert err.startswith("error: ") and len(err.splitlines()) == 1, argv
     code, _, err = run(capsys, "phi-check", "--type", "A1~", "--max-len", "-1")
     assert "--max-len" in err
+    # afn answers by certificate only: no scan radius, no uncertified output
+    for flags in (("--scan", "3"), ("--allow-uncertified",)):
+        code, out, _ = run(capsys, "afn", "--type", "A2~", "--z", "010", *flags)
+        assert (code, out) == (2, ""), flags
 
 
 def test_kl_outside_the_bruhat_interval(capsys, cache):
@@ -450,7 +440,6 @@ FLAG_READERS = {
     "--type A2~": GROUP_COMMANDS,
     "--extended": GROUP_COMMANDS,
     "--radius 7": GROUP_COMMANDS - {"afn", "phi-check"},
-    "--allow-uncertified": {"afn"},
     "--cache-dir d": {"kl", "hmul", "hconst"},
     "--basis unsigned": {"hmul", "hconst", "gamma", "jmul", "phi", "phi-check"},
 }
@@ -473,7 +462,6 @@ def test_each_flag_only_where_it_is_read(capsys):
                 accepted.add((path, flag))
     assert accepted == {(path, flag) for flag, paths in FLAG_READERS.items() for path in paths}
     for argv in (
-        ("gamma", "--type", "A1~", "--x", "0", "--y", "0", "--allow-uncertified"),
         ("gamma", "--type", "A1~", "--x", "0", "--y", "0", "--cache-dir", "d"),
         ("sl2", "conv", "--r", "0", "--radius", "7"),
         ("sl2", "conv", "--r", "0", "--type", "A2~"),
@@ -492,9 +480,6 @@ def test_csv_format(capsys):
     assert lines[0] == "# basis=signed certified=True radius=2"
     assert lines[1] == "z,gamma"
     assert lines[2] == "0,-1"
-    code, out, _ = run(
-        capsys, "afn", "--type", "A2~", "--z", "010", "--scan", "3",
-        "--allow-uncertified", "--format", "csv",
-    )
+    code, out, _ = run(capsys, "afn", "--type", "A2~", "--z", "010", "--format", "csv")
     assert code == 0
-    assert out.splitlines()[:3] == ["# basis=signed certified=False radius=3", "z,a,scan_radius", "010,3,3"]
+    assert out.splitlines() == ["# basis=signed certified=True radius=11", "z,a,scan_radius", "010,3,11"]
