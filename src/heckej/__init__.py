@@ -16,7 +16,6 @@ from .errors import (
     DivergentTail,
     GroupMismatch,
     HeckejError,
-    NonInvertibleTerm,
     NotInAPlus,
     NotLaurentPolynomial,
     RadiusExceeded,
@@ -49,7 +48,6 @@ __all__ = [
     "GroupMismatch",
     "RadiusExceeded",
     "NotInAPlus",
-    "NonInvertibleTerm",
     "DivergentTail",
     "NotLaurentPolynomial",
     "DepthTooSmall",

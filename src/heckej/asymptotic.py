@@ -118,7 +118,8 @@ JTensorAElement = JElement
 
 
 def certification_bound(desc: GroupDescriptor, z_length: int) -> int:
-    """Scan radius at which a(z) is treated as stabilized."""
+    """The radius at which a certified a(z) is reported: len(z) + 2 len(w0) + 2.
+    It is a label of the proof (AValue.scan_radius); nothing is scanned."""
     return z_length + 2 * desc.finite_longest_length + 2
 
 
@@ -150,6 +151,7 @@ class JRing:
         if got is not None:
             return got
         g = self.group
+        zid = g._element_id(z)
         top = self.desc.finite_longest_length
         if not z.word:
             certificate, value, witness = "identity", 0, None
@@ -166,7 +168,7 @@ class JRing:
             # read off the packed column of the Coxeter part of y
             x, y = witness
             col = self.constants.column(g._id_of(y.word), len(x))
-            h = _unpack(col[g._id_of(x.word)].get(g._id_of(z.word), 0))
+            h = _unpack(col[g._id_of(x.word)].get(zid, 0))
             if min(h, default=None) != -value:
                 raise HeckejError(f"witness ({x}, {y}) of a({z}) = {value} gives h = {Laurent._raw(h)}")
         got = self._proofs[z] = AValue(
@@ -207,6 +209,7 @@ class JRing:
     def gamma(self, x: GroupElement, y: GroupElement, z: GroupElement) -> int:
         """Constant term of v^a(z) h_{x,y,z}; refused for z past the radius,
         and wherever gamma_map is."""
+        self.group._element_id(z)
         self._within(len(z.word), "len(z)")
         return self.gamma_map(x, y).get(z, 0)
 

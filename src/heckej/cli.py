@@ -8,7 +8,7 @@ convolution oracles.
 
 The library computes for the basis C'_w; --basis signed (the default)
 prints the image of its results in the convention of C_w (star on h,
-JElement.signed_image on J), and hmul and phi-check multiply in C_w.
+JElement.signed_image on J), and hmul multiplies in C_w.
 
 kl, hmul and hconst keep each KL table they build in a cache directory
 (--cache-dir, else $HECKEJ_CACHE_DIR, else ~/.cache/heckej).  A cache
@@ -18,9 +18,9 @@ when it differs; it is never read into a result.
 A standard module that only some subcommands or output formats use is
 imported inside the function that uses it, not at start-up.
 
-Exit codes: 0 success, 1 verification failure or internal error,
-2 usage error, 3 refusal (a request past the certified radius or a size
-budget, or an oracle precondition that fails).
+Exit codes: 0 success, 1 verification failure, internal error or a
+closed stdout, 2 usage error, 3 refusal (a request past the certified
+radius or a size budget, or an oracle precondition that fails).
 """
 
 from __future__ import annotations
@@ -127,24 +127,23 @@ def quadext_str(x: QuadExt) -> str:
 # -- output ----------------------------------------------------------------
 
 
-def emit(ns, meta: dict, rows: list[dict], stream=None) -> None:
+def emit(ns, meta: dict, rows: list[dict]) -> None:
     """Write one result record.  Every record carries certified, radius
     and basis metadata; rows are dicts with identical keys."""
-    stream = stream or sys.stdout
     record = dict(meta)
     record["rows"] = rows
     if ns.format == "json":
         import json
 
-        print(json.dumps(record, sort_keys=True, default=str), file=stream)
+        print(json.dumps(record, sort_keys=True, default=str))
         return
     keys = list(rows[0].keys()) if rows else []
     meta_line = " ".join(f"{k}={v}" for k, v in sorted(meta.items()))
-    print(f"# {meta_line}", file=stream)
+    print(f"# {meta_line}")
     if ns.format == "csv":
         import csv
 
-        writer = csv.writer(stream)
+        writer = csv.writer(sys.stdout)
         writer.writerow(keys)
         for row in rows:
             writer.writerow([row[k] for k in keys])
@@ -153,9 +152,9 @@ def emit(ns, meta: dict, rows: list[dict], stream=None) -> None:
         return
     table = [[str(row[k]) for k in keys] for row in rows]
     widths = [max(len(keys[i]), max(len(r[i]) for r in table)) for i in range(len(keys))]
-    print("  ".join(k.ljust(w) for k, w in zip(keys, widths)), file=stream)
+    print("  ".join(k.ljust(w) for k, w in zip(keys, widths)))
     for r in table:
-        print("  ".join(c.ljust(w) for c, w in zip(r, widths)), file=stream)
+        print("  ".join(c.ljust(w) for c, w in zip(r, widths)))
 
 
 def emit_terms(ns, meta: dict, terms: dict, columns: tuple[str, str], fmt=str) -> None:
@@ -373,7 +372,6 @@ def cmd_phi_check(ns) -> int:
     radius = max_len + 2 * g.desc.finite_longest_length - 1
     ring = JRing(g.desc, radius)
     alg = ring.algebra
-    basis = _canonical_basis(ns)
     ball = g.enumerate_ball(max_len)
     passes = fails = 0
     counterexamples = []
@@ -382,12 +380,11 @@ def cmd_phi_check(ns) -> int:
             if len(x.word) + len(y.word) > max_len:
                 continue
             lhs = ring.jta_multiply(ring.phi(x), ring.phi(y))
+            # C_x C_y is carried onto C'_x C'_y by iota (v -> -v^-1, C_w ->
+            # C'_w), a ring map, so both --basis values check this product
             prod = alg.multiply(
-                alg.basis_element(x, basis), alg.basis_element(y, basis), ring.table
+                alg.basis_element(x, "Cprime"), alg.basis_element(y, "Cprime"), ring.table
             )
-            if basis == "Csigned":
-                # iota (v -> -v^-1, C_w -> C'_w) is a ring map onto C'_x C'_y
-                prod = alg.element({w: c.star() for w, c in prod.terms.items()}, "Cprime")
             rhs = ring.phi_of_element(prod)
             if lhs == rhs:
                 passes += 1
@@ -540,7 +537,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return ns.func(ns)
+        code = ns.func(ns)
+        # a reader that stopped early shows here, not in the flush at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: end quietly, with the output pointed at
+        # devnull so the interpreter's flush at exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
     except (UsageError, GroupMismatch, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -21,10 +21,6 @@ class NotInAPlus(HeckejError):
     """A shifted Laurent polynomial still has negative-exponent terms."""
 
 
-class NonInvertibleTerm(HeckejError):
-    """Bar involution applied to an element with no inverse formula."""
-
-
 class DivergentTail(HeckejError):
     """A geometric tail whose ratio does not vanish as q grows."""
 

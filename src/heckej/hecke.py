@@ -35,7 +35,7 @@ import math
 import operator
 from functools import lru_cache, reduce
 
-from .errors import BudgetExceeded, GroupMismatch, HeckejError, NonInvertibleTerm, RadiusExceeded
+from .errors import BudgetExceeded, GroupMismatch, HeckejError, RadiusExceeded
 from .laurent import (
     PACK_W, _DIGIT, Laurent, ONE, ZERO, _accumulate, _addmul, _digit, _mul_raw, _pack, _star_raw, _unpack, _valuation,
 )
@@ -145,17 +145,8 @@ class HeckeElement:
             _accumulate(out, w, c)
         return HeckeElement(self.desc, self.basis, out)
 
-    def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return self + (-other)
-
-    def __neg__(self) -> "HeckeElement":
-        return HeckeElement(self.desc, self.basis, {w: -c for w, c in self.terms.items()})
-
     def scale(self, c: Laurent) -> "HeckeElement":
         return HeckeElement(self.desc, self.basis, {w: c * v for w, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
 
 class HeckeAlgebra:
@@ -233,20 +224,20 @@ class HeckeAlgebra:
     # -- basis conversion --------------------------------------------------
 
     def _to_ttilde_raw(self, h: HeckeElement, table: "KLTable | None") -> dict:
-        """h as a raw ~T vector {(cox_id, omega): coeff}."""
-        g = self.group
+        """h as a raw ~T vector {(cox_id, omega): coeff}; each term's element
+        is checked by the group as its id is read."""
         out: dict = {}
         if h.basis in ("T", "Ttilde"):
             for w, c in h.terms.items():
                 # T_w = v^len(w) ~T_w
                 shift = len(w.word) if h.basis == "T" else 0
-                _addmul_at(out, (g._id_of(w.word), w.omega), c._c, shift=shift)
+                _addmul_at(out, (self.group._element_id(w), w.omega), c._c, shift=shift)
             return out
         if table is None or table.group is not self.group:
             raise ValueError("canonical-basis conversion needs a KL table of this group")
         signed = h.basis == "Csigned"
         for w, c in h.terms.items():
-            for y, cy in table._expansion(table._require(w.word)).items():
+            for y, cy in table._expansion(table._require(w)).items():
                 _addmul_at(out, (y, w.omega), _mul_raw(c._c, _star_raw(cy) if signed else cy))
         return out
 
@@ -266,7 +257,7 @@ class HeckeAlgebra:
                 for key in [k for k in rest if len(words[k[0]]) == length]:
                     i, om = key
                     c = vec[key] = rest.pop(key)
-                    for y, cy in table._expansion(table._require(words[i])).items():
+                    for y, cy in table._expansion(i).items():
                         if y != i:
                             _addmul_at(rest, (y, om), _mul_raw(c, _star_raw(cy) if signed else cy), -1)
         terms = {GroupElement(self.desc, words[i], om): Laurent._raw(c) for (i, om), c in vec.items()}
@@ -313,8 +304,6 @@ class HeckeAlgebra:
         """The semilinear involution v -> v^-1, ~T_w -> (~T_{w^-1})^-1."""
         out: dict = {}
         for (i, om), c in self._to_ttilde_raw(h, table).items():
-            if om != 0 and self.desc.omega_order == 1:
-                raise NonInvertibleTerm(f"no omega part {om} in this group")
             cbar = {-e: x for e, x in c.items()}
             for key, x in self._bar_ttilde_raw(i, om).items():
                 _addmul_at(out, key, _mul_raw(cbar, x))
@@ -458,35 +447,41 @@ class KLTable:
 
     # -- queries -----------------------------------------------------------
 
-    def _require(self, word: tuple[int, ...]) -> int:
-        if len(word) > self.radius:
-            raise RadiusExceeded(f"length {len(word)} beyond table radius {self.radius}")
-        return self.group._id_of(word)
+    def _require(self, w: GroupElement) -> int:
+        """The Coxeter id of a caller's element w, refused past the radius."""
+        wid = self.group._element_id(w)
+        if len(w.word) > self.radius:
+            raise RadiusExceeded(f"length {len(w.word)} beyond table radius {self.radius}")
+        return wid
 
     def kl_polynomial(self, y: GroupElement, w: GroupElement) -> Laurent:
         """P_{y,w} as a polynomial in q, stored on even v-exponents."""
-        wid = self._require(w.word)
+        wid = self._require(w)
+        yid = self.group._element_id(y)
         if y.omega != w.omega:
             return ZERO
-        c = self._coords[wid].get(self.group._id_of(y.word))
+        c = self._coords[wid].get(yid)
         return ZERO if c is None else _p_laurent(c)
 
     def mu(self, y: GroupElement, w: GroupElement) -> int:
-        wid = self._require(w.word)
+        wid = self._require(w)
+        yid = self.group._element_id(y)
         if y.omega != w.omega:
             return 0
-        yid = self.group._id_of(y.word)
         for z, m in self._mu_down[wid]:
             if z == yid:
                 return m
         return 0
 
     def _expansion(self, wid: int) -> dict[int, dict]:
-        """C'_w in ~T coordinates {yid: {exponent: int}}, decoded once."""
+        """C'_w in ~T coordinates {yid: {exponent: int}}, decoded once;
+        refused past the radius."""
         got = self._expansions.get(wid)
         if got is None:
             words = self.group._words
             n = len(words[wid])
+            if n > self.radius:
+                raise RadiusExceeded(f"length {n} beyond table radius {self.radius}")
             got = {
                 y: {2 * k + len(words[y]) - n: c for k, c in _unpack(p, 0).items()}
                 for y, p in self._coords[wid].items()
@@ -595,10 +590,10 @@ class StructureConstants:
     def h_map(self, x: GroupElement, y: GroupElement) -> dict[GroupElement, Laurent]:
         """The finite support {z: h_{x,y,z} != 0} with exact coefficients."""
         g = self.group
-        yid = g._id_of(y.word)
+        xid = g._element_id(x)
+        yid = g._element_id(y)
         if x.omega:
             yid = g._permuted_id(g.omega_perm(x.omega), yid)
-        xid = g._id_of(x.word)
         col = self.column(yid, len(x.word))
         omega = (x.omega + y.omega) % self.desc.omega_order
         out = {}

@@ -325,9 +325,6 @@ class QuadExt:
         self._check(other)
         return QuadExt(self.a0 - other.a0, self.a1 - other.a1, self.q)
 
-    def __neg__(self) -> "QuadExt":
-        return QuadExt(-self.a0, -self.a1, self.q)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return QuadExt(self.a0 * other, self.a1 * other, self.q)
@@ -339,9 +336,6 @@ class QuadExt:
         )
 
     __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return self.a0 == 0 and self.a1 == 0
 
     def norm(self) -> Fraction:
         """Field norm a0^2 - q*a1^2 (zero iff non-invertible)."""

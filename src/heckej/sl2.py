@@ -311,11 +311,12 @@ def schwartz_decay_check(N: int, q_value: Fraction) -> list[tuple[int, Fraction,
     if q_value <= 1:
         raise ValueError("q must be > 1")
     # the values are q^k for -N <= k <= 1; as q > 1, its numerator is the
-    # larger part, and a part of q^k has at most |k| times its bits
+    # larger part, and a part of q^k has at most |k| times its bits.  A
+    # number below 2^bits has more than B digits only if 2^bits has, that
+    # is if bits >= the bit length of 10^B
     bits = max(N, 1) * q_value.numerator.bit_length()
-    digits = math.floor(bits * math.log10(2)) + 1
-    if digits > DECAY_DIGITS_BUDGET:
-        raise BudgetExceeded(f"values of up to {digits} digits exceed {DECAY_DIGITS_BUDGET}")
+    if bits >= (10**DECAY_DIGITS_BUDGET).bit_length():
+        raise BudgetExceeded(f"values of up to {bits} bits exceed {DECAY_DIGITS_BUDGET} digits")
     report = []
     for n in range(-N, N + 1):
         weighted = q_value ** abs(n) * abs(gamma_coefficient(n).eval_q(q_value))

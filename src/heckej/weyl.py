@@ -192,18 +192,26 @@ class WeylGroup:
 
     # -- Coxeter-part machinery ------------------------------------------
 
-    def _check(self, g: GroupElement) -> None:
+    def _element_id(self, g: GroupElement) -> int:
+        """The Coxeter id of a caller's element, and the one test that it is
+        an element of this group: GroupMismatch for an element of another
+        group, ValueError for an omega part or a word this group lacks."""
         if g.desc != self.desc:
             raise GroupMismatch(f"element of {g.desc} used with group {self.desc}")
+        if not 0 <= g.omega < self.desc.omega_order:
+            raise ValueError(f"no omega element {g.omega}")
+        return self._id_of(g.word)
 
     def _id_of(self, word: tuple[int, ...]) -> int:
+        """The Coxeter id of a canonical reduced word; the letters and the
+        form of a word not yet interned are checked by `element`."""
         got = self._index.get(word)
         if got is not None:
             return got
-        i = self._word_id(word)
-        if self._words[i] != word:
+        canonical = self.element(word).word
+        if canonical != word:
             raise ValueError(f"{word} is not a canonical reduced word")
-        return i
+        return self._index[canonical]
 
     def _word_id(self, word, perm=None, i: int = 0) -> int:
         """Coxeter id of the element i followed by the letters perm[s] of word."""
@@ -287,29 +295,26 @@ class WeylGroup:
         return tuple(range(self.rank))
 
     def multiply(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        self._check(a)
-        self._check(b)
+        aid = self._element_id(a)
+        self._element_id(b)
         perm = self.omega_perm(a.omega)
-        i = self._word_id(b.word, perm, self._id_of(a.word))
+        i = self._word_id(b.word, perm, aid)
         omega = (a.omega + b.omega) % self.desc.omega_order
         return GroupElement(self.desc, self._words[i], omega)
 
     def inverse(self, a: GroupElement) -> GroupElement:
-        self._check(a)
+        j = self._inverse_id(self._element_id(a))
         inv_omega = (-a.omega) % self.desc.omega_order
         perm = self.omega_perm(inv_omega)
-        j = self._inverse_id(self._id_of(a.word))
         # (w * om)^-1 = om^-1 * w^-1 = perm(w^-1) * om^-1
         k = self._permuted_id(perm, j)
         return GroupElement(self.desc, self._words[k], inv_omega)
 
     def left_descents(self, a: GroupElement) -> frozenset[int]:
-        self._check(a)
-        return self._ldesc[self._id_of(a.word)]
+        return self._ldesc[self._element_id(a)]
 
     def right_descents(self, a: GroupElement) -> frozenset[int]:
-        self._check(a)
-        inv = self._inverse_id(self._id_of(a.word))
+        inv = self._inverse_id(self._element_id(a))
         base = self._ldesc[inv]
         # right multiplication by s goes through the omega action
         perm = self.omega_perm(a.omega)
@@ -324,9 +329,8 @@ class WeylGroup:
         u = w_J y for J = ldesc(u), where y, the shortest element of W_J u,
         is reached by stripping left descents in J; then x w_J = z y^-1.
         The Omega part of z goes on the right factor."""
-        self._check(z)
+        zid = u = self._element_id(z)
         words, ldesc = self._words, self._ldesc
-        zid = u = self._id_of(z.word)
         while u:
             J, y = ldesc[u], u
             while d := ldesc[y] & J:
@@ -372,19 +376,19 @@ class WeylGroup:
 
     def bruhat_leq(self, y: GroupElement, w: GroupElement) -> bool:
         """Bruhat order; elements with distinct omega parts are incomparable."""
-        self._check(y)
-        self._check(w)
+        yid = self._element_id(y)
+        self._element_id(w)
         if y.omega != w.omega:
             return False
-        return self._bruhat_rec(self._id_of(y.word), w.word, 0)
+        return self._bruhat_rec(yid, w.word, 0)
 
     def bruhat_leq_via_word(self, y: GroupElement, word: tuple[int, ...]) -> bool:
         """Subword-property comparison of y against one reduced word."""
-        self._check(y)
+        yid = self._element_id(y)
         word = tuple(word)
         if len(self.element(word).word) != len(word):
             raise ValueError(f"{word} is not a reduced word")
-        return self._bruhat_rec(self._id_of(y.word), word, 0)
+        return self._bruhat_rec(yid, word, 0)
 
     def _bruhat_rec(self, yid: int, word: tuple[int, ...], pos: int) -> bool:
         # memoless linear scan: either strip the leading letter from both
@@ -415,6 +419,5 @@ def make_group(desc: GroupDescriptor) -> WeylGroup:
 
 
 def bruhat_leq(y: GroupElement, w: GroupElement) -> bool:
-    if y.desc != w.desc:
-        raise GroupMismatch("elements of different groups are incomparable")
+    """Bruhat order in the group of y; GroupMismatch if w is not in it."""
     return make_group(y.desc).bruhat_leq(y, w)

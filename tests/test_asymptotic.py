@@ -164,6 +164,20 @@ def test_j_multiplication_example(a1_ring):
     assert prod.terms == {g.element((0, 1, 0)): 1, g.generator(0): 1}
 
 
+def test_j_product_drops_cancelled_terms(a1_ring):
+    # t_0 t_01 = t_01 and t_010 t_01 = t_01 + t_0101, so the t_01 terms cancel
+    g = a1_ring.group
+    a = a1_ring.j_element({g.generator(0): 1, g.element((0, 1, 0)): -1})
+    prod = a1_ring.j_multiply(a, a1_ring.t(g.element((0, 1))))
+    assert prod.terms == {g.element((0, 1, 0, 1)): -1}
+    assert 0 not in prod.terms.values()
+
+
+def test_negative_radius_refused(a1_desc):
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        JRing(a1_desc, -1)
+
+
 @pytest.mark.parametrize("ring_name", ["a1_ring", "a2_ring", "a1x_ring", "a2x_ring"])
 def test_j_unit_element(ring_name, request):
     # the sum of t_d over distinguished involutions is the unit of J, on
@@ -462,6 +476,9 @@ def test_phi_specialized(a1_ring):
     spec = {str(z): c for z, c in img.items()}
     assert spec["0"].eval_sqrt(Fraction(2)) == Fraction(5, 2)
     assert spec["01"].eval_sqrt(Fraction(2)) == 1
+    for q in (0, -1, Fraction(-1, 4)):
+        with pytest.raises(ValueError, match="q must be positive"):
+            a1_ring.phi_specialized(s0, q)
 
 
 @pytest.mark.parametrize(

@@ -4,10 +4,14 @@ refusals, and KL cache files."""
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import heckej
 from heckej import GroupDescriptor, KLTable, WeylGroup, make_group
 from heckej.asymptotic import JRing
 from heckej.cli import COMMANDS, build_parser, main
@@ -483,3 +487,22 @@ def test_csv_format(capsys):
     code, out, _ = run(capsys, "afn", "--type", "A2~", "--z", "010", "--format", "csv")
     assert code == 0
     assert out.splitlines() == ["# basis=signed certified=True radius=11", "z,a,scan_radius", "010,3,11"]
+
+
+def test_closed_pipe_ends_quietly():
+    """A reader that stops after one line (as `| head -n 1` does) gets exit
+    code 1 and nothing on stderr.  The ball of radius 60 prints about
+    400 kB, more than a pipe holds, so the writer meets the closed pipe."""
+    env = dict(os.environ)
+    src = str(Path(heckej.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "heckej.cli", "group", "--type", "A2~", "--radius", "60"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"# ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b"", err.decode()

@@ -9,10 +9,10 @@ from heckej import (
     BudgetExceeded,
     GroupDescriptor,
     GroupElement,
+    GroupMismatch,
     HeckejError,
     KLTable,
     Laurent,
-    NonInvertibleTerm,
     ONE,
     RadiusExceeded,
     StructureConstants,
@@ -245,8 +245,18 @@ def test_conversion_refusals(a2):
             alg.multiply(alg.unit(basis), alg.unit(basis))
     # an omega part that the unextended group does not have
     stray = alg.element({GroupElement(g.desc, (), 1): ONE}, "Ttilde")
-    with pytest.raises(NonInvertibleTerm):
+    with pytest.raises(ValueError, match="no omega element 1"):
         alg.bar(stray, table)
+
+
+def test_unknown_basis_and_another_algebras_elements(a1, a2):
+    g, alg, table = a1
+    with pytest.raises(ValueError, match="unknown basis 'C'"):
+        alg.basis_element(g.identity, "C")
+    other = a2[1]
+    for h1, h2 in ((other.unit(), alg.unit()), (alg.unit(), other.unit())):
+        with pytest.raises(GroupMismatch):
+            alg.multiply(h1, h2, table)
 
 
 def test_conversion_rejects_table_of_another_group_handle(a1):

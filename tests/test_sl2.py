@@ -375,6 +375,16 @@ def test_schwartz_decay():
         schwartz_decay_check(3, Fraction(1))
 
 
+def test_decay_digit_rule_is_exact():
+    """A value below 2^bits is refused exactly when 2^bits has more than
+    the budgeted digits: bits >= the bit length of 10^budget."""
+    digits = [len(str(1 << bits)) for bits in range(14000)]
+    for budget in (1, 2, 7, 100, 4000):
+        limit = (10**budget).bit_length()
+        for bits, d in enumerate(digits):
+            assert (bits >= limit) == (d > budget), (budget, bits)
+
+
 def test_size_budgets(monkeypatch):
     """Each closed-form request past its size budget is refused before any
     work; the boundary is checked with budgets shrunk to a few cells."""

@@ -215,6 +215,18 @@ def test_bad_letters_and_unreduced_words_rejected():
             g.bruhat_leq_via_word(s0, word)
 
 
+def test_generator_and_omega_element_out_of_range():
+    g = make_group(GroupDescriptor("A2~", extended=True))
+    for i in (-1, 3):
+        with pytest.raises(ValueError, match=f"no generator {i}"):
+            g.generator(i)
+    for k in (-1, 3):
+        with pytest.raises(ValueError, match=f"no omega element {k}"):
+            g.omega_element(k)
+    with pytest.raises(ValueError, match="no omega element 1"):
+        make_group(GroupDescriptor("A2~")).omega_element(1)
+
+
 def test_omega_conjugation_permutes_generators():
     for affine_type in ("A1~", "A2~"):
         desc = GroupDescriptor(affine_type, extended=True)
