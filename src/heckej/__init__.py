@@ -21,7 +21,7 @@ from .errors import (
     RadiusExceeded,
     UnsupportedType,
 )
-from .laurent import ONE, V, VINV, ZERO, Laurent, QuadExt
+from .laurent import ONE, V, VINV, ZERO, Laurent
 from .weyl import GroupDescriptor, GroupElement, WeylGroup, bruhat_leq, make_group
 from .hecke import (
     BASES,
@@ -53,7 +53,6 @@ __all__ = [
     "DepthTooSmall",
     "BudgetExceeded",
     "Laurent",
-    "QuadExt",
     "ZERO",
     "ONE",
     "V",

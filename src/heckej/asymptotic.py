@@ -30,9 +30,11 @@ StructureConstants.scan_min_exponents is only the tests' reference.
 The KL table has radius L + len(w0) - 1, which holds every witness and
 every h_{x,y,z} with len x + len y <= L.  Every gamma, J-product and phi
 image refuses to go past the certified radius instead of silently
-truncating, except jta_multiply: it refuses a factor with a term past L,
-and its product in J tensor A drops each t_z with len(z) > L (the table
-is extended to len x + len y - 1 <= 2L - 1 for it).
+truncating (phi(x) needs len(x) + 2 len(w0) - 1 <= L: its distinguished
+involutions reach length 2 len(w0) - 1), except jta_multiply: it refuses
+a factor with a term past L, and its product in J tensor A drops each
+t_z with len(z) > L (the table is extended to len x + len y - 1 <= 2L - 1
+for it).
 
 One convention.  Every read-off is for the canonical basis C'_w.  The
 basis C_w has structure constants star(h), star being v -> -v^-1, and J
@@ -54,9 +56,9 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import HeckejError, RadiusExceeded
+from .errors import GroupMismatch, HeckejError, RadiusExceeded
 from .hecke import HeckeElement, KLTable, StructureConstants, hecke_algebra
-from .laurent import Laurent, QuadExt, _accumulate, _unpack
+from .laurent import Laurent, _accumulate, _unpack
 from .weyl import GroupDescriptor, GroupElement, make_group
 
 __all__ = ["AValue", "JElement", "JTensorAElement", "JRing"]
@@ -245,7 +247,7 @@ class JRing:
         """Product in J; refused when its support may pass the radius.  With
         signed, in the C convention, through JElement.signed_image."""
         if j1.desc != self.desc or j2.desc != self.desc:
-            raise ValueError("elements of a different group")
+            raise GroupMismatch("elements of a different group")
         self._within(j1.max_length() + j2.max_length(), "product support length")
         if signed:
             return self._product(j1.signed_image(), j2.signed_image()).signed_image()
@@ -277,16 +279,13 @@ class JRing:
 
     def phi(self, x: GroupElement) -> JElement:
         """Image of the canonical basis element C'_x: sum over distinguished
-        d and z in the same a-stratum of h_{x,d,z} t_z (memoized)."""
-        dinvs = self.distinguished_involutions()
-        for d in dinvs:
-            length = len(x.word) + len(d.word)
-            if length > self.radius:  # the message names d only on refusal
-                self._within(length, f"len(x) + len(d) for d = {d}")
+        d and z in the same a-stratum of h_{x,d,z} t_z (memoized).  Needs
+        len(x) + 2 len(w0) - 1, the reach of len(x) + len(d), in the radius."""
+        self._within(len(x.word) + 2 * self.desc.finite_longest_length - 1, "len(x) + 2 len(w0) - 1")
         got = self._phis.get(x)
         if got is None:
             out: dict[GroupElement, Laurent] = {}
-            for d in dinvs:
+            for d in self.distinguished_involutions():
                 ad = self._prove(d).value
                 for z, h in self.constants.h_map(x, d).items():
                     if self._prove(z).value == ad:
@@ -311,41 +310,49 @@ class JRing:
 
     # -- specialization ----------------------------------------------------
 
-    def phi_specialized(self, x: GroupElement, q: Fraction) -> dict[GroupElement, QuadExt]:
+    def phi_specialized(self, x: GroupElement, q: Fraction) -> dict[GroupElement, tuple[Fraction, Fraction]]:
+        """phi(x) at v = q^(1/2): each coefficient as the pair (a0, a1)
+        meaning a0 + a1*sqrt(q) (Laurent.specialize)."""
         q = Fraction(q)
         if q <= 0:
             raise ValueError("q must be positive")
         return {z: c.specialize(q) for z, c in self.phi(x).terms.items()}
 
     def specialized_rank(self, xs: list[GroupElement], q: Fraction) -> int:
-        """Rank of the specialized phi images of the given basis elements.
-
-        For square q the matrix is evaluated at v = +sqrt(q) over Q;
-        otherwise Q[v]/(v^2 - q) is a field and elimination runs there.
-        """
+        """Rank over Q(sqrt q) of the specialized phi images of the given
+        basis elements: for square q at v = +sqrt(q) over Q, otherwise by
+        _quadratic_rank."""
         q = Fraction(q)
         images = [self.phi_specialized(x, q) for x in xs]
         support = dict.fromkeys(z for img in images for z in img)
-        zero = QuadExt(0, 0, q)
-        rows = [[img.get(z, zero) for z in support] for img in images]
+        rows = [[img.get(z, (0, 0)) for z in support] for img in images]
         sqrt_q = _exact_sqrt(q)
-        if sqrt_q is not None:
-            rows = [[v.eval_sqrt(sqrt_q) for v in row] for row in rows]
-        return _rank(rows)
+        if sqrt_q is None:
+            return _quadratic_rank(rows, q)
+        return _rank([[a0 + a1 * sqrt_q for a0, a1 in row] for row in rows])
 
 
 def _exact_sqrt(q: Fraction) -> Fraction | None:
-    num = math.isqrt(q.numerator)
-    den = math.isqrt(q.denominator)
-    if num * num == q.numerator and den * den == q.denominator:
-        return Fraction(num, den)
-    return None
+    root = Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
+    return root if root * root == q else None
+
+
+def _quadratic_rank(rows: list[list[tuple]], q: Fraction) -> int:
+    """Rank over the field Q(sqrt q), q not a square, of rows of pairs
+    (a0, a1) meaning a0 + a1*sqrt(q).  Q(sqrt q) has degree 2 over Q, so a
+    row r = A + sqrt(q) B spans the same Q-space as r and sqrt(q) r, which
+    in the basis 1, sqrt(q) are the rational rows (A | B) and (q B | A);
+    their Q-rank is twice the rank sought."""
+    flat = []
+    for row in rows:
+        a, b = [c[0] for c in row], [c[1] for c in row]
+        flat += [a + b, [q * c for c in b] + a]
+    return _rank(flat) // 2
 
 
 def _rank(rows: list[list]) -> int:
-    """Rank by Gaussian elimination over a field: Fraction, or QuadExt
-    for non-square q."""
-    rows = [list(r) for r in rows]
+    """Rank over Q by Gaussian elimination."""
+    rows = [[Fraction(c) for c in r] for r in rows]
     rank = 0
     cols = len(rows[0]) if rows else 0
     for col in range(cols):

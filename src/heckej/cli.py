@@ -44,7 +44,7 @@ from .errors import (
     UnsupportedType,
 )
 from .hecke import BASES, KLTable, StructureConstants, hecke_algebra
-from .laurent import Laurent, QuadExt
+from .laurent import Laurent
 from .weyl import GroupDescriptor, GroupElement, WeylGroup, make_group
 from . import sl2
 
@@ -118,10 +118,11 @@ def parse_q(text: str) -> Fraction:
     return q
 
 
-def quadext_str(x: QuadExt) -> str:
-    if x.a1 == 0:
-        return str(x.a0)
-    return f"{x.a0} + {x.a1}*sqrt({x.q})"
+def quadext_str(a0: Fraction, a1: Fraction, q: Fraction) -> str:
+    """a0 + a1*sqrt(q), an element of Q(sqrt q), as phi --q prints it."""
+    if a1 == 0:
+        return str(a0)
+    return f"{a0} + {a1}*sqrt({q})"
 
 
 # -- output ----------------------------------------------------------------
@@ -360,7 +361,7 @@ def cmd_phi(ns) -> int:
         emit_terms(ns, meta_for(ns, radius), img.terms, columns)
     else:
         spec = {z: c.specialize(q) for z, c in img.terms.items()}
-        emit_terms(ns, meta_for(ns, radius, q=str(q)), spec, columns, quadext_str)
+        emit_terms(ns, meta_for(ns, radius, q=str(q)), spec, columns, lambda c: quadext_str(*c, q))
     return EXIT_OK
 
 
@@ -381,7 +382,7 @@ def cmd_phi_check(ns) -> int:
                 continue
             lhs = ring.jta_multiply(ring.phi(x), ring.phi(y))
             # C_x C_y is carried onto C'_x C'_y by iota (v -> -v^-1, C_w ->
-            # C'_w), a ring map, so both --basis values check this product
+            # C'_w), a ring map, so this one product checks both conventions
             prod = alg.multiply(
                 alg.basis_element(x, "Cprime"), alg.basis_element(y, "Cprime"), ring.table
             )
@@ -495,7 +496,7 @@ COMMANDS = [
     ("jmul", cmd_jmul, "product t_x t_y in J", "type extended radius x! y! basis"),
     ("dinv", cmd_dinv, "distinguished involutions", "type extended radius"),
     ("phi", cmd_phi, "image of a canonical basis element in J tensor A", "type extended radius x! q basis"),
-    ("phi-check", cmd_phi_check, "verify multiplicativity of phi", "type extended max-len basis"),
+    ("phi-check", cmd_phi_check, "verify multiplicativity of phi", "type extended max-len"),
     ("sl2", None, "SL(2) volumes, convolutions, oracles", ""),
     ("sl2 gamma", cmd_sl2_gamma, "cell coefficient of f", "n!"),
     ("sl2 volume", cmd_sl2_volume, "vol(K x_n I)/vol(K)", "n!"),

@@ -1,9 +1,9 @@
 """Exact Laurent polynomials in v over arbitrary-precision integers.
 
 The coefficient ring for everything in this package is Z[v, v^-1],
-stored sparsely as {exponent: coefficient}.  A second small type,
-QuadExt, represents a0 + a1*v with v^2 = q for an exact rational q;
-it is the target of specialization at v = q^(1/2).
+stored sparsely as {exponent: coefficient}.  Specialization at
+v = q^(1/2), for an exact rational q > 0, lands in Q(sqrt q) and is
+returned as the pair of rationals (a0, a1) meaning a0 + a1*sqrt(q).
 
 The module-level helpers below are the sparse arithmetic on raw
 {exponent: int} dicts; Laurent wraps them, and the Hecke-algebra code
@@ -20,7 +20,7 @@ from collections.abc import Iterable, Iterator, Mapping
 
 from .errors import NotInAPlus
 
-__all__ = ["Laurent", "QuadExt", "ZERO", "ONE", "V", "VINV"]
+__all__ = ["Laurent", "ZERO", "ONE", "V", "VINV"]
 
 
 # -- raw sparse arithmetic (dicts {exp: int}, zero-free) --------------------
@@ -230,8 +230,9 @@ class Laurent:
 
     # -- evaluation -------------------------------------------------------
 
-    def specialize(self, q: Fraction) -> "QuadExt":
-        """Evaluate at v = q^(1/2): even powers land in a0, odd in a1*v."""
+    def specialize(self, q: Fraction) -> tuple[Fraction, Fraction]:
+        """Evaluate at v = q^(1/2), as the pair (a0, a1) meaning
+        a0 + a1*sqrt(q): even powers land in a0, odd ones in a1."""
         q = Fraction(q)
         if q <= 0:
             raise ValueError("specialization requires q > 0")
@@ -242,7 +243,7 @@ class Laurent:
                 a0 += c * q ** (e // 2)
             else:
                 a1 += c * q ** ((e - 1) // 2)
-        return QuadExt(a0, a1, q)
+        return a0, a1
 
     def eval_q(self, q: Fraction) -> Fraction:
         """Evaluate as a polynomial in q = v^2; all exponents must be even."""
@@ -298,74 +299,3 @@ ONE = Laurent._raw({0: 1})
 V = Laurent._raw({1: 1})
 VINV = Laurent._raw({-1: 1})
 
-
-class QuadExt:
-    """An element a0 + a1*v of Q[v]/(v^2 - q), q an exact positive rational.
-
-    This is a field when q is not a square in Q; for square q it still
-    represents the specialization exactly (no folding of v into Q).
-    """
-
-    __slots__ = ("a0", "a1", "q")
-
-    def __init__(self, a0, a1, q):
-        self.a0 = Fraction(a0)
-        self.a1 = Fraction(a1)
-        self.q = Fraction(q)
-
-    def _check(self, other: "QuadExt") -> None:
-        if self.q != other.q:
-            raise ValueError("mixed specialization points")
-
-    def __add__(self, other: "QuadExt") -> "QuadExt":
-        self._check(other)
-        return QuadExt(self.a0 + other.a0, self.a1 + other.a1, self.q)
-
-    def __sub__(self, other: "QuadExt") -> "QuadExt":
-        self._check(other)
-        return QuadExt(self.a0 - other.a0, self.a1 - other.a1, self.q)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QuadExt(self.a0 * other, self.a1 * other, self.q)
-        self._check(other)
-        return QuadExt(
-            self.a0 * other.a0 + self.q * self.a1 * other.a1,
-            self.a0 * other.a1 + self.a1 * other.a0,
-            self.q,
-        )
-
-    __rmul__ = __mul__
-
-    def norm(self) -> Fraction:
-        """Field norm a0^2 - q*a1^2 (zero iff non-invertible)."""
-        return self.a0 * self.a0 - self.q * self.a1 * self.a1
-
-    def inverse(self) -> "QuadExt":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("non-invertible element of the quadratic extension")
-        return QuadExt(self.a0 / n, -self.a1 / n, self.q)
-
-    def __truediv__(self, other: "QuadExt") -> "QuadExt":
-        return self * other.inverse()
-
-    def eval_sqrt(self, sqrt_q: Fraction) -> Fraction:
-        """Collapse to Q using an exact square root of q (square q only)."""
-        sqrt_q = Fraction(sqrt_q)
-        if sqrt_q * sqrt_q != self.q:
-            raise ValueError("not an exact square root of q")
-        return self.a0 + self.a1 * sqrt_q
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.a1 == 0 and self.a0 == other
-        if not isinstance(other, QuadExt):
-            return NotImplemented
-        return self.q == other.q and self.a0 == other.a0 and self.a1 == other.a1
-
-    def __hash__(self) -> int:
-        return hash((self.a0, self.a1, self.q))
-
-    def __repr__(self) -> str:
-        return f"QuadExt({self.a0}, {self.a1}, q={self.q})"

@@ -8,6 +8,7 @@ import pytest
 
 from heckej import (
     GroupDescriptor,
+    GroupMismatch,
     HeckejError,
     JRing,
     KLTable,
@@ -21,6 +22,7 @@ from heckej import (
     hecke_algebra,
     make_group,
 )
+from heckej.asymptotic import _quadratic_rank
 from heckej.laurent import _unpack
 
 
@@ -287,8 +289,9 @@ def test_refusals_run_before_the_memos(a1_desc, a2_desc):
     for _ in range(2):
         with pytest.raises(RadiusExceeded):
             ring.j_multiply(tx, ty)
-    # phi(e) memoizes the a-values of every d; phi(s0) still passes len(x) + len(d)
-    small = JRing(a2_desc, 3)
+    # phi(e) memoizes the a-values of every d; phi(s0) still passes
+    # len(x) + 2 len(w0) - 1
+    small = JRing(a2_desc, 5)
     small.phi(small.group.identity)
     s0 = small.group.generator(0)
     for _ in range(2):
@@ -315,7 +318,7 @@ def test_certified_radius_refusals(a1_desc, a2_desc):
     with pytest.raises(RadiusExceeded):
         ring.distinguished_involutions(ring.radius + 1)
     other = JRing(a2_desc, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(GroupMismatch):
         ring.j_multiply(ring.t(s0), other.t(other.group.identity))
 
 
@@ -343,7 +346,7 @@ def test_jta_multiply_refuses_a_factor_past_radius(a1_desc):
     for a, b in ((long, short), (short, long)):
         with pytest.raises(RadiusExceeded, match=r"^factor length = 3 beyond certified radius 2$"):
             ring.jta_multiply(a, b)
-    # phi(x) needs len(x) + len(d) <= L for every distinguished d
+    # phi(x) needs len(x) + 2 len(w0) - 1 <= L
     ball = g.enumerate_ball(ring.radius - max(len(d) for d in ring.distinguished_involutions()))
     for x in ball:
         for y in ball:
@@ -442,7 +445,8 @@ def test_signed_read_offs_match_the_star_path(a2_ring, monkeypatch):
 def test_phi_is_multiplicative_a1(a1_ring, signed):
     """phi(C'_x) phi(C'_y) = phi(C'_x C'_y); with signed, the product is
     taken in the basis C_w and carried to C' by iota (v -> -v^-1,
-    C_w -> C'_w), as phi-check --basis signed does."""
+    C_w -> C'_w), the ring map by which phi-check's one product in C'
+    checks the C_w convention too."""
     g = a1_ring.group
     alg = a1_ring.algebra
     basis = "Csigned" if signed else "Cprime"
@@ -463,19 +467,55 @@ def test_phi_is_multiplicative_a1(a1_ring, signed):
 def test_phi_refuses_past_radius(a2_desc):
     small = JRing(a2_desc, 3)
     g = small.group
-    # distinguished involutions reach length 3 within this radius, so
-    # arguments of length 1 already overflow len(x) + len(d)
-    with pytest.raises(RadiusExceeded, match=r"^len\(x\) \+ len\(d\) for d = 010 = 4 beyond certified radius 3$"):
-        small.phi(g.generator(0))
+    # distinguished involutions reach length 2 len(w0) - 1 = 5, so even
+    # phi(e) overflows the radius
+    for x, length in ((g.identity, 5), (g.generator(0), 6)):
+        with pytest.raises(RadiusExceeded, match=rf"^len\(x\) \+ 2 len\(w0\) - 1 = {length} beyond certified radius 3$"):
+            small.phi(x)
+
+
+@pytest.mark.parametrize("extended", [False, True])
+def test_phi_answers_only_whole_images(a2_desc, extended):
+    """At every radius r <= 6, phi(x) is refused or equals the image at
+    radius 10, cut to len <= r.  On A2~ the distinguished involutions
+    01210, 10201 and 20102 have length 5 and add terms of length <= r
+    even where len(x) + 5 > r: phi(0) at radius 4 lacks t_0102 and t_0201
+    if it answers."""
+    desc = GroupDescriptor("A2~", extended)
+    ref = JRing(desc, 10)
+    answered = 0
+    for r in range(7):
+        ring = JRing(desc, r)
+        for x in ring.group.enumerate_ball(r):
+            try:
+                img = ring.phi(x)
+            except RadiusExceeded:
+                continue
+            answered += 1
+            cut = {z: c for z, c in ref.phi(x).terms.items() if len(z.word) <= r}
+            assert img.terms == cut, (r, x)
+    # phi(e) at radius 5 and 6, and phi(x) for len(x) = 1 at radius 6,
+    # each for the 3 Omega parts of the extended group
+    assert answered == (15 if extended else 5)
+
+
+@pytest.mark.parametrize("affine_type, count", [("A1~", 3), ("A2~", 10)])
+def test_distinguished_involutions_are_short(affine_type, count):
+    """One distinguished involution per left cell: 3 on A1~ and 10 on A2~
+    (Lusztig 1985; Shi, LNM 1179), all of length <= 2 len(w0) - 1, the
+    bound phi relies on."""
+    desc = GroupDescriptor(affine_type)
+    dinv = JRing(desc, 14).distinguished_involutions()
+    assert len(dinv) == count
+    assert max(len(d.word) for d in dinv) == 2 * desc.finite_longest_length - 1
 
 
 def test_phi_specialized(a1_ring):
     g = a1_ring.group
     s0 = g.generator(0)
     img = a1_ring.phi_specialized(s0, Fraction(4))
-    spec = {str(z): c for z, c in img.items()}
-    assert spec["0"].eval_sqrt(Fraction(2)) == Fraction(5, 2)
-    assert spec["01"].eval_sqrt(Fraction(2)) == 1
+    spec = {str(z): a0 + 2 * a1 for z, (a0, a1) in img.items()}
+    assert spec == {"0": Fraction(5, 2), "01": 1}
     for q in (0, -1, Fraction(-1, 4)):
         with pytest.raises(ValueError, match="q must be positive"):
             a1_ring.phi_specialized(s0, q)
@@ -491,6 +531,16 @@ def test_specialized_rank_full_a1(a1_ring, q, repeated):
     # a repeated element adds a dependent row: the rank counts distinct elements
     xs = ball + ball[-1:] if repeated else ball
     assert a1_ring.specialized_rank(xs, q) == len(ball)
+
+
+def test_quadratic_rank_over_q_sqrt_2():
+    """Rows of pairs (a0, a1) = a0 + a1*sqrt(2): a row alone, a row and
+    its multiple by sqrt(2), and two independent rows."""
+    q = Fraction(2)
+    one, root2, two = (1, 0), (0, 1), (2, 0)
+    assert _quadratic_rank([[one, root2]], q) == 1
+    assert _quadratic_rank([[one, root2], [root2, two]], q) == 1
+    assert _quadratic_rank([[one, root2], [one, (0, 0)]], q) == 2
 
 
 def test_extended_j_ring(a1_desc):

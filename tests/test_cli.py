@@ -257,9 +257,7 @@ def test_dinv(capsys):
 
 
 def test_phi_check_passes(capsys):
-    code, out, _ = run(
-        capsys, "phi-check", "--type", "A1~", "--max-len", "3", "--basis", "unsigned",
-    )
+    code, out, _ = run(capsys, "phi-check", "--type", "A1~", "--max-len", "3")
     assert code == 0
     last = out.strip().splitlines()[-1]
     assert last.startswith("RESULT pass=") and last.endswith("fail=0")
@@ -270,6 +268,20 @@ def test_phi_check_passes(capsys):
         {"z": "0", "coefficient": "v^-1 + v"},
         {"z": "01", "coefficient": "1"},
     ]
+
+
+def test_phi_specialized_at_a_non_square(capsys):
+    """At q = 2, sqrt(q) is not rational and stays in the printed value."""
+    code, out, _ = run(capsys, "phi", "--type", "A1~", "--x", "0", "--q", "2")
+    assert code == 0
+    assert out.splitlines()[2:] == ["0   0 + 3/2*sqrt(2)", "01  1              "]
+
+
+def test_phi_refuses_a_radius_short_of_its_image(capsys):
+    """phi(0) on A2~ reaches the distinguished involutions of length 5."""
+    code, out, err = run(capsys, "phi", "--type", "A2~", "--x", "0", "--radius", "4")
+    assert code == 3 and out == ""
+    assert err == "refused: len(x) + 2 len(w0) - 1 = 6 beyond certified radius 4\n"
 
 
 def test_sl2_subcommands(capsys):
@@ -445,7 +457,7 @@ FLAG_READERS = {
     "--extended": GROUP_COMMANDS,
     "--radius 7": GROUP_COMMANDS - {"afn", "phi-check"},
     "--cache-dir d": {"kl", "hmul", "hconst"},
-    "--basis unsigned": {"hmul", "hconst", "gamma", "jmul", "phi", "phi-check"},
+    "--basis unsigned": {"hmul", "hconst", "gamma", "jmul", "phi"},
 }
 
 
