@@ -84,11 +84,11 @@ def parse_element(group: WeylGroup, text: str) -> GroupElement:
     """Generator-index string with optional '@k' omega suffix; '' or 'e'
     is the identity ("010" = s0 s1 s0, "01@1" = s0 s1 followed by omega)."""
     text = text.strip()
-    body, _, om_part = text.partition("@")
+    body, at, om_part = text.partition("@")
     # isdigit alone admits every Unicode decimal digit, and '²' besides
-    if om_part and not (om_part.isascii() and om_part.isdigit()):
+    if at and not (om_part.isascii() and om_part.isdigit()):
         raise UsageError(f"bad omega suffix in element {text!r}")
-    omega = int(om_part) if om_part else 0
+    omega = int(om_part) if at else 0
     if body in ("", "e"):
         word: tuple[int, ...] = ()
     else:
@@ -109,6 +109,14 @@ def _xy(ns, group: WeylGroup) -> tuple[GroupElement, GroupElement, int]:
 
 
 def parse_q(text: str) -> Fraction:
+    """An exact positive rational such as 4, 9/4 or 1e3.  Fraction writes
+    out 10^|k| for an exponent k, so a text longer than
+    sl2.DECAY_DIGITS_BUDGET, or with an exponent past it, is refused first."""
+    budget = sl2.DECAY_DIGITS_BUDGET
+    # an exponent that is not an int leaves the error to Fraction
+    with contextlib.suppress(ValueError):
+        if len(text) > budget or abs(int(text.lower().partition("e")[2] or 0)) > budget:
+            raise BudgetExceeded(f"q {text[:20]!r} needs more than {budget} digits")
     try:
         q = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

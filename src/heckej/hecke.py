@@ -9,8 +9,9 @@ canonical basis is
 
 and the basis C_w (`Csigned`) replaces each coefficient c(v) by
 c(-v^-1), which gives the alternating-sign form with P_{y,w}(v^-2).
-Both are fixed by the bar involution.  The table checks only
-unitriangularity; bar invariance is certified in tests/test_hecke.py.
+Both are fixed by the bar involution, the ~T product recursion run with
+inverse generators ~T_s^-1.  The table checks only unitriangularity; bar
+invariance is certified in tests/test_hecke.py.
 
 Internally every Hecke-algebra vector is a raw ~T vector
 {(cox_id, omega): coeff}, the coefficients being the zero-free
@@ -83,11 +84,6 @@ def _addmul_at(dst: dict, key, src: dict, k: int = 1, shift: int = 0) -> None:
         del dst[key]
 
 
-def _vec_addmul(dst: dict, src: dict, k: int = 1, shift: int = 0) -> None:
-    for key, c in src.items():
-        _addmul_at(dst, key, c, k, shift)
-
-
 @lru_cache(maxsize=None)
 def _spill_mask(ndigits: int, t: int) -> int:
     """Bits t..PACK_W-1 of each of the lowest ndigits packed digits."""
@@ -155,7 +151,6 @@ class HeckeAlgebra:
     def __init__(self, group: WeylGroup):
         self.group = group
         self.desc = group.desc
-        self._bar_ttilde: dict[tuple, dict] = {}
 
     # -- constructors -----------------------------------------------------
 
@@ -170,17 +165,19 @@ class HeckeAlgebra:
 
     # -- internal ~T-basis product ---------------------------------------
 
-    def _lmul_gen_raw(self, s: int, vec: dict) -> dict:
-        """~T_s times a raw vector {(cox_id, omega): coeff}."""
+    def _lmul_gen_raw(self, s: int, vec: dict, inverse: bool) -> dict:
+        """~T_s, or with inverse ~T_s^-1 = ~T_s - (v - v^-1), times a raw vector
+        {(cox_id, omega): coeff}; ~T_w goes to ~T_{sw} + (v - v^-1) ~T_w if sw < w,
+        and ~T_s^-1 moves that term to sw > w with the opposite sign."""
         g = self.group
+        k = -1 if inverse else 1
         out: dict = {}
         for (i, om), c in vec.items():
             j = g._lmul(s, i)
             _addmul_at(out, (j, om), c)
-            if len(g._words[j]) < len(g._words[i]):
-                # descent: extra (v - v^-1) ~T_w term
-                _addmul_at(out, (i, om), c, shift=1)
-                _addmul_at(out, (i, om), c, -1, shift=-1)
+            if (len(g._words[j]) < len(g._words[i])) != inverse:
+                _addmul_at(out, (i, om), c, k, shift=1)
+                _addmul_at(out, (i, om), c, -k, shift=-1)
         return out
 
     def _lmul_omega_raw(self, k: int, vec: dict) -> dict:
@@ -193,7 +190,7 @@ class HeckeAlgebra:
             _addmul_at(out, (g._permuted_id(perm, i), (k + om) % g.desc.omega_order), c)
         return out
 
-    def _mul_ttilde_raw(self, vec1: dict, vec2: dict) -> dict:
+    def _mul_ttilde_raw(self, vec1: dict, vec2: dict, inverse: bool = False) -> dict:
         """vec1 * vec2 as the sum of c * (~T_w ~T_omega vec2) over the terms
         c ~T_w ~T_omega of vec1.  Each piece ~T_w ~T_omega vec2 is
         ~T_s (~T_{sw} ~T_omega vec2) for the first letter s of w, built once
@@ -203,12 +200,12 @@ class HeckeAlgebra:
         pieces: dict = {}
         out: dict = {}
         for key, c in vec1.items():
-            for key2, c2 in self._ttilde_piece(pieces, key, vec2).items():
+            for key2, c2 in self._ttilde_piece(pieces, key, vec2, inverse).items():
                 _addmul_at(out, key2, _mul_raw(c, c2))
         return out
 
-    def _ttilde_piece(self, pieces: dict, key: tuple[int, int], vec2: dict) -> dict:
-        """~T_w ~T_omega vec2 for key = (id of w, omega), memoized in pieces."""
+    def _ttilde_piece(self, pieces: dict, key: tuple[int, int], vec2: dict, inverse: bool) -> dict:
+        """~T_w ~T_omega vec2 for key = (id of w, omega), each ~T_s inverted with inverse; memoized in pieces."""
         got = pieces.get(key)
         if got is None:
             i, om = key
@@ -216,8 +213,8 @@ class HeckeAlgebra:
                 got = self._lmul_omega_raw(om, vec2)
             else:
                 s = self.group._words[i][0]
-                below = self._ttilde_piece(pieces, (self.group._lmul(s, i), om), vec2)
-                got = self._lmul_gen_raw(s, below)
+                below = self._ttilde_piece(pieces, (self.group._lmul(s, i), om), vec2, inverse)
+                got = self._lmul_gen_raw(s, below, inverse)
             pieces[key] = got
         return got
 
@@ -279,34 +276,12 @@ class HeckeAlgebra:
 
     # -- bar involution ----------------------------------------------------
 
-    def _bar_ttilde_raw(self, i: int, om: int) -> dict:
-        """bar(~T_w) = (~T_{w^-1})^-1 as a raw vector, memoized per Coxeter id."""
-        g = self.group
-        key = (i, om)
-        got = self._bar_ttilde.get(key)
-        if got is not None:
-            return got
-        word = g._words[i]
-        if not word:
-            vec = {(0, om): {0: 1}}
-        else:
-            s = word[0]
-            u = g._lmul(s, i)
-            # bar(~T_w) = ~T_s^-1 * bar(~T_u),  ~T_s^-1 = ~T_s - (v - v^-1)
-            inner = self._bar_ttilde_raw(u, om)
-            vec = self._lmul_gen_raw(s, inner)
-            _vec_addmul(vec, inner, -1, shift=1)
-            _vec_addmul(vec, inner, 1, shift=-1)
-        self._bar_ttilde[key] = vec
-        return vec
-
     def bar(self, h: HeckeElement, table: "KLTable | None" = None) -> HeckeElement:
-        """The semilinear involution v -> v^-1, ~T_w -> (~T_{w^-1})^-1."""
-        out: dict = {}
-        for (i, om), c in self._to_ttilde_raw(h, table).items():
-            cbar = {-e: x for e, x in c.items()}
-            for key, x in self._bar_ttilde_raw(i, om).items():
-                _addmul_at(out, key, _mul_raw(cbar, x))
+        """The semilinear involution v -> v^-1, ~T_w -> (~T_{w^-1})^-1.  As
+        bar(~T_w ~T_omega) = ~T_{s1}^-1 ... ~T_{sk}^-1 ~T_omega for w = s1...sk,
+        it is the product of h's barred coefficients with the unit, with inverse steps."""
+        barred = {key: {-e: x for e, x in c.items()} for key, c in self._to_ttilde_raw(h, table).items()}
+        out = self._mul_ttilde_raw(barred, {(0, 0): {0: 1}}, inverse=True)
         return self._from_ttilde_raw(out, h.basis, table)
 
 

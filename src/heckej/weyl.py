@@ -181,13 +181,17 @@ class WeylGroup:
         return GroupElement(self.desc, (), k)
 
     def element(self, word, omega: int = 0) -> GroupElement:
-        """Build an element from an arbitrary (not necessarily reduced) word."""
+        """Build an element from an arbitrary (not necessarily reduced) word.
+        Each prefix of the word is interned, so a word longer than the
+        radius of the largest ball within BALL_BUDGET is refused first."""
         word = [int(s) for s in word]
         for s in word:
             if not 0 <= s < self.rank:
                 raise ValueError(f"no generator {s} in type {self.desc.affine_type}")
         if not 0 <= omega < self.desc.omega_order:
             raise ValueError(f"no omega element {omega}")
+        if not _ball_fits(self.desc, len(word)):
+            raise BudgetExceeded(f"a word of {len(word)} letters may leave a ball of {BALL_BUDGET} elements")
         return GroupElement(self.desc, self._words[self._word_id(word)], omega)
 
     # -- Coxeter-part machinery ------------------------------------------
@@ -349,11 +353,8 @@ class WeylGroup:
         A ball past BALL_BUDGET is refused before any enumeration."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        size = 0
-        for n in range(radius + 1):
-            size += _stratum_size(self.desc, n)
-            if size * self.desc.omega_order > BALL_BUDGET:
-                raise BudgetExceeded(f"a ball of radius {radius} has over {BALL_BUDGET} elements")
+        if not _ball_fits(self.desc, radius):
+            raise BudgetExceeded(f"a ball of radius {radius} has over {BALL_BUDGET} elements")
         strata = [[0]]
         for _ in range(radius):
             nxt = []
@@ -410,6 +411,17 @@ def _stratum_size(desc: GroupDescriptor, n: int) -> int:
     if n == 0:
         return 1
     return 2 if desc.affine_type == "A1~" else 3 * n
+
+
+def _ball_fits(desc: GroupDescriptor, radius: int) -> bool:
+    """Whether ball(radius), Coxeter parts times omega parts, has at most
+    BALL_BUDGET elements; counted from the length series, stopping at the budget."""
+    size = 0
+    for n in range(radius + 1):
+        size += _stratum_size(desc, n)
+        if size * desc.omega_order > BALL_BUDGET:
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ import pytest
 import heckej
 from heckej import GroupDescriptor, KLTable, WeylGroup, make_group
 from heckej.asymptotic import JRing
-from heckej.cli import COMMANDS, build_parser, main
+from heckej.cli import COMMANDS, build_parser, main, parse_q
 
 
 def run(capsys, *argv):
@@ -359,6 +360,21 @@ def test_sl2_size_budgets(capsys):
         assert code == 0 and out.strip().endswith("RESULT pass=2001 fail=0"), q
 
 
+def test_q_digit_budget(capsys):
+    """A q whose text needs more than sl2.DECAY_DIGITS_BUDGET digits is
+    refused before Fraction writes it out; ordinary rationals still parse."""
+    for argv in (
+        ("phi", "--type", "A1~", "--x", "0", "--q", "1e10000000"),
+        ("sl2", "decay", "--q", "1e10000000", "--N", "6"),
+    ):
+        started = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and err.startswith("refused: ") and len(err.splitlines()) == 1, argv
+        assert time.perf_counter() - started < 5, argv
+    for text, q in (("4", 4), ("9/4", Fraction(9, 4)), ("7/5", Fraction(7, 5)), ("1e3", 1000)):
+        assert parse_q(text) == q
+
+
 def test_kl_table_budget(capsys, cache):
     """KL tables past the entry budget are refused before any work."""
     for argv in (
@@ -416,6 +432,7 @@ def test_usage_errors(capsys):
         ("kl", "--type", "A1~", "--y", "", "--w", "010", "--radius", "-1"),
         ("kl", "--type", "A1~", "--y", "", "--w", "010", "--radius", "2"),  # below len(w)
         ("kl", "--type", "A1~", "--extended", "--y", "0@x", "--w", "0"),  # bad omega suffix
+        ("jmul", "--type", "A1~", "--extended", "--x", "0@", "--y", "1"),  # empty omega suffix
         # only ASCII digits: int() reads every Unicode decimal digit, and
         # isdigit() passes '²' as well
         ("jmul", "--type", "A1~", "--x", "٠١", "--y", "10"),

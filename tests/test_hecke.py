@@ -144,6 +144,28 @@ def test_canonical_basis_is_bar_invariant_a2(a2, signed):
         assert alg.bar(c, table) == c
 
 
+@pytest.mark.parametrize("fixture", ["a1x", "a2x"])
+def test_bar_on_the_extended_groups(fixture, request):
+    """bar, whose recursion ends in an Omega part, is a multiplicative
+    involution fixing C'_w on the Omega-extended groups too."""
+    g, alg, table = request.getfixturevalue(fixture)
+    rng = random.Random(11)
+    ball = g.enumerate_ball(3)
+
+    def sample():
+        terms = {w: Laurent({rng.randint(-2, 2): rng.randint(-3, 3)}) for w in rng.sample(ball, 3)}
+        return alg.element(terms, "Ttilde")
+
+    for _ in range(10):
+        h1, h2 = sample(), sample()
+        bar1, bar2 = alg.bar(h1, table), alg.bar(h2, table)
+        assert alg.bar(alg.multiply(h1, h2), table) == alg.multiply(bar1, bar2)
+        assert alg.bar(bar1, table) == h1
+    for w in g.enumerate_ball(6):
+        c = c_basis_element(alg, table, w, False)
+        assert alg.bar(c, table) == c
+
+
 def test_kl_polynomial_normalization(a2):
     g, alg, table = a2
     e = g.identity

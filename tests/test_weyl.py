@@ -190,6 +190,8 @@ def test_interning_cost_is_linear(monkeypatch):
         return mat_mul(a, b)
 
     monkeypatch.setattr(heckej.weyl, "_mat_mul", counted)
+    # a word of 1,200 letters is past the radius of the default ball budget
+    monkeypatch.setattr(heckej.weyl, "BALL_BUDGET", 3 * 10**6)
     g = WeylGroup(GroupDescriptor("A2~"))
     w = g.element((0, 1, 2) * 400)
     assert len(w.word) == 1200
@@ -388,3 +390,16 @@ def test_ball_budget(monkeypatch, affine_type, extended, radius):
     monkeypatch.setattr(heckej.weyl, "BALL_BUDGET", size - 1)
     with pytest.raises(BudgetExceeded):
         fresh.enumerate_ball(radius)
+
+
+def test_long_word_refused_before_interning():
+    """A word longer than the radius of the largest ball within BALL_BUDGET
+    (81 on A2~) is refused before any prefix of it is interned."""
+    g = make_group(GroupDescriptor("A2~"))
+    assert len(g.element((0, 1, 2) * 27).word) == 81
+    interned = len(g._words)
+    with pytest.raises(BudgetExceeded):
+        g.element((0, 1, 2) * 100)
+    assert len(g._words) == interned
+    with pytest.raises(BudgetExceeded):
+        g.element((0, 1, 2) * 27 + (0,))
