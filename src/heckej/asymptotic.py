@@ -40,14 +40,25 @@ One convention.  Every read-off is for the canonical basis C'_w.  The
 basis C_w has structure constants star(h), star being v -> -v^-1, and J
 in its convention is the image of this one under JElement.signed_image.
 (h is bar-invariant with exponents of the parity of len x + len y +
-len z, so the gammas of the two conventions differ by that sign.)
+len z, so the gammas of the two conventions differ by that sign.)  The
+signed J product is therefore no second read-off: star is an involutive
+ring automorphism and gamma an integer, so tau o star of the product of
+the images of sum c1 t_x and sum c2 t_y is sum (-1)^(len x + len y +
+len z) c1 c2 gamma_{x,y,z} t_z, for integer and Laurent c1, c2 alike.
+
+Read-off.  gamma_{x,y,z} is one digit of the packed h_{x,y,z} in the
+row that StructureConstants._row hands out (h_map decodes the same row
+whole): digit -a(z), after the valuation (the digit of the lowest set
+bit) shows no term below v^-a(z); NotInAPlus otherwise.  A witness of
+a(z) is checked on the same row by its valuation.
 
 Memoization.  A ring computes each read-off once: the proved a(z) per
-z, its distinguished involutions, the gammas of each (x, y) and the phi
-image of each x.  Every refusal runs before a memo is read, and only
-successful results are stored, so a call that raised raises again; the
-memos are bounded by the certified radius.  Callers get copies, apart
-from the immutable AValue of a proof.
+z, its distinguished involutions, the gammas of each (x, y), stored
+with their signs (-1)^(len x + len y + len z) gamma for the signed
+product, and the phi image of each x.  Every refusal runs before a memo
+is read, and only successful results are stored, so a call that raised
+raises again; the memos are bounded by the certified radius.  Callers
+get copies, apart from the immutable AValue of a proof.
 """
 
 from __future__ import annotations
@@ -56,9 +67,9 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import GroupMismatch, HeckejError, RadiusExceeded
+from .errors import GroupMismatch, HeckejError, NotInAPlus, RadiusExceeded
 from .hecke import HeckeElement, KLTable, StructureConstants, hecke_algebra
-from .laurent import Laurent, _accumulate, _unpack
+from .laurent import Laurent, _accumulate, _digit, _unpack, _valuation
 from .weyl import GroupDescriptor, GroupElement, make_group
 
 __all__ = ["AValue", "JElement", "JTensorAElement", "JRing"]
@@ -140,7 +151,7 @@ class JRing:
         # read-offs, computed once per ring and stored only on success
         self._dinv: list[GroupElement] | None = None
         self._proofs: dict[GroupElement, AValue] = {}
-        self._gammas: dict[tuple, tuple[tuple[GroupElement, int], ...]] = {}
+        self._gammas: dict[tuple, tuple[tuple[GroupElement, int, int], ...]] = {}
         self._phis: dict[GroupElement, tuple[tuple[GroupElement, Laurent], ...]] = {}
 
     # -- a-function --------------------------------------------------------
@@ -166,13 +177,10 @@ class JRing:
                 # and A2~ that is every J of two or more elements, so each one
                 # was a singleton and z has a unique reduced word
                 certificate, value, witness = "unique-word", 1, (g.generator(z.word[0]), z)
-            # x has no Omega part and y the Omega part of z, so h_{x,y,z} is
-            # read off the packed column of the Coxeter part of y
             x, y = witness
-            col = self.constants.column(g._id_of(y.word), len(x))
-            h = _unpack(col[g._id_of(x.word)].get(zid, 0))
-            if min(h, default=None) != -value:
-                raise HeckejError(f"witness ({x}, {y}) of a({z}) = {value} gives h = {Laurent._raw(h)}")
+            h = self.constants._row(x, y)[0].get(zid, 0)
+            if not h or _valuation(h) != -value:
+                raise HeckejError(f"witness ({x}, {y}) of a({z}) = {value} gives h = {Laurent._raw(_unpack(h))}")
         got = self._proofs[z] = AValue(
             z, value, certification_bound(self.desc, len(z.word)), True, certificate, witness
         )
@@ -191,20 +199,29 @@ class JRing:
 
     # -- gamma constants ---------------------------------------------------
 
-    def _gamma_terms(self, x: GroupElement, y: GroupElement) -> tuple[tuple[GroupElement, int], ...]:
-        """The pairs (z, gamma_{x,y,z}) with gamma nonzero, each the constant
-        term of v^a(z) h_{x,y,z}, for the z of h_{x,y,.} within the certified
-        radius (memoized).  A pair past the radius (from jta_multiply)
-        extends the table, never past 2L - 1."""
+    def _gamma_terms(self, x: GroupElement, y: GroupElement) -> tuple[tuple[GroupElement, int, int], ...]:
+        """The triples (z, gamma_{x,y,z}, (-1)^(len x + len y + len z) gamma_{x,y,z})
+        with gamma nonzero, for the z of h_{x,y,.} within the certified
+        radius (memoized).  gamma is digit -a(z) of the packed h_{x,y,z},
+        which must lie in v^-a(z) Z[v] (NotInAPlus otherwise).  A pair past
+        the radius (from jta_multiply) extends the table, never past 2L - 1."""
         got = self._gammas.get((x, y))
         if got is None:
             self.table.extend(len(x.word) + len(y.word) - 1)
+            row, omega = self.constants._row(x, y)
+            words = self.group._words
+            xy_len = len(x.word) + len(y.word)
             got = []
-            for z, h in self.constants.h_map(x, y).items():
-                if len(z.word) <= self.radius:
-                    g = h.constant_term_after_shift(self._prove(z).value)
+            for zid, c in row.items():
+                word = words[zid]
+                if len(word) <= self.radius:
+                    z = GroupElement(self.desc, word, omega)
+                    a = self._prove(z).value
+                    if _valuation(c) < -a:
+                        raise NotInAPlus(f"v^{a} h_{{{x},{y},{z}}} has negative-exponent terms")
+                    g = _digit(c, -a)
                     if g:
-                        got.append((z, g))
+                        got.append((z, g, -g if (xy_len + len(word)) & 1 else g))
             got = self._gammas[x, y] = tuple(got)
         return got
 
@@ -228,30 +245,35 @@ class JRing:
     def j_element(self, terms: dict[GroupElement, int]) -> JElement:
         return JElement(self.desc, {w: c for w, c in terms.items() if c}, self.radius)
 
-    def _product(self, a: JElement, b: JElement) -> JElement:
+    def _product(self, a: JElement, b: JElement, signed: bool = False) -> JElement:
         """sum c1 c2 gamma_{x,y,z} t_z over the terms c1 t_x of a and c2 t_y
-        of b, for the z within the certified radius."""
+        of b, for the z within the certified radius.  With signed, each
+        gamma carries the sign (-1)^(len x + len y + len z), which gives the
+        product in the C convention (module docstring, "One convention")."""
+        memo = self._gammas
+        pick = 2 if signed else 1
         out: dict = {}
         for x, c1 in a.terms.items():
             for y, c2 in b.terms.items():
+                # the memo read inline, as the call costs more than the lookup
+                terms = memo.get((x, y))
+                if terms is None:
+                    terms = self._gamma_terms(x, y)
                 # most read-offs are empty: look before multiplying c1 * c2
-                terms = self._gamma_terms(x, y)
                 if not terms:
                     continue
                 c = c1 * c2
-                for z, g in terms:
-                    _accumulate(out, z, c * g)
+                for term in terms:
+                    _accumulate(out, term[0], c * term[pick])
         return JElement(self.desc, out, self.radius)
 
     def j_multiply(self, j1: JElement, j2: JElement, signed: bool = False) -> JElement:
         """Product in J; refused when its support may pass the radius.  With
-        signed, in the C convention, through JElement.signed_image."""
+        signed, in the C convention (see _product)."""
         if j1.desc != self.desc or j2.desc != self.desc:
             raise GroupMismatch("elements of a different group")
         self._within(j1.max_length() + j2.max_length(), "product support length")
-        if signed:
-            return self._product(j1.signed_image(), j2.signed_image()).signed_image()
-        return self._product(j1, j2)
+        return self._product(j1, j2, signed)
 
     # -- distinguished involutions ----------------------------------------
 

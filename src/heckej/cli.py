@@ -8,7 +8,8 @@ convolution oracles.
 
 The library computes for the basis C'_w; --basis signed (the default)
 prints the image of its results in the convention of C_w (star on h,
-JElement.signed_image on J), and hmul multiplies in C_w.
+the signed J product, JElement.signed_image on phi), and hmul multiplies
+in C_w.
 
 kl, hmul and hconst keep each KL table they build in a cache directory
 (--cache-dir, else $HECKEJ_CACHE_DIR, else ~/.cache/heckej).  A cache
@@ -369,6 +370,9 @@ def cmd_phi(ns) -> int:
         emit_terms(ns, meta_for(ns, radius), img.terms, columns)
     else:
         spec = {z: c.specialize(q) for z, c in img.terms.items()}
+        # each numerator and denominator is printed in full
+        parts = (f for pair in spec.values() for a in pair for f in (a.numerator, a.denominator))
+        sl2.check_bits(max(map(int.bit_length, parts), default=0))
         emit_terms(ns, meta_for(ns, radius, q=str(q)), spec, columns, lambda c: quadext_str(*c, q))
     return EXIT_OK
 

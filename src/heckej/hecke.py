@@ -24,7 +24,8 @@ The KL table and the structure-constant columns are {cox_id: coeff}
 vectors whose coefficients are packed ints (heckej.laurent's codec):
 P_{y,w} with q = 2^PACK_W, and h_{x,y,z} with v = 2^PACK_W, so each
 recursion step is int shifts and adds.  Both stay packed: `_expansion`
-decodes one w once, `h_map` one row per query.  Exactness is guarded at
+decodes one w once, `h_map` one row per query, and the J ring reads
+single digits of the row `_row` hands it.  Exactness is guarded at
 every step: each stored vector has all digits in [0, 2^PACK_T), which
 positivity guarantees, and a step sums at most 2^(PACK_W-1-PACK_T) such
 digits into one.
@@ -38,7 +39,7 @@ from functools import lru_cache, reduce
 
 from .errors import BudgetExceeded, GroupMismatch, HeckejError, RadiusExceeded
 from .laurent import (
-    PACK_W, _DIGIT, Laurent, ONE, ZERO, _accumulate, _addmul, _digit, _mul_raw, _pack, _star_raw, _unpack, _valuation,
+    PACK_W, _DIGIT, Laurent, ONE, ZERO, _accumulate, _addmul, _digit, _pack, _star_raw, _unpack, _valuation,
 )
 from .weyl import GroupDescriptor, GroupElement, WeylGroup, _stratum_size, make_group
 
@@ -170,12 +171,16 @@ class HeckeAlgebra:
         {(cox_id, omega): coeff}; ~T_w goes to ~T_{sw} + (v - v^-1) ~T_w if sw < w,
         and ~T_s^-1 moves that term to sw > w with the opposite sign."""
         g = self.group
+        memo, ldesc = g._lmul_memo, g._ldesc
         k = -1 if inverse else 1
         out: dict = {}
         for (i, om), c in vec.items():
-            j = g._lmul(s, i)
+            # the memo read inline, as the call costs more than the lookup
+            j = memo.get((s, i))
+            if j is None:
+                j = g._lmul(s, i)
             _addmul_at(out, (j, om), c)
-            if (len(g._words[j]) < len(g._words[i])) != inverse:
+            if (s in ldesc[i]) != inverse:
                 _addmul_at(out, (i, om), c, k, shift=1)
                 _addmul_at(out, (i, om), c, -k, shift=-1)
         return out
@@ -200,8 +205,10 @@ class HeckeAlgebra:
         pieces: dict = {}
         out: dict = {}
         for key, c in vec1.items():
-            for key2, c2 in self._ttilde_piece(pieces, key, vec2, inverse).items():
-                _addmul_at(out, key2, _mul_raw(c, c2))
+            piece = self._ttilde_piece(pieces, key, vec2, inverse).items()
+            for e, k in c.items():
+                for key2, c2 in piece:
+                    _addmul_at(out, key2, c2, k, e)
         return out
 
     def _ttilde_piece(self, pieces: dict, key: tuple[int, int], vec2: dict, inverse: bool) -> dict:
@@ -235,7 +242,10 @@ class HeckeAlgebra:
         signed = h.basis == "Csigned"
         for w, c in h.terms.items():
             for y, cy in table._expansion(table._require(w)).items():
-                _addmul_at(out, (y, w.omega), _mul_raw(c._c, _star_raw(cy) if signed else cy))
+                if signed:
+                    cy = _star_raw(cy)
+                for e, k in c._c.items():
+                    _addmul_at(out, (y, w.omega), cy, k, e)
         return out
 
     def _from_ttilde_raw(self, vec: dict, basis: str, table: "KLTable | None") -> HeckeElement:
@@ -256,7 +266,10 @@ class HeckeAlgebra:
                     c = vec[key] = rest.pop(key)
                     for y, cy in table._expansion(i).items():
                         if y != i:
-                            _addmul_at(rest, (y, om), _mul_raw(c, _star_raw(cy) if signed else cy), -1)
+                            if signed:
+                                cy = _star_raw(cy)
+                            for e, k in c.items():
+                                _addmul_at(rest, (y, om), cy, -k, e)
         terms = {GroupElement(self.desc, words[i], om): Laurent._raw(c) for (i, om), c in vec.items()}
         return HeckeElement(self.desc, basis, terms)
 
@@ -562,19 +575,24 @@ class StructureConstants:
 
     # -- public h-constants -----------------------------------------------
 
-    def h_map(self, x: GroupElement, y: GroupElement) -> dict[GroupElement, Laurent]:
-        """The finite support {z: h_{x,y,z} != 0} with exact coefficients."""
+    def _row(self, x: GroupElement, y: GroupElement) -> tuple[dict[int, int], int]:
+        """The packed h_{x,y,.} as the column's own row {Coxeter id of z: h},
+        not to be mutated, and the omega part that every z shares.  As
+        C'_x = C'_{x'} T_omega for x = x' omega, it is the row of x' in the
+        column of omega y, whose Coxeter part is y's under the omega
+        permutation."""
         g = self.group
         xid = g._element_id(x)
         yid = g._element_id(y)
         if x.omega:
             yid = g._permuted_id(g.omega_perm(x.omega), yid)
-        col = self.column(yid, len(x.word))
-        omega = (x.omega + y.omega) % self.desc.omega_order
-        out = {}
-        for z, c in col[xid].items():
-            out[GroupElement(self.desc, g._words[z], omega)] = Laurent._raw(_unpack(c))
-        return out
+        return self.column(yid, len(x.word))[xid], (x.omega + y.omega) % self.desc.omega_order
+
+    def h_map(self, x: GroupElement, y: GroupElement) -> dict[GroupElement, Laurent]:
+        """The finite support {z: h_{x,y,z} != 0} with exact coefficients."""
+        row, omega = self._row(x, y)
+        words = self.group._words
+        return {GroupElement(self.desc, words[z], omega): Laurent._raw(_unpack(c)) for z, c in row.items()}
 
     # -- the a-function scan ------------------------------------------------
 

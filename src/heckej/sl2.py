@@ -301,6 +301,14 @@ def cell_value_from_count(p: int, m: int, n: int, r: int, lattice: Lattice) -> F
     return volume_ratio(n).eval_q(p) * (p + 1) * frac
 
 
+def check_bits(bits: int) -> None:
+    """Refuse values of up to `bits` bits when they may have more than
+    DECAY_DIGITS_BUDGET digits: a number below 2^bits has more than B
+    digits only if 2^bits has, that is if bits >= the bit length of 10^B."""
+    if bits >= (10**DECAY_DIGITS_BUDGET).bit_length():
+        raise BudgetExceeded(f"values of up to {bits} bits exceed {DECAY_DIGITS_BUDGET} digits")
+
+
 def schwartz_decay_check(N: int, q_value: Fraction) -> list[tuple[int, Fraction, bool]]:
     """Verify q^|n| * |gamma_n(q)| <= q for |n| <= N (geometric decay)."""
     if N < 0:
@@ -311,12 +319,8 @@ def schwartz_decay_check(N: int, q_value: Fraction) -> list[tuple[int, Fraction,
     if q_value <= 1:
         raise ValueError("q must be > 1")
     # the values are q^k for -N <= k <= 1; as q > 1, its numerator is the
-    # larger part, and a part of q^k has at most |k| times its bits.  A
-    # number below 2^bits has more than B digits only if 2^bits has, that
-    # is if bits >= the bit length of 10^B
-    bits = max(N, 1) * q_value.numerator.bit_length()
-    if bits >= (10**DECAY_DIGITS_BUDGET).bit_length():
-        raise BudgetExceeded(f"values of up to {bits} bits exceed {DECAY_DIGITS_BUDGET} digits")
+    # larger part, and a part of q^k has at most |k| times its bits
+    check_bits(max(N, 1) * q_value.numerator.bit_length())
     report = []
     for n in range(-N, N + 1):
         weighted = q_value ** abs(n) * abs(gamma_coefficient(n).eval_q(q_value))

@@ -13,6 +13,7 @@ from heckej import (
     JRing,
     KLTable,
     Laurent,
+    NotInAPlus,
     RadiusExceeded,
     StructureConstants,
     V,
@@ -23,7 +24,7 @@ from heckej import (
     make_group,
 )
 from heckej.asymptotic import _quadratic_rank
-from heckej.laurent import _unpack
+from heckej.laurent import _pack, _unpack
 
 
 def test_certification_bound_values(a1_desc, a2_desc):
@@ -159,6 +160,45 @@ def test_gamma_sign_transport(a2_ring):
             assert signed == expect
 
 
+@pytest.mark.parametrize("ring_name, radius", [("a2_ring", 5), ("a1x_ring", 4)])
+def test_packed_read_off_matches_the_laurent_read_off(ring_name, radius, request):
+    """Each gamma, one digit of a packed row, against the constant term of
+    v^a(z) h_{x,y,z} on the decoded h_map, zeros included; on the extended
+    A1~ the pairs include x with an omega part."""
+    ring = request.getfixturevalue(ring_name)
+    ball = ring.group.enumerate_ball(radius)
+    assert any(x.omega for x in ball) == ring.desc.extended
+    for x in ball:
+        for y in ball:
+            expect = {}
+            for z, h in ring.constants.h_map(x, y).items():
+                if len(z) <= ring.radius:
+                    g = h.constant_term_after_shift(ring.a_function(z).value)
+                    if g:
+                        expect[z] = g
+            assert ring.gamma_map(x, y) == expect, (x, y)
+
+
+def test_packed_read_off_below_v_to_the_minus_a_is_refused(a1_desc, monkeypatch):
+    """A row digit below v^-a(z) is not in A+ after the shift: NotInAPlus,
+    not a silently dropped digit, and not memoized."""
+    ring = JRing(a1_desc, 4)
+    s0 = ring.group.generator(0)
+    assert ring.a_function(s0).value == 1
+    row = StructureConstants._row
+
+    def low(self, x, y):
+        got, omega = row(self, x, y)
+        return {z: c + _pack({-2: 1}) for z, c in got.items()}, omega
+
+    monkeypatch.setattr(StructureConstants, "_row", low)
+    for _ in range(2):
+        with pytest.raises(NotInAPlus, match="negative-exponent"):
+            ring.gamma_map(s0, s0)
+    monkeypatch.undo()
+    assert ring.gamma_map(s0, s0) == {s0: 1}
+
+
 def test_j_multiplication_example(a1_ring):
     g = a1_ring.group
     t = a1_ring.t
@@ -196,13 +236,14 @@ def test_memoized_read_offs_are_copies(a1_ring, monkeypatch):
     x, y = g.element((0, 1)), g.element((1, 0))
     s0 = g.generator(0)
     calls = []
-    h_map = StructureConstants.h_map
+    row = StructureConstants._row
 
     def counting(self, *args, **kwargs):
         calls.append(args)
-        return h_map(self, *args, **kwargs)
+        return row(self, *args, **kwargs)
 
-    monkeypatch.setattr(StructureConstants, "h_map", counting)
+    # every row read, gamma's and phi's through h_map, goes through _row
+    monkeypatch.setattr(StructureConstants, "_row", counting)
     gm = a1_ring.gamma_map(x, y)
     expect = dict(gm)
     gm[s0] = 99
@@ -424,18 +465,22 @@ def test_signed_read_offs_match_the_star_path(a2_ring, monkeypatch):
     ring = JRing(GroupDescriptor("A1~", extended=True), 6)
     g = ring.group
     calls = []
-    h_map = StructureConstants.h_map
+    row = StructureConstants._row
 
     def counting(self, *args, **kwargs):
         calls.append(args)
-        return h_map(self, *args, **kwargs)
+        return row(self, *args, **kwargs)
 
-    # one h_map read serves both conventions
+    # one row read per (x, y) serves both conventions; the witness of a(z)
+    # is read beforehand, so only the read-off's own row is counted
     x, y = g.element((0, 1), 1), g.element((1,))
-    monkeypatch.setattr(StructureConstants, "h_map", counting)
+    for z in g.enumerate_ball(ring.radius):
+        ring.a_function(z)
+    monkeypatch.setattr(StructureConstants, "_row", counting)
     ring.j_multiply(ring.t(x), ring.t(y), signed=True)
     ring.gamma_map(x, y)
-    assert len(calls) == 1
+    ring.j_multiply(ring.t(x), ring.t(y))
+    assert calls == [(x, y)]
     monkeypatch.undo()
     _check_signed_against_star_path(ring, g.enumerate_ball(3))
     _check_signed_against_star_path(a2_ring, a2_ring.group.enumerate_ball(3))

@@ -375,6 +375,20 @@ def test_q_digit_budget(capsys):
         assert parse_q(text) == q
 
 
+def test_phi_digit_budget(capsys):
+    """A specialized phi coefficient of more than sl2.DECAY_DIGITS_BUDGET
+    digits is refused before anything is printed: phi(0120) on A2~ reaches
+    q^4 and more.  Coefficients within the budget still print."""
+    for q in ("1e3000", "1e3999"):
+        code, out, err = run(capsys, "phi", "--type", "A2~", "--x", "0120", "--q", q)
+        assert code == 3 and out == "" and err.startswith("refused: ") and len(err.splitlines()) == 1, q
+    # phi(0) on A1~ has 1 + 1/q, whose numerator 10^3999 + 1 has 4,000 digits
+    code, out, _ = run(capsys, "phi", "--type", "A1~", "--x", "0", "--q", "1e3999")
+    assert code == 0 and "1" + "0" * 3998 + "1/1" + "0" * 3999 in out
+    code, out, _ = run(capsys, "phi", "--type", "A2~", "--x", "0120", "--q", "1e1000")
+    assert code == 0 and len(out.splitlines()) > 2
+
+
 def test_kl_table_budget(capsys, cache):
     """KL tables past the entry budget are refused before any work."""
     for argv in (

@@ -301,20 +301,23 @@ def h_oracle(alg, table, x, y, signed):
     return dict(alg.to_basis(prod, basis, table).terms)
 
 
-def check_against_product_oracle(groups, radius, signed):
+def check_pairs_against_product_oracle(alg, table, pairs, signed):
     """h_map against the product oracle; the constants of the basis C_w are
     star(h), the rule the CLI applies for --basis signed."""
+    sc = StructureConstants(table)
+    for x, y in pairs:
+        h = sc.h_map(x, y)
+        if signed:
+            h = {z: c.star() for z, c in h.items()}
+        assert h == h_oracle(alg, table, x, y, signed), (x, y)
+
+
+def check_against_product_oracle(groups, radius, signed):
     # on the extended groups the oracle's products run through ~T pieces
     # keyed by (cox_id, omega) with omega != 0
     for g, alg, table in groups:
-        sc = StructureConstants(table)
         ball = g.enumerate_ball(radius)
-        for x in ball:
-            for y in ball:
-                h = sc.h_map(x, y)
-                if signed:
-                    h = {z: c.star() for z, c in h.items()}
-                assert h == h_oracle(alg, table, x, y, signed), (x, y)
+        check_pairs_against_product_oracle(alg, table, [(x, y) for x in ball for y in ball], signed)
 
 
 @pytest.mark.parametrize("signed", [False, True])
@@ -325,6 +328,18 @@ def test_structure_constants_against_product_oracle_a1(a1, a1x, signed):
 @pytest.mark.parametrize("signed", [False, True])
 def test_structure_constants_against_product_oracle_a2(a2, a2x, signed):
     check_against_product_oracle([a2, a2x], 2, signed)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_structure_constants_against_product_oracle_multi_term(a2, signed):
+    """On A2~ ball(2) every KL coefficient has one term.  C'_x for
+    x = 1201021 has P_{121,x} = 1 + q, so the oracle's products add
+    coefficients of two terms, one term at a time."""
+    g, alg, _ = a2
+    table = KLTable(g, 9)
+    x = g.element((1, 2, 0, 1, 0, 2, 1))
+    assert table.kl_polynomial(g.element((1, 2, 1)), x) == ONE + Q
+    check_pairs_against_product_oracle(alg, table, [(x, y) for y in g.enumerate_ball(2)], signed)
 
 
 def test_structure_constant_spot_values(a1):
