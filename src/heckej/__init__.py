@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedType,
 )
 from .laurent import ONE, V, VINV, ZERO, Laurent
-from .weyl import GroupDescriptor, GroupElement, WeylGroup, bruhat_leq, make_group
+from .weyl import GroupDescriptor, GroupElement, WeylGroup, make_group
 from .hecke import (
     BASES,
     HeckeAlgebra,
@@ -61,7 +61,6 @@ __all__ = [
     "GroupElement",
     "WeylGroup",
     "make_group",
-    "bruhat_leq",
     "BASES",
     "HeckeElement",
     "HeckeAlgebra",

@@ -46,6 +46,9 @@ ring automorphism and gamma an integer, so tau o star of the product of
 the images of sum c1 t_x and sum c2 t_y is sum (-1)^(len x + len y +
 len z) c1 c2 gamma_{x,y,z} t_z, for integer and Laurent c1, c2 alike.
 
+Specialization.  JElement.specialize, the one evaluation at v = q^(1/2),
+serves specialized_rank and the CLI's phi --q.
+
 Read-off.  gamma_{x,y,z} is one digit of the packed h_{x,y,z} in the
 row that StructureConstants._row hands out (h_map decodes the same row
 whole): digit -a(z), after the valuation (the digit of the lowest set
@@ -113,6 +116,11 @@ class JElement:
                 c = c.star()
             terms[w] = -c if len(w.word) & 1 else c
         return JElement(self.desc, terms, self.radius)
+
+    def specialize(self, q: Fraction) -> dict[GroupElement, tuple[Fraction, Fraction]]:
+        """An element of J tensor A at v = q^(1/2), each coefficient as the
+        pair (a0, a1) meaning a0 + a1*sqrt(q); q <= 0 is refused."""
+        return {w: c.specialize(q) for w, c in self.terms.items()}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, JElement):
@@ -289,7 +297,7 @@ class JRing:
                 if not self.group.multiply(d, d).is_identity():
                     continue
                 p = self.table.kl_polynomial(e, d)
-                if p.is_zero():
+                if not p:
                     continue
                 # stored on v-exponents, so max_exp is twice the q-degree of P
                 if self._prove(d).value == len(d.word) - p.max_exp():
@@ -332,20 +340,12 @@ class JRing:
 
     # -- specialization ----------------------------------------------------
 
-    def phi_specialized(self, x: GroupElement, q: Fraction) -> dict[GroupElement, tuple[Fraction, Fraction]]:
-        """phi(x) at v = q^(1/2): each coefficient as the pair (a0, a1)
-        meaning a0 + a1*sqrt(q) (Laurent.specialize)."""
-        q = Fraction(q)
-        if q <= 0:
-            raise ValueError("q must be positive")
-        return {z: c.specialize(q) for z, c in self.phi(x).terms.items()}
-
     def specialized_rank(self, xs: list[GroupElement], q: Fraction) -> int:
         """Rank over Q(sqrt q) of the specialized phi images of the given
         basis elements: for square q at v = +sqrt(q) over Q, otherwise by
         _quadratic_rank."""
         q = Fraction(q)
-        images = [self.phi_specialized(x, q) for x in xs]
+        images = [self.phi(x).specialize(q) for x in xs]
         support = dict.fromkeys(z for img in images for z in img)
         rows = [[img.get(z, (0, 0)) for z in support] for img in images]
         sqrt_q = _exact_sqrt(q)

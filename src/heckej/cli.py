@@ -7,9 +7,10 @@ distinguished involutions, the map phi into J tensor A, and the SL(2)
 convolution oracles.
 
 The library computes for the basis C'_w; --basis signed (the default)
-prints the image of its results in the convention of C_w (star on h,
-the signed J product, JElement.signed_image on phi), and hmul multiplies
-in C_w.
+prints the image of its results in the convention of C_w: star
+(v -> -v^-1) on the coefficients of hmul and hconst, the signed J
+product for gamma and jmul, JElement.signed_image on phi.  hmul's
+--hecke-basis Csigned is that same star image of the product in C'.
 
 kl, hmul and hconst keep each KL table they build in a cache directory
 (--cache-dir, else $HECKEJ_CACHE_DIR, else ~/.cache/heckej).  A cache
@@ -147,18 +148,17 @@ def emit(ns, meta: dict, rows: list[dict]) -> None:
 
         print(json.dumps(record, sort_keys=True, default=str))
         return
-    keys = list(rows[0].keys()) if rows else []
     meta_line = " ".join(f"{k}={v}" for k, v in sorted(meta.items()))
     print(f"# {meta_line}")
+    if not rows:
+        return
+    keys = list(rows[0])
     if ns.format == "csv":
         import csv
 
-        writer = csv.writer(sys.stdout)
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(keys)
-        for row in rows:
-            writer.writerow([row[k] for k in keys])
-        return
-    if not rows:
+        writer.writerows([row[k] for k in keys] for row in rows)
         return
     table = [[str(row[k]) for k in keys] for row in rows]
     widths = [max(len(keys[i]), max(len(r[i]) for r in table)) for i in range(len(keys))]
@@ -276,7 +276,7 @@ def cmd_kl(ns) -> int:
 
 def _q_poly_str(p: Laurent) -> str:
     """Render a polynomial stored on even v-exponents as a polynomial in q."""
-    if p.is_zero():
+    if not p:
         return "0"
     parts = []
     for e, c in p.items():
@@ -285,18 +285,19 @@ def _q_poly_str(p: Laurent) -> str:
     return " + ".join(parts)
 
 
-def _canonical_basis(ns) -> str:
-    return "Csigned" if ns.basis == "signed" else "Cprime"
-
-
 def cmd_hmul(ns) -> int:
     g = group_from_args(ns)
     x, y, radius = _xy(ns, g)
-    basis = ns.hecke_basis or _canonical_basis(ns)
+    basis = ns.hecke_basis or ("Csigned" if ns.basis == "signed" else "Cprime")
     table = cached_kl_table(ns, g.desc, radius)
     alg = hecke_algebra(g.desc)
-    prod = alg.multiply(alg.basis_element(x, basis), alg.basis_element(y, basis), table)
-    emit_terms(ns, meta_for(ns, radius, hecke_basis=basis), prod.terms, ("element", "coefficient"))
+    # star on the coefficients (~T_w fixed) is a ring automorphism taking C'_w
+    # to C_w, so the product in C_w is the star image of the one in C'
+    factors = [alg.basis_element(w, "Cprime" if basis == "Csigned" else basis) for w in (x, y)]
+    terms = alg.multiply(*factors, table).terms
+    if basis == "Csigned":
+        terms = {w: c.star() for w, c in terms.items()}
+    emit_terms(ns, meta_for(ns, radius, hecke_basis=basis), terms, ("element", "coefficient"))
     return EXIT_OK
 
 
@@ -323,24 +324,20 @@ def cmd_afn(ns) -> int:
     return EXIT_OK
 
 
-def cmd_gamma(ns) -> int:
-    g = group_from_args(ns)
-    x, y, radius = _xy(ns, g)
-    ring = JRing(g.desc, radius)
-    gm = ring.j_multiply(ring.t(x), ring.t(y), ns.basis == "signed").terms
-    if ns.z is not None:
-        z = parse_element(g, ns.z)
-        gm = {z: gm.get(z, 0)}
-    emit_terms(ns, meta_for(ns, radius), gm, ("z", "gamma"), int)
-    return EXIT_OK
-
-
 def cmd_jmul(ns) -> int:
+    """gamma and jmul: the product t_x t_y in J, whose coefficients are the
+    gamma_{x,y,z}; gamma names its column so and takes --z."""
     g = group_from_args(ns)
     x, y, radius = _xy(ns, g)
     ring = JRing(g.desc, radius)
-    prod = ring.j_multiply(ring.t(x), ring.t(y), ns.basis == "signed")
-    emit_terms(ns, meta_for(ns, radius), prod.terms, ("z", "coefficient"), int)
+    terms = ring.j_multiply(ring.t(x), ring.t(y), ns.basis == "signed").terms
+    column = "coefficient"
+    if ns.command == "gamma":
+        column = "gamma"
+        if ns.z is not None:
+            z = parse_element(g, ns.z)
+            terms = {z: terms.get(z, 0)}
+    emit_terms(ns, meta_for(ns, radius), terms, ("z", column), int)
     return EXIT_OK
 
 
@@ -369,7 +366,7 @@ def cmd_phi(ns) -> int:
     if q is None:
         emit_terms(ns, meta_for(ns, radius), img.terms, columns)
     else:
-        spec = {z: c.specialize(q) for z, c in img.terms.items()}
+        spec = img.specialize(q)
         # each numerator and denominator is printed in full
         parts = (f for pair in spec.values() for a in pair for f in (a.numerator, a.denominator))
         sl2.check_bits(max(map(int.bit_length, parts), default=0))
@@ -482,7 +479,7 @@ OPTIONS = {
     "y": {},
     "z": {},
     "w": {},
-    "hecke-basis": {"choices": list(BASES)},
+    "hecke-basis": {"choices": [*BASES, "Csigned"]},
     "q": {"help": "an exact rational, e.g. 4 or 9/4"},
     "max-len": {"type": int, "default": 4},
     "n": {"type": int},
@@ -504,7 +501,7 @@ COMMANDS = [
     ("hmul", cmd_hmul, "Hecke product of basis elements", "type extended radius x! y! hecke-basis basis cache-dir"),
     ("hconst", cmd_hconst, "structure constants h_{x,y,z}", "type extended radius x! y! z basis cache-dir"),
     ("afn", cmd_afn, "a-function value", "type extended z!"),
-    ("gamma", cmd_gamma, "gamma constants of J", "type extended radius x! y! z basis"),
+    ("gamma", cmd_jmul, "gamma constants of J", "type extended radius x! y! z basis"),
     ("jmul", cmd_jmul, "product t_x t_y in J", "type extended radius x! y! basis"),
     ("dinv", cmd_dinv, "distinguished involutions", "type extended radius"),
     ("phi", cmd_phi, "image of a canonical basis element in J tensor A", "type extended radius x! q basis"),

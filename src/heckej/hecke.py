@@ -7,11 +7,12 @@ canonical basis is
 
     C'_w = sum_y v^(len(y)-len(w)) P_{y,w}(v^2) ~T_y,
 
-and the basis C_w (`Csigned`) replaces each coefficient c(v) by
-c(-v^-1), which gives the alternating-sign form with P_{y,w}(v^-2).
-Both are fixed by the bar involution, the ~T product recursion run with
-inverse generators ~T_s^-1.  The table checks only unitriangularity; bar
-invariance is certified in tests/test_hecke.py.
+fixed by the bar involution, the ~T product recursion run with inverse
+generators ~T_s^-1.  The table checks only unitriangularity; bar
+invariance is certified in tests/test_hecke.py.  The bases are T, ~T
+and C' only: the basis C_w of Kazhdan and Lusztig is the image of C'_w
+under star (v -> -v^-1 on coefficients, ~T_w fixed), a ring
+automorphism, which the CLI applies to C'-results at output time.
 
 Internally every Hecke-algebra vector is a raw ~T vector
 {(cox_id, omega): coeff}, the coefficients being the zero-free
@@ -39,7 +40,7 @@ from functools import lru_cache, reduce
 
 from .errors import BudgetExceeded, GroupMismatch, HeckejError, RadiusExceeded
 from .laurent import (
-    PACK_W, _DIGIT, Laurent, ONE, ZERO, _accumulate, _addmul, _digit, _pack, _star_raw, _unpack, _valuation,
+    PACK_W, _DIGIT, Laurent, ONE, ZERO, _accumulate, _addmul, _digit, _pack, _unpack, _valuation,
 )
 from .weyl import GroupDescriptor, GroupElement, WeylGroup, _stratum_size, make_group
 
@@ -51,7 +52,7 @@ __all__ = [
     "hecke_algebra",
 ]
 
-BASES = ("T", "Ttilde", "Cprime", "Csigned")
+BASES = ("T", "Ttilde", "Cprime")
 
 # stratum entry of StructureConstants.scan_min_exponents with no pair;
 # larger than any valuation.  The scan answers no a(z) of the library: it
@@ -155,9 +156,6 @@ class HeckeAlgebra:
 
     # -- constructors -----------------------------------------------------
 
-    def element(self, terms: dict[GroupElement, Laurent], basis: str = "T") -> HeckeElement:
-        return HeckeElement(self.desc, basis, terms)
-
     def basis_element(self, w: GroupElement, basis: str = "T") -> HeckeElement:
         return HeckeElement(self.desc, basis, {w: ONE})
 
@@ -239,17 +237,14 @@ class HeckeAlgebra:
             return out
         if table is None or table.group is not self.group:
             raise ValueError("canonical-basis conversion needs a KL table of this group")
-        signed = h.basis == "Csigned"
         for w, c in h.terms.items():
             for y, cy in table._expansion(table._require(w)).items():
-                if signed:
-                    cy = _star_raw(cy)
                 for e, k in c._c.items():
                     _addmul_at(out, (y, w.omega), cy, k, e)
         return out
 
     def _from_ttilde_raw(self, vec: dict, basis: str, table: "KLTable | None") -> HeckeElement:
-        """A raw ~T vector, which is consumed, in the given basis.  C_w is
+        """A raw ~T vector, which is consumed, in the given basis.  C'_w is
         ~T_w plus shorter terms, so a canonical expansion is peeled off one
         length at a time from the longest down."""
         words = self.group._words
@@ -258,7 +253,6 @@ class HeckeAlgebra:
         elif basis != "Ttilde":
             if table is None or table.group is not self.group:
                 raise ValueError("canonical-basis conversion needs a KL table of this group")
-            signed = basis == "Csigned"
             rest, vec = vec, {}
             for length in range(max((len(words[i]) for i, _ in rest), default=-1), -1, -1):
                 for key in [k for k in rest if len(words[k[0]]) == length]:
@@ -266,8 +260,6 @@ class HeckeAlgebra:
                     c = vec[key] = rest.pop(key)
                     for y, cy in table._expansion(i).items():
                         if y != i:
-                            if signed:
-                                cy = _star_raw(cy)
                             for e, k in c.items():
                                 _addmul_at(rest, (y, om), cy, -k, e)
         terms = {GroupElement(self.desc, words[i], om): Laurent._raw(c) for (i, om), c in vec.items()}

@@ -49,11 +49,6 @@ def _mul_raw(a: dict, b: dict) -> dict:
     return out
 
 
-def _star_raw(c: dict) -> dict:
-    # v -> -v^-1
-    return {-e: (v if e % 2 == 0 else -v) for e, v in c.items()}
-
-
 # -- packed coefficients (one int each) --------------------------------------
 #
 # c = sum c_e v^e with every e >= -off is packed as sum c_e 2^(PACK_W (e + off)):
@@ -144,10 +139,6 @@ class Laurent:
             return ZERO
         return cls._raw({exp: coeff})
 
-    @classmethod
-    def const(cls, n: int) -> "Laurent":
-        return cls.monomial(0, n)
-
     # -- queries ----------------------------------------------------------
 
     def coeff(self, exp: int) -> int:
@@ -155,9 +146,6 @@ class Laurent:
 
     def items(self) -> Iterator[tuple[int, int]]:
         return iter(sorted(self._c.items()))
-
-    def is_zero(self) -> bool:
-        return not self._c
 
     def min_exp(self) -> int:
         """Lowest stored exponent; raises ValueError on the zero polynomial."""
@@ -214,19 +202,13 @@ class Laurent:
             return ZERO
         return Laurent._raw({e: n * c for e, c in self._c.items()})
 
-    def shift(self, k: int) -> "Laurent":
-        """Multiply by v^k."""
-        if k == 0:
-            return self
-        return Laurent._raw({e + k: c for e, c in self._c.items()})
-
     def bar(self) -> "Laurent":
         """The involution v -> v^-1."""
         return Laurent._raw({-e: c for e, c in self._c.items()})
 
     def star(self) -> "Laurent":
         """The ring automorphism v -> -v^-1."""
-        return Laurent._raw(_star_raw(self._c))
+        return Laurent._raw({-e: (-c if e & 1 else c) for e, c in self._c.items()})
 
     # -- evaluation -------------------------------------------------------
 

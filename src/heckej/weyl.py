@@ -22,7 +22,6 @@ __all__ = [
     "GroupElement",
     "WeylGroup",
     "make_group",
-    "bruhat_leq",
 ]
 
 SUPPORTED_TYPES = ("A1~", "A2~")
@@ -174,11 +173,6 @@ class WeylGroup:
 
     def generators(self) -> list[GroupElement]:
         return [self.generator(i) for i in range(self.rank)]
-
-    def omega_element(self, k: int) -> GroupElement:
-        if not 0 <= k < self.desc.omega_order:
-            raise ValueError(f"no omega element {k}")
-        return GroupElement(self.desc, (), k)
 
     def element(self, word, omega: int = 0) -> GroupElement:
         """Build an element from an arbitrary (not necessarily reduced) word.
@@ -428,8 +422,3 @@ def _ball_fits(desc: GroupDescriptor, radius: int) -> bool:
 def make_group(desc: GroupDescriptor) -> WeylGroup:
     """Return the (memoized) group handle for a supported descriptor."""
     return WeylGroup(desc)
-
-
-def bruhat_leq(y: GroupElement, w: GroupElement) -> bool:
-    """Bruhat order in the group of y; GroupMismatch if w is not in it."""
-    return make_group(y.desc).bruhat_leq(y, w)

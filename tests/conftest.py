@@ -11,7 +11,16 @@ import itertools
 
 import pytest
 
-from heckej import GroupDescriptor, JRing, KLTable, StructureConstants, certification_bound, make_group
+from heckej import (
+    GroupDescriptor,
+    HeckeElement,
+    JRing,
+    KLTable,
+    Laurent,
+    StructureConstants,
+    certification_bound,
+    make_group,
+)
 
 
 @pytest.fixture(scope="session")
@@ -64,3 +73,25 @@ def scan_a_values():
         return {z: [-low for low in itertools.accumulate(mins, min)] for z, mins in strata.items()}
 
     return scan
+
+
+@pytest.fixture(scope="session")
+def c_oracle():
+    """The basis C_w of Kazhdan and Lusztig, built in ~T from the KL
+    polynomials alone: c_oracle(table, w) is
+
+        C_w = sum_y star(v^(len(y) - len(w)) P_{y,w}(v^2)) ~T_y,
+
+    star being v -> -v^-1.  It shares no basis-conversion code with
+    heckej, which computes only in C' and applies star at the CLI."""
+
+    @functools.cache
+    def build(table: KLTable, w) -> HeckeElement:
+        terms = {}
+        for y in table.group.enumerate_ball(len(w.word)):
+            p = table.kl_polynomial(y, w)
+            if p:
+                terms[y] = (p * Laurent.monomial(len(y.word) - len(w.word))).star()
+        return HeckeElement(table.desc, "Ttilde", terms)
+
+    return build

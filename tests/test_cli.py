@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: output formats, exit codes,
 refusals, and KL cache files."""
 
+import functools
 import hashlib
 import json
 import os
@@ -13,9 +14,10 @@ from pathlib import Path
 import pytest
 
 import heckej
-from heckej import GroupDescriptor, KLTable, WeylGroup, make_group
+import heckej.cli
+from heckej import GroupDescriptor, HeckeElement, KLTable, Laurent, WeylGroup, hecke_algebra, make_group
 from heckej.asymptotic import JRing
-from heckej.cli import COMMANDS, build_parser, main, parse_q
+from heckej.cli import COMMANDS, build_parser, main, parse_element, parse_q
 
 
 def run(capsys, *argv):
@@ -101,7 +103,7 @@ def _version_1(radius):
             "w": {"word": list(w.word), "omega": 0},
             "P": [[e, str(c)] for e, c in table.kl_polynomial(y, w).items()],
         }
-        for w in ball for y in ball if not table.kl_polynomial(y, w).is_zero()
+        for w in ball for y in ball if table.kl_polynomial(y, w)
     ]
     data = {"version": 1, "group": {"affine_type": "A1~", "extended": False},
             "radius": radius, "entries": entries}
@@ -530,6 +532,69 @@ def test_csv_format(capsys):
     code, out, _ = run(capsys, "afn", "--type", "A2~", "--z", "010", "--format", "csv")
     assert code == 0
     assert out.splitlines() == ["# basis=signed certified=True radius=11", "z,a,scan_radius", "010,3,11"]
+
+
+def test_csv_records_end_lines_with_newline_and_skip_an_empty_header(capsys):
+    """A CSV record without rows is its metadata line alone, and every CSV
+    line ends in a newline, as every other line of output does."""
+    code, out, _ = run(capsys, "phi-check", "--type", "A1~", "--max-len", "2", "--format", "csv")
+    assert code == 0
+    assert out == "# basis=signed certified=True max_len=2 radius=3\nRESULT pass=13 fail=0\n"
+    code, out, _ = run(capsys, "sl2", "verify", "--R", "3", "--format", "csv")
+    assert code == 0
+    assert out == "# R=3 basis=signed certified=True radius=0\nRESULT pass=7 fail=0\n"
+    code, out, _ = run(capsys, "gamma", "--type", "A1~", "--x", "0", "--y", "0", "--format", "csv")
+    assert code == 0
+    assert out == "# basis=signed certified=True radius=2\nz,gamma\n0,-1\n"
+
+
+def _parse_laurent(text):
+    """A coefficient as Laurent.__str__ prints it, read back."""
+    out = {}
+    for part in text.replace(" - ", " + -").split(" + "):
+        if "v" not in part:
+            out[0] = int(part)
+            continue
+        coeff, _, power = part.partition("v")
+        coeff = coeff.rstrip("*")
+        out[int(power[1:]) if power else 1] = {"": 1, "-": -1}.get(coeff) or int(coeff)
+    return Laurent(out)
+
+
+@pytest.mark.parametrize("affine_type, extended", [("A2~", False), ("A1~", True)], ids=["A2~", "A1~-extended"])
+def test_hmul_c_basis_is_star_of_the_c_prime_product(capsys, cache, c_oracle, monkeypatch, affine_type, extended):
+    """hmul's default C_w product against an oracle that shares no code with
+    its conversions: with C_w built in ~T from the KL polynomials (the
+    c_oracle fixture), C_x C_y multiplied in ~T is sum_z star(h_{x,y,z}) C_z
+    for the C' constants h that hmul --basis unsigned prints, and hmul
+    prints those star(h).  Every C_w of the ball is bar-invariant."""
+    # one parser for the 700-odd calls, whose building would take most of the time
+    monkeypatch.setattr(heckej.cli, "build_parser", functools.cache(build_parser))
+    desc = GroupDescriptor(affine_type, extended)
+    g = make_group(desc)
+    alg = hecke_algebra(desc)
+    table = KLTable(g, 6)
+    flags = ["--type", affine_type, *(["--extended"] if extended else [])]
+    ball = g.enumerate_ball(3)
+    for w in ball:
+        assert alg.bar(c_oracle(table, w), table) == c_oracle(table, w), w
+
+    def hmul(x, y, *extra):
+        code, out, _ = run(
+            capsys, "hmul", *flags, "--x", str(x), "--y", str(y), *extra,
+            "--format", "json", "--cache-dir", cache,
+        )
+        assert code == 0
+        return {row["element"]: row["coefficient"] for row in json.loads(out)["rows"]}
+
+    for x in ball:
+        for y in ball:
+            h = {z: _parse_laurent(c) for z, c in hmul(x, y, "--basis", "unsigned").items()}
+            expect = HeckeElement(desc, "Ttilde", {})
+            for z, c in h.items():
+                expect = expect + c_oracle(table, parse_element(g, z)).scale(c.star())
+            assert alg.multiply(c_oracle(table, x), c_oracle(table, y)) == expect, (x, y)
+            assert hmul(x, y) == {z: str(c.star()) for z, c in h.items()}, (x, y)
 
 
 def test_closed_pipe_ends_quietly():

@@ -41,12 +41,10 @@ ENTRY_POINTS = {
     "bruhat_leq y": lambda r, b: r.group.bruhat_leq(b, r.group.element((0, 1, 0))),
     "bruhat_leq w": lambda r, b: r.group.bruhat_leq(r.group.identity, b),
     "bruhat_leq_via_word": lambda r, b: r.group.bruhat_leq_via_word(b, (0, 1, 0)),
-    "module bruhat_leq": lambda r, b: heckej.bruhat_leq(r.group.identity, b),
     # hecke
     "to_basis T": _basis_term("T"),
     "to_basis Ttilde": _basis_term("Ttilde"),
     "to_basis Cprime": _basis_term("Cprime"),
-    "to_basis Csigned": _basis_term("Csigned"),
     "hecke multiply": lambda r, b: r.algebra.multiply(
         r.algebra.unit("Cprime"), r.algebra.basis_element(b, "Cprime"), r.table
     ),

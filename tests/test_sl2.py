@@ -225,7 +225,7 @@ def test_custom_cell_functions_match_sympy_oracle():
     sum a Laurent polynomial."""
     gamma = standard_f()
     fs = [
-        CellFunction(((0, qpow(3)), (2, Laurent.const(5)), (-4, qpow(-1, -2))),
+        CellFunction(((0, qpow(3)), (2, Laurent.monomial(0, 5)), (-4, qpow(-1, -2))),
                      gamma.pos_tail, gamma.neg_tail),
         CellFunction(((3, qpow(1)),), (1, qpow(1, -3), qpow(-2)), (0, qpow(2, 3), qpow(-2))),
     ]
