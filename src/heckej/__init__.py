@@ -8,6 +8,8 @@ certified truncation radius (:mod:`heckej.asymptotic`), and an
 independent finite-quotient counting oracle for the SL(2) volumes and
 convolutions (:mod:`heckej.sl2`).  All arithmetic is exact: Laurent
 polynomials over Z (in v, and in q = v^2 for SL(2)) and rationals.
+The functions that make a rational import fractions (which loads
+decimal) themselves, so importing the package loads neither.
 """
 
 from .errors import (

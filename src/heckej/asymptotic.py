@@ -68,7 +68,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from .errors import GroupMismatch, HeckejError, NotInAPlus, RadiusExceeded
 from .hecke import HeckeElement, KLTable, StructureConstants, hecke_algebra
@@ -344,6 +343,8 @@ class JRing:
         """Rank over Q(sqrt q) of the specialized phi images of the given
         basis elements: for square q at v = +sqrt(q) over Q, otherwise by
         _quadratic_rank."""
+        from fractions import Fraction
+
         q = Fraction(q)
         images = [self.phi(x).specialize(q) for x in xs]
         support = dict.fromkeys(z for img in images for z in img)
@@ -355,6 +356,8 @@ class JRing:
 
 
 def _exact_sqrt(q: Fraction) -> Fraction | None:
+    from fractions import Fraction
+
     root = Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
     return root if root * root == q else None
 
@@ -374,6 +377,8 @@ def _quadratic_rank(rows: list[list[tuple]], q: Fraction) -> int:
 
 def _rank(rows: list[list]) -> int:
     """Rank over Q by Gaussian elimination."""
+    from fractions import Fraction
+
     rows = [[Fraction(c) for c in r] for r in rows]
     rank = 0
     cols = len(rows[0]) if rows else 0

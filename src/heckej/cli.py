@@ -17,8 +17,12 @@ kl, hmul and hconst keep each KL table they build in a cache directory
 file is only compared byte for byte with the rebuilt table and rewritten
 when it differs; it is never read into a result.
 
-A standard module that only some subcommands or output formats use is
-imported inside the function that uses it, not at start-up.
+A cold call pays only for its own subcommand.  main builds the parser of
+the subcommand that argv names, not of the whole tree, which it builds
+only for heckej --help and heckej sl2 --help, for an unknown or missing
+subcommand, and to report a usage error.  Importing this module loads the package and argparse; a
+standard module that only some calls use is imported by the function
+that uses it.
 
 Exit codes: 0 success, 1 verification failure, internal error or a
 closed stdout, 2 usage error, 3 refusal (a request past the certified
@@ -29,13 +33,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import os
 import sys
-from fractions import Fraction
 
-# hashlib, json, csv and pathlib are imported in the functions that use
-# them (the KL cache, --format json and --format csv): every call pays
-# for what is imported at start-up.
+# fractions (which loads decimal), hashlib, json, csv and pathlib are
+# imported in the functions that use them (parse_q and the library's
+# rationals, the KL cache, --format json and --format csv): every call
+# pays for what is imported at start-up.
 from .asymptotic import JRing
 from .errors import (
     BudgetExceeded,
@@ -114,6 +119,8 @@ def parse_q(text: str) -> Fraction:
     """An exact positive rational such as 4, 9/4 or 1e3.  Fraction writes
     out 10^|k| for an exponent k, so a text longer than
     sl2.DECAY_DIGITS_BUDGET, or with an exponent past it, is refused first."""
+    from fractions import Fraction
+
     budget = sl2.DECAY_DIGITS_BUDGET
     # an exponent that is not an int leaves the error to Fraction
     with contextlib.suppress(ValueError):
@@ -516,7 +523,10 @@ COMMANDS = [
 ]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of the whole command tree, or, given a COMMANDS path such
+    as "hmul" or "sl2 count", of that path alone, which parses its argv
+    to the same namespace."""
     parser = argparse.ArgumentParser(
         prog="heckej",
         description="Exact computations in the asymptotic ring J of an "
@@ -528,6 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
     groups = {"": parser.add_subparsers(dest="command", required=True)}
     for path, func, help_text, options in COMMANDS:
         group, _, name = path.rpartition(" ")
+        if command is not None and path not in (command, command.partition(" ")[0]):
+            continue
         if func is None:
             p = groups[group].add_parser(name, help=help_text)
             groups[path] = p.add_subparsers(dest=f"{name}_command", required=True)
@@ -541,9 +553,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _command_path(argv: list[str]) -> str | None:
+    """The COMMANDS path of a subcommand that argv starts with: its first
+    token, or its first two for a group such as sl2; else None."""
+    handlers = {path: func for path, func, _, _ in COMMANDS}
+    path = " ".join(argv[:1])
+    if path in handlers and handlers[path] is None:
+        path = " ".join(argv[:2])
+    return path if handlers.get(path) else None
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse with the parser of argv's subcommand alone.  On a usage error
+    parse again with the whole tree, whose message is the one shown: an
+    error such as "unrecognized arguments" prints the top-level usage line,
+    which lists every subcommand."""
+    command = _command_path(argv)
+    if command is not None:
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                return build_parser(command).parse_args(argv)
+        except SystemExit as exc:
+            if exc.code in (0, None):
+                raise
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        ns = build_parser().parse_args(argv)
+        ns = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -15,7 +15,6 @@ structure-constant sweep add shifted multiples in C.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from collections.abc import Iterable, Iterator, Mapping
 
 from .errors import NotInAPlus
@@ -215,6 +214,8 @@ class Laurent:
     def specialize(self, q: Fraction) -> tuple[Fraction, Fraction]:
         """Evaluate at v = q^(1/2), as the pair (a0, a1) meaning
         a0 + a1*sqrt(q): even powers land in a0, odd ones in a1."""
+        from fractions import Fraction
+
         q = Fraction(q)
         if q <= 0:
             raise ValueError("specialization requires q > 0")
@@ -229,6 +230,8 @@ class Laurent:
 
     def eval_q(self, q: Fraction) -> Fraction:
         """Evaluate as a polynomial in q = v^2; all exponents must be even."""
+        from fractions import Fraction
+
         q = Fraction(q)
         total = Fraction(0)
         for e, c in self._c.items():

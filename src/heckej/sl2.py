@@ -16,7 +16,6 @@ import functools
 import math
 from collections import namedtuple
 from enum import Enum
-from fractions import Fraction
 
 from .errors import BudgetExceeded, DepthTooSmall, DivergentTail, NotLaurentPolynomial
 from .laurent import ONE, ZERO, Laurent
@@ -274,6 +273,8 @@ def brute_force_count(p: int, m: int, n: int, r: int, lattice: Lattice) -> Fract
     by p^t); if both thresholds are >= 1 the set is empty at any depth,
     since a and c cannot both vanish mod p inside SL(2).
     """
+    from fractions import Fraction
+
     if not _is_prime(p) or m < 1:
         raise ValueError("p must be prime and m >= 1")
     th_a, th_c = lattice.thresholds(n, r)
@@ -311,6 +312,8 @@ def check_bits(bits: int) -> None:
 
 def schwartz_decay_check(N: int, q_value: Fraction) -> list[tuple[int, Fraction, bool]]:
     """Verify q^|n| * |gamma_n(q)| <= q for |n| <= N (geometric decay)."""
+    from fractions import Fraction
+
     if N < 0:
         raise ValueError("N must be >= 0")
     if N > DECAY_BUDGET:

@@ -12,6 +12,7 @@ on the right: an element is a pair (coxeter word, omega).
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import namedtuple
 from functools import lru_cache
 
@@ -103,11 +104,8 @@ def _mat_identity(n):
 
 
 def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in a)
 
 
 class WeylGroup:

@@ -520,6 +520,71 @@ def test_each_flag_only_where_it_is_read(capsys):
         assert code == 2 and out == "", argv
 
 
+# A value for each option other than its default; a flag not named takes "3".
+SAMPLE_VALUES = {"type": ["A2~"], "extended": [], "hecke-basis": ["T"], "q": ["9/4"], "lattice": ["sub"], "basis": ["unsigned"]}
+
+
+def _parse_outcome(capsys, monkeypatch, argv, whole_tree):
+    """main(argv)'s exit code, stdout, stderr, and the command path and
+    namespace of the handler it calls, with every handler replaced by one
+    that only records them; whole_tree makes main parse argv with the
+    whole tree from build_parser() alone."""
+    seen = []
+
+    def record(path, ns):
+        seen.append((path, {k: v for k, v in vars(ns).items() if k != "func"}))
+        return 0
+
+    with monkeypatch.context() as m:
+        handlers = [(path, func and functools.partial(record, path), *rest) for path, func, *rest in COMMANDS]
+        m.setattr(heckej.cli, "COMMANDS", handlers)
+        if whole_tree:
+            m.setattr(heckej.cli, "_parse_args", lambda argv: build_parser().parse_args(argv))
+        return (*run(capsys, *argv), seen)
+
+
+def test_one_subcommand_parser_parses_as_the_whole_tree(capsys, monkeypatch):
+    """main builds only the parser of the subcommand that argv names; for
+    each subcommand, and for every kind of usage error, it answers as the
+    whole tree from build_parser() does, byte for byte."""
+    argvs = [
+        (), ("--help",), ("bogus",), ("sl2",), ("sl2", "bogus"), ("sl2", "--help"), ("hmul", "--help"),
+        ("sl2", "count", "--help"),
+        ("hmul", "--type", "A1~", "--x", "0"),  # a missing required flag
+        ("hmul", "--x", "0", "--y", "0", "--bogus"),  # an unknown flag
+        ("group", "--type", "B2~"),  # a bad choice
+        ("group", "--radius", "x"),  # a bad int
+        ("group", "--radiu", "3"),  # an abbreviated flag
+        # unrecognized arguments, reported with the top-level usage line
+        ("sl2", "conv", "--r", "0", "--radius", "7"),
+        ("sl2", "verify", "--R", "3", "extra"),
+        ("gamma", "--type", "A1~", "--x", "0", "--y", "0", "--cache-dir", "d"),
+    ]
+    leaves = [(path, options) for path, func, _, options in COMMANDS if func is not None]
+    for path, options in leaves:
+        required = [arg for opt in options.split() if opt.endswith("!") for arg in (f"--{opt[:-1]}", "1")]
+        every = [arg for opt in options.split() for arg in (f"--{opt.rstrip('!')}", *SAMPLE_VALUES.get(opt.rstrip("!"), ["3"]))]
+        argvs += [(*path.split(), *required), (*path.split(), *every, "--format", "json")]
+    parsed = 0
+    for argv in argvs:
+        one = _parse_outcome(capsys, monkeypatch, argv, whole_tree=False)
+        assert one == _parse_outcome(capsys, monkeypatch, argv, whole_tree=True), argv
+        parsed += bool(one[3])
+    assert parsed == 2 * len(leaves) + 1  # every subcommand twice, and --radiu 3
+
+    built = []
+    monkeypatch.setattr(heckej.cli, "build_parser", lambda command=None: built.append(command) or build_parser(command))
+    for argv, paths in [
+        (("sl2", "verify", "--R", "3"), ["sl2 verify"]),
+        (("sl2", "verify", "--R", "3", "extra"), ["sl2 verify", None]),
+        (("--help",), [None]),
+        (("sl2", "--help"), [None]),
+    ]:
+        built.clear()
+        run(capsys, *argv)
+        assert built == paths, argv
+
+
 def test_csv_format(capsys):
     code, out, _ = run(
         capsys, "gamma", "--type", "A1~", "--x", "0", "--y", "0", "--format", "csv",
@@ -562,14 +627,12 @@ def _parse_laurent(text):
 
 
 @pytest.mark.parametrize("affine_type, extended", [("A2~", False), ("A1~", True)], ids=["A2~", "A1~-extended"])
-def test_hmul_c_basis_is_star_of_the_c_prime_product(capsys, cache, c_oracle, monkeypatch, affine_type, extended):
+def test_hmul_c_basis_is_star_of_the_c_prime_product(capsys, cache, c_oracle, affine_type, extended):
     """hmul's default C_w product against an oracle that shares no code with
     its conversions: with C_w built in ~T from the KL polynomials (the
     c_oracle fixture), C_x C_y multiplied in ~T is sum_z star(h_{x,y,z}) C_z
     for the C' constants h that hmul --basis unsigned prints, and hmul
     prints those star(h).  Every C_w of the ball is bar-invariant."""
-    # one parser for the 700-odd calls, whose building would take most of the time
-    monkeypatch.setattr(heckej.cli, "build_parser", functools.cache(build_parser))
     desc = GroupDescriptor(affine_type, extended)
     g = make_group(desc)
     alg = hecke_algebra(desc)

@@ -72,21 +72,35 @@ def test_golden_commands_run_without_sympy(tmp_path):
 
 
 # Modules that no subcommand needs at start-up: the KL cache and the json
-# and csv formats import theirs when they run, and the package uses
-# neither dataclasses (which pulls in inspect) nor typing.
-NOT_AT_START_UP = ("dataclasses", "inspect", "hashlib", "csv", "json", "pathlib", "typing")
+# and csv formats import theirs when they run, so do the functions that
+# make a rational with fractions (which loads decimal), and the package
+# uses neither dataclasses (which pulls in inspect) nor typing.
+NOT_AT_START_UP = (
+    "dataclasses", "inspect", "hashlib", "csv", "json", "pathlib", "typing", "fractions", "decimal",
+)
 
 
-def test_cli_import_loads_no_unused_module():
+def _loaded_by_import(module):
+    """The modules loaded in a fresh interpreter by `import module`."""
     src = str(Path(heckej.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    # -S: no site module, so only what heckej.cli imports is loaded
+    # -S: no site module, so only what the import loads is there
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
-         "import sys, heckej.cli; print(' '.join(sorted(sys.modules)))"],
+         f"import sys, {module}; print(' '.join(sorted(sys.modules)))"],
         capture_output=True, text=True, env=env, check=False,
     )
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
-    assert "heckej.cli" in loaded
+    assert module in loaded
+    return loaded
+
+
+def test_cli_import_loads_no_unused_module():
+    loaded = _loaded_by_import("heckej.cli")
     assert [m for m in NOT_AT_START_UP if m in loaded] == []
+
+
+def test_package_import_loads_no_fractions():
+    loaded = _loaded_by_import("heckej")
+    assert "fractions" not in loaded and "decimal" not in loaded

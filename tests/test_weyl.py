@@ -1,6 +1,7 @@
 """Group arithmetic, normal forms, ball enumeration, Bruhat order."""
 
 import itertools
+import random
 
 import pytest
 import sympy
@@ -179,6 +180,22 @@ def test_parabolic_factor_against_reduced_words(affine_type):
             and g.multiply(g.multiply(x, w), y) == z
             for w in longest
         ), z
+
+
+def test_mat_mul_matches_the_entrywise_sum():
+    """_mat_mul against the textbook sum over k of a[i][k] * b[k][j]."""
+    rng = random.Random(7)
+    for n in (2, 3):
+        for _ in range(200):
+            a, b = (
+                tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n))
+                for _ in range(2)
+            )
+            expect = tuple(
+                tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+                for i in range(n)
+            )
+            assert heckej.weyl._mat_mul(a, b) == expect, (a, b)
 
 
 def test_interning_cost_is_linear(monkeypatch):
