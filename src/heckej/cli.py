@@ -50,7 +50,7 @@ from .errors import (
     RadiusExceeded,
     UnsupportedType,
 )
-from .hecke import BASES, KLTable, StructureConstants, hecke_algebra
+from .hecke import BASES, KLTable, StructureConstants, _check_kl_budget, hecke_algebra
 from .laurent import Laurent
 from .weyl import GroupDescriptor, GroupElement, WeylGroup, make_group
 from . import sl2
@@ -387,6 +387,10 @@ def cmd_phi_check(ns) -> int:
     if max_len < 0:
         raise UsageError("--max-len must be >= 0")
     radius = max_len + 2 * g.desc.finite_longest_length - 1
+    # a term z of phi(x) has len(z) <= len(x) + len(d) <= len(x) + 2 len(w0) - 1,
+    # and a J product of two images extends the KL table to len(z1) + len(z2) - 1,
+    # so the largest table is of radius N + 4 len(w0) - 3: refuse it before any work
+    _check_kl_budget(g.desc, max_len + 4 * g.desc.finite_longest_length - 3)
     ring = JRing(g.desc, radius)
     alg = ring.algebra
     ball = g.enumerate_ball(max_len)

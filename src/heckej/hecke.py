@@ -15,18 +15,40 @@ under star (v -> -v^-1 on coefficients, ~T_w fixed), a ring
 automorphism, which the CLI applies to C'-results at output time.
 
 Internally every Hecke-algebra vector is a raw ~T vector
-{(cox_id, omega): coeff}, the coefficients being the zero-free
-{exponent: int} dicts of heckej.laurent.  A HeckeElement
-({GroupElement: Laurent}) appears only at the public edges:
-`_to_ttilde_raw` reads one in any basis and `_from_ttilde_raw` writes
-one in any basis.
+{(cox_id, omega): int}, each coefficient u_y one int of heckej.laurent's
+codec with a signed, balanced digit of W bits, in length-scaled form:
+the int at y is v^(kappa-len(y)) u_y at v = 2^W, for one kappa per
+vector.  In that form every step is int adds, left shifts and products:
+~T_s raises kappa by one and takes c at y to c at sy if sy > y, and to
+v^2 c at sy and (v^2 - 1) c at y if sy < y; a product of two vectors
+multiplies their ints, and its kappa is the sum of theirs; and C'_w,
+with kappa len(w), is P_{y,w}(v^2) at y (`KLTable._packed`, once per w
+and width), so peeling it off is one int product per y.  A
+HeckeElement ({GroupElement: Laurent}) appears only at the public
+edges: `_to_ttilde_raw` packs one in any basis and `_from_ttilde_raw`
+writes one in any basis.
+
+Unlike the KL data these coefficients have any sign and size, so W is
+set per call from an a priori bound.  Let n(T_w) = n(~T_w) = 3^len(w)
+and n(C'_w) = sum_y P_{y,w}(1), and N(h) = sum |c|_1 n(b) over the terms
+c b of h, |.|_1 summing absolute coefficients.  Then the coefficients
+of h1 h2 in any basis have |.|_1 at most N(h1) N(h2) in total, and those
+of h and of bar(h) at most N(h).  Since ~T_s = C'_s - v^-1 and
+~T_s^-1 = C'_s - v, by positivity of P_{y,w} and h_{x,y,z} each
+coefficient is bounded by that of a product of factors C'_s + v^(+-1)
+and C'_w, which is positive in ~T and C' coordinates and whose total at
+v = 1 is its mass in the group algebra, a product of 3s and P-masses;
+in particular |~T_s u|_1 <= 3 |u|_1.  W = bit_length(bound) + 1 then
+reads every result back exactly (`_width`).  Only results are read
+back: an int is the exact value of the polynomial it stands for, so a
+step in between may grow past W bits.
 
 The KL table and the structure-constant columns are {cox_id: coeff}
 vectors whose coefficients are packed ints (heckej.laurent's codec):
 P_{y,w} with q = 2^PACK_W, and h_{x,y,z} with v = 2^PACK_W, so each
-recursion step is int shifts and adds.  Both stay packed: `_expansion`
-decodes one w once, `h_map` one row per query, and the J ring reads
-single digits of the row `_row` hands it.  Exactness is guarded at
+recursion step is int shifts and adds.  Both stay packed: `_packed`
+repacks one w once per width, `h_map` decodes one row per query, and
+the J ring reads single digits of the row `_row` hands it.  Exactness is guarded at
 every step: each stored vector has all digits in [0, 2^PACK_T), which
 positivity guarantees, and a step sums at most 2^(PACK_W-1-PACK_T) such
 digits into one.
@@ -39,9 +61,7 @@ import operator
 from functools import lru_cache, reduce
 
 from .errors import BudgetExceeded, GroupMismatch, HeckejError, RadiusExceeded
-from .laurent import (
-    PACK_W, _DIGIT, Laurent, ONE, ZERO, _accumulate, _addmul, _digit, _pack, _unpack, _valuation,
-)
+from .laurent import PACK_W, _DIGIT, Laurent, ONE, ZERO, _accumulate, _digit, _pack, _unpack, _valuation
 from .weyl import GroupDescriptor, GroupElement, WeylGroup, _stratum_size, make_group
 
 __all__ = [
@@ -73,17 +93,15 @@ KL_ENTRY_BUDGET = 2 * 10**6
 PACK_T = 8
 
 
-# -- vectors of raw coefficients ({key: {exp: int}}, no empty entries) ------
+def _width(bound: int) -> int:
+    """Bits of a balanced digit that holds every integer of absolute value
+    at most bound."""
+    return bound.bit_length() + 1
 
-def _addmul_at(dst: dict, key, src: dict, k: int = 1, shift: int = 0) -> None:
-    """dst[key] += k * v^shift * src, for a nonzero src and k != 0."""
-    tgt = dst.get(key)
-    if tgt is None:
-        dst[key] = {e + shift: k * c for e, c in src.items()}
-        return
-    _addmul(tgt, src, k, shift)
-    if not tgt:
-        del dst[key]
+
+def _nonzero(vec: dict) -> dict:
+    """vec without its zero entries."""
+    return {key: c for key, c in vec.items() if c} if 0 in vec.values() else vec
 
 
 @lru_cache(maxsize=None)
@@ -164,38 +182,43 @@ class HeckeAlgebra:
 
     # -- internal ~T-basis product ---------------------------------------
 
-    def _lmul_gen_raw(self, s: int, vec: dict, inverse: bool) -> dict:
-        """~T_s, or with inverse ~T_s^-1 = ~T_s - (v - v^-1), times a raw vector
-        {(cox_id, omega): coeff}; ~T_w goes to ~T_{sw} + (v - v^-1) ~T_w if sw < w,
-        and ~T_s^-1 moves that term to sw > w with the opposite sign."""
+    def _lmul_gen_raw(self, s: int, vec: dict, shift: int, inverse: bool) -> dict:
+        """~T_s, or with inverse ~T_s^-1 = ~T_s - (v - v^-1), times a packed
+        vector, whose kappa it raises by one; shift is 2W, so c << shift is
+        v^2 c.  ~T_w goes to ~T_{sw} + (v - v^-1) ~T_w if sw < w, and ~T_s^-1
+        moves that term to sw > w with the opposite sign."""
         g = self.group
         memo, ldesc = g._lmul_memo, g._ldesc
-        k = -1 if inverse else 1
         out: dict = {}
-        for (i, om), c in vec.items():
+        for key, c in vec.items():
+            i, om = key
             # the memo read inline, as the call costs more than the lookup
             j = memo.get((s, i))
             if j is None:
                 j = g._lmul(s, i)
-            _addmul_at(out, (j, om), c)
-            if (s in ldesc[i]) != inverse:
-                _addmul_at(out, (i, om), c, k, shift=1)
-                _addmul_at(out, (i, om), c, -k, shift=-1)
-        return out
+            up = c << shift
+            if s in ldesc[i]:
+                out[j, om] = out.get((j, om), 0) + up
+                if not inverse:
+                    out[key] = out.get(key, 0) + up - c
+            else:
+                out[j, om] = out.get((j, om), 0) + c
+                if inverse:
+                    out[key] = out.get(key, 0) + c - up
+        return _nonzero(out)
 
     def _lmul_omega_raw(self, k: int, vec: dict) -> dict:
         if k == 0:
             return vec
         g = self.group
         perm = g.omega_perm(k)
-        out: dict = {}
-        for (i, om), c in vec.items():
-            _addmul_at(out, (g._permuted_id(perm, i), (k + om) % g.desc.omega_order), c)
-        return out
+        n = g.desc.omega_order
+        return {(g._permuted_id(perm, i), (k + om) % n): c for (i, om), c in vec.items()}
 
-    def _mul_ttilde_raw(self, vec1: dict, vec2: dict, inverse: bool = False) -> dict:
+    def _mul_ttilde_raw(self, vec1: dict, vec2: dict, shift: int, inverse: bool = False) -> dict:
         """vec1 * vec2 as the sum of c * (~T_w ~T_omega vec2) over the terms
-        c ~T_w ~T_omega of vec1.  Each piece ~T_w ~T_omega vec2 is
+        c ~T_w ~T_omega of vec1, one int product per pair of keys; its kappa
+        is the sum of theirs.  Each piece ~T_w ~T_omega vec2 is
         ~T_s (~T_{sw} ~T_omega vec2) for the first letter s of w, built once
         per key (cox_id, omega) from the piece of sw.  The support of a
         canonical expansion is closed under dropping the first letter, so
@@ -203,14 +226,13 @@ class HeckeAlgebra:
         pieces: dict = {}
         out: dict = {}
         for key, c in vec1.items():
-            piece = self._ttilde_piece(pieces, key, vec2, inverse).items()
-            for e, k in c.items():
-                for key2, c2 in piece:
-                    _addmul_at(out, key2, c2, k, e)
-        return out
+            for key2, c2 in self._ttilde_piece(pieces, key, vec2, shift, inverse).items():
+                out[key2] = out.get(key2, 0) + c * c2
+        return _nonzero(out)
 
-    def _ttilde_piece(self, pieces: dict, key: tuple[int, int], vec2: dict, inverse: bool) -> dict:
-        """~T_w ~T_omega vec2 for key = (id of w, omega), each ~T_s inverted with inverse; memoized in pieces."""
+    def _ttilde_piece(self, pieces: dict, key: tuple[int, int], vec2: dict, shift: int, inverse: bool) -> dict:
+        """~T_w ~T_omega vec2 for key = (id of w, omega), each ~T_s inverted
+        with inverse, with kappa raised by len(w); memoized in pieces."""
         got = pieces.get(key)
         if got is None:
             i, om = key
@@ -218,57 +240,92 @@ class HeckeAlgebra:
                 got = self._lmul_omega_raw(om, vec2)
             else:
                 s = self.group._words[i][0]
-                below = self._ttilde_piece(pieces, (self.group._lmul(s, i), om), vec2, inverse)
-                got = self._lmul_gen_raw(s, below, inverse)
+                below = self._ttilde_piece(pieces, (self.group._lmul(s, i), om), vec2, shift, inverse)
+                got = self._lmul_gen_raw(s, below, shift, inverse)
             pieces[key] = got
         return got
 
     # -- basis conversion --------------------------------------------------
 
-    def _to_ttilde_raw(self, h: HeckeElement, table: "KLTable | None") -> dict:
-        """h as a raw ~T vector {(cox_id, omega): coeff}; each term's element
-        is checked by the group as its id is read."""
-        out: dict = {}
-        if h.basis in ("T", "Ttilde"):
-            for w, c in h.terms.items():
-                # T_w = v^len(w) ~T_w
-                shift = len(w.word) if h.basis == "T" else 0
-                _addmul_at(out, (self.group._element_id(w), w.omega), c._c, shift=shift)
-            return out
-        if table is None or table.group is not self.group:
+    def _read(self, h: HeckeElement, table: "KLTable | None") -> tuple[list, int, int]:
+        """h's terms as (Coxeter id, omega, coefficient dict, depth), each
+        element checked by the group, and in C' by the table's radius, as its
+        id is read; with N(h) of the module docstring and the least kappa
+        that packs every term.  A term packs at offset kappa - depth."""
+        canonical = h.basis == "Cprime"
+        if canonical and (table is None or table.group is not self.group):
             raise ValueError("canonical-basis conversion needs a KL table of this group")
+        # T_w = v^len(w) ~T_w: a T coefficient sits len(w) digits above a ~T one
+        lift = 0 if h.basis == "T" else 1
+        terms = []
+        norm = 0
         for w, c in h.terms.items():
-            for y, cy in table._expansion(table._require(w)).items():
-                for e, k in c._c.items():
-                    _addmul_at(out, (y, w.omega), cy, k, e)
-        return out
+            if canonical:
+                i = table._require(w)
+                mass = table._mass(i)
+            else:
+                i = self.group._element_id(w)
+                mass = 3 ** len(w.word)
+            terms.append((i, w.omega, c._c, lift * len(w.word)))
+            norm += sum(map(abs, c._c.values())) * mass
+        kappa = max((depth - min(c) for _, _, c, depth in terms), default=0)
+        return terms, norm, kappa
 
-    def _from_ttilde_raw(self, vec: dict, basis: str, table: "KLTable | None") -> HeckeElement:
-        """A raw ~T vector, which is consumed, in the given basis.  C'_w is
+    def _to_ttilde_raw(self, basis: str, terms: list, kappa: int, width: int, table: "KLTable | None") -> dict:
+        """The packed ~T vector, for kappa and width, of terms read by _read
+        from an element in basis."""
+        if basis != "Cprime":
+            return {(i, om): _pack(c, kappa - depth, width) for i, om, c, depth in terms}
+        out: dict = {}
+        for i, om, c, depth in terms:
+            a = _pack(c, kappa - depth, width)
+            for y, p in table._packed(i, width).items():
+                out[y, om] = out.get((y, om), 0) + a * p
+        return _nonzero(out)
+
+    def _from_ttilde_raw(self, vec: dict, kappa: int, width: int, basis: str, table: "KLTable | None") -> HeckeElement:
+        """A packed ~T vector, which is consumed, in the given basis.  C'_w is
         ~T_w plus shorter terms, so a canonical expansion is peeled off one
-        length at a time from the longest down."""
+        length at a time from the longest down; in length-scaled form that
+        takes c P_{y,w}(v^2) from y for the int c at w."""
         words = self.group._words
-        if basis == "T":
-            vec = {key: {e - len(words[key[0]]): x for e, x in c.items()} for key, c in vec.items()}
-        elif basis != "Ttilde":
+        if basis == "Cprime":
             if table is None or table.group is not self.group:
                 raise ValueError("canonical-basis conversion needs a KL table of this group")
             rest, vec = vec, {}
-            for length in range(max((len(words[i]) for i, _ in rest), default=-1), -1, -1):
-                for key in [k for k in rest if len(words[k[0]]) == length]:
+            # the keys of rest by length; a peel adds keys only to shorter lengths
+            strata: list[list] = [[] for _ in range(max((len(words[i]) for i, _ in rest), default=-1) + 1)]
+            for key in rest:
+                strata[len(words[key[0]])].append(key)
+            for stratum in reversed(strata):
+                for key in stratum:
                     i, om = key
-                    c = vec[key] = rest.pop(key)
-                    for y, cy in table._expansion(i).items():
+                    c = rest.pop(key)
+                    if not c:
+                        continue
+                    vec[key] = c
+                    for y, p in table._packed(i, width).items():
                         if y != i:
-                            for e, k in c.items():
-                                _addmul_at(rest, (y, om), cy, -k, e)
-        terms = {GroupElement(self.desc, words[i], om): Laurent._raw(c) for (i, om), c in vec.items()}
+                            got = rest.get((y, om))
+                            if got is None:
+                                strata[len(words[y])].append((y, om))
+                                got = 0
+                            rest[y, om] = got - c * p
+        lift = 0 if basis == "T" else 1
+        terms = {
+            GroupElement(self.desc, words[i], om): Laurent._raw(_unpack(c, kappa - lift * len(words[i]), width))
+            for (i, om), c in vec.items()
+            if c
+        }
         return HeckeElement(self.desc, basis, terms)
 
     def to_basis(self, h: HeckeElement, basis: str, table: "KLTable | None" = None) -> HeckeElement:
         if h.basis == basis:
             return h
-        return self._from_ttilde_raw(self._to_ttilde_raw(h, table), basis, table)
+        terms, norm, kappa = self._read(h, table)
+        width = _width(norm)
+        vec = self._to_ttilde_raw(h.basis, terms, kappa, width, table)
+        return self._from_ttilde_raw(vec, kappa, width, basis, table)
 
     # -- public multiplication -------------------------------------------
 
@@ -276,18 +333,30 @@ class HeckeAlgebra:
         """Product, returned in the basis of h1."""
         if h1.desc != self.desc or h2.desc != self.desc:
             raise GroupMismatch("elements do not belong to this algebra")
-        prod = self._mul_ttilde_raw(self._to_ttilde_raw(h1, table), self._to_ttilde_raw(h2, table))
-        return self._from_ttilde_raw(prod, h1.basis, table)
+        terms1, norm1, kappa1 = self._read(h1, table)
+        terms2, norm2, kappa2 = self._read(h2, table)
+        width = _width(norm1 * norm2)
+        prod = self._mul_ttilde_raw(
+            self._to_ttilde_raw(h1.basis, terms1, kappa1, width, table),
+            self._to_ttilde_raw(h2.basis, terms2, kappa2, width, table),
+            2 * width,
+        )
+        return self._from_ttilde_raw(prod, kappa1 + kappa2, width, h1.basis, table)
 
     # -- bar involution ----------------------------------------------------
 
     def bar(self, h: HeckeElement, table: "KLTable | None" = None) -> HeckeElement:
         """The semilinear involution v -> v^-1, ~T_w -> (~T_{w^-1})^-1.  As
         bar(~T_w ~T_omega) = ~T_{s1}^-1 ... ~T_{sk}^-1 ~T_omega for w = s1...sk,
-        it is the product of h's barred coefficients with the unit, with inverse steps."""
-        barred = {key: {-e: x for e, x in c.items()} for key, c in self._to_ttilde_raw(h, table).items()}
-        out = self._mul_ttilde_raw(barred, {(0, 0): {0: 1}}, inverse=True)
-        return self._from_ttilde_raw(out, h.basis, table)
+        it is the product of h's barred ~T coefficients with the unit, with
+        inverse steps."""
+        ttilde = self.to_basis(h, "Ttilde", table)
+        barred = HeckeElement(self.desc, "Ttilde", {w: c.bar() for w, c in ttilde.terms.items()})
+        terms, norm, kappa = self._read(barred, table)
+        width = _width(norm)
+        vec = self._to_ttilde_raw("Ttilde", terms, kappa, width, table)
+        out = self._mul_ttilde_raw(vec, {(0, 0): 1}, 2 * width, inverse=True)
+        return self._from_ttilde_raw(out, kappa, width, h.basis, table)
 
 
 @lru_cache(maxsize=None)
@@ -344,7 +413,8 @@ class KLTable:
         self._coords: dict[int, dict[int, int]] = {}
         self._mu_down: dict[int, list[tuple[int, int]]] = {}
         self._mu_mass: dict[int, int] = {}
-        self._expansions: dict[int, dict[int, dict]] = {}
+        self._masses: dict[int, int] = {}
+        self._packed_expansions: dict[int, dict[int, dict[int, int]]] = {}
         self.extend(radius)
 
     # -- construction -----------------------------------------------------
@@ -453,20 +523,27 @@ class KLTable:
                 return m
         return 0
 
-    def _expansion(self, wid: int) -> dict[int, dict]:
-        """C'_w in ~T coordinates {yid: {exponent: int}}, decoded once;
+    def _packed(self, wid: int, width: int) -> dict[int, int]:
+        """C'_w in the Hecke algebra's length-scaled ~T form for kappa = len(w):
+        {yid: P_{y,w}(v^2) at v = 2^width}, packed once per w and width;
         refused past the radius."""
-        got = self._expansions.get(wid)
+        memo = self._packed_expansions.setdefault(width, {})
+        got = memo.get(wid)
         if got is None:
-            words = self.group._words
-            n = len(words[wid])
+            n = len(self.group._words[wid])
             if n > self.radius:
                 raise RadiusExceeded(f"length {n} beyond table radius {self.radius}")
-            got = {
-                y: {2 * k + len(words[y]) - n: c for k, c in _unpack(p, 0).items()}
+            got = memo[wid] = {
+                y: sum(d << 2 * width * k for k, d in enumerate(_q_coefficients(p)))
                 for y, p in self._coords[wid].items()
             }
-            self._expansions[wid] = got
+        return got
+
+    def _mass(self, wid: int) -> int:
+        """sum_y P_{y,w}(1), the mass of C'_w at v = 1 in the group algebra."""
+        got = self._masses.get(wid)
+        if got is None:
+            got = self._masses[wid] = sum(sum(_q_coefficients(p)) for p in self._coords[wid].values())
         return got
 
     # -- persistence --------------------------------------------------------

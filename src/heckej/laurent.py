@@ -6,11 +6,10 @@ v = q^(1/2), for an exact rational q > 0, lands in Q(sqrt q) and is
 returned as the pair of rationals (a0, a1) meaning a0 + a1*sqrt(q).
 
 The module-level helpers below are the sparse arithmetic on raw
-{exponent: int} dicts; Laurent wraps them, and the Hecke-algebra code
-calls them directly on its coefficient vectors.  Next to them sits the
-packed codec: a coefficient as one int, its value at v = 2^PACK_W
-(Kronecker substitution), on which the KL build and the
-structure-constant sweep add shifted multiples in C.
+{exponent: int} dicts, which Laurent wraps.  Next to them sits the
+packed codec: a coefficient as one int, its value at v = 2^W (Kronecker
+substitution), on which the KL build, the structure-constant sweep and
+the Hecke-algebra product add and multiply in C.
 """
 
 from __future__ import annotations
@@ -50,12 +49,14 @@ def _mul_raw(a: dict, b: dict) -> dict:
 
 # -- packed coefficients (one int each) --------------------------------------
 #
-# c = sum c_e v^e with every e >= -off is packed as sum c_e 2^(PACK_W (e + off)):
-# digit e + off, PACK_W bits wide, holds c_e.  Packing is Z-linear and v^s c
-# is a left shift by PACK_W s, so sums of shifted multiples stay exact in
-# the ints; v^-1 c is an exact right shift while digit 0 is empty.  The
-# digits are read back balanced, which is exact while every |c_e| stays
-# below 2^(PACK_W-1): keeping that true is the caller's job.
+# c = sum c_e v^e with every e >= -off is packed as sum c_e 2^(W (e + off)):
+# digit e + off, W bits wide, holds c_e.  Packing is Z-linear, the product
+# of two packed ints is their product packed with the sum of their offsets,
+# and v^s c is a left shift by W s, so sums and products stay exact in the
+# ints; v^-1 c is an exact right shift while digit 0 is empty.  The digits
+# are read back balanced, which is exact while every |c_e| stays below
+# 2^(W-1), so W >= 2: keeping that true is the caller's job.  W is PACK_W
+# unless a caller passes its own width.
 
 PACK_W = 20
 PACK_OFF = 8
@@ -63,31 +64,33 @@ _HALF = 1 << (PACK_W - 1)
 _DIGIT = (1 << PACK_W) - 1
 
 
-def _pack(d: dict, off: int = PACK_OFF) -> int:
+def _pack(d: dict, off: int = PACK_OFF, width: int = PACK_W) -> int:
     """Raises ValueError (a negative shift) on an exponent below -off."""
-    return sum(c << PACK_W * (e + off) for e, c in d.items())
+    return sum(c << width * (e + off) for e, c in d.items())
 
 
-def _unpack(c: int, off: int = PACK_OFF) -> dict:
+def _unpack(c: int, off: int = PACK_OFF, width: int = PACK_W) -> dict:
     """The zero-free {exponent: int} dict of a packed coefficient."""
     out = {}
     if not c:
         return out
-    e = _valuation(c, off)
-    c >>= PACK_W * (e + off)
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    e = _valuation(c, off, width)
+    c >>= width * (e + off)
     while c:
-        d = ((c + _HALF) & _DIGIT) - _HALF
+        d = ((c + half) & mask) - half
         if d:
             out[e] = d
-        c = (c - d) >> PACK_W
+        c = (c - d) >> width
         e += 1
     return out
 
 
-def _valuation(c: int, off: int = PACK_OFF) -> int:
+def _valuation(c: int, off: int = PACK_OFF, width: int = PACK_W) -> int:
     """Lowest exponent of a nonzero packed coefficient: the digit of its
     lowest set bit."""
-    return ((c & -c).bit_length() - 1) // PACK_W - off
+    return ((c & -c).bit_length() - 1) // width - off
 
 
 def _digit(c: int, e: int, off: int = PACK_OFF) -> int:

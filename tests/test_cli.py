@@ -326,6 +326,47 @@ def test_phi_check_reports_failures(capsys, monkeypatch):
     assert len(lines[2:-1]) == 10
 
 
+def test_phi_check_refuses_its_largest_kl_table_at_entry(capsys, monkeypatch):
+    """phi-check checks the KL table of radius N + 4 len(w0) - 3 that its J
+    products reach before it builds anything: on A2~ that is 35 at
+    max-len 26, the largest the budget admits, and 36 at max-len 27."""
+    desc = GroupDescriptor("A2~")
+    heckej.hecke._check_kl_budget(desc, 35)
+    with pytest.raises(heckej.BudgetExceeded):
+        heckej.hecke._check_kl_budget(desc, 36)
+    builds = []
+    build = KLTable._build
+    monkeypatch.setattr(KLTable, "_build", lambda self, wid: builds.append(wid) or build(self, wid))
+    code, out, err = run(capsys, "phi-check", "--type", "A2~", "--max-len", "27")
+    assert (code, out, builds) == (3, "", [])
+    assert err == "refused: a KL table of radius 36 may hold over 2000000 entries\n"
+
+    class Passed(Exception):
+        pass
+
+    def ring(*args):
+        raise Passed
+
+    monkeypatch.setattr(heckej.cli, "JRing", ring)
+    with pytest.raises(Passed):
+        main(["phi-check", "--type", "A2~", "--max-len", "26"])
+    assert builds == []
+
+
+@pytest.mark.parametrize("affine_type, extended, top", [("A2~", False, 8), ("A1~", True, 10)])
+def test_phi_check_reaches_the_kl_radius_it_refuses_at(capsys, monkeypatch, affine_type, extended, top):
+    """The radius of the entry check is the largest that phi-check's steps
+    reach, read off KLTable.extend."""
+    reached = []
+    extend = KLTable.extend
+    monkeypatch.setattr(KLTable, "extend", lambda self, radius: reached.append(radius) or extend(self, radius))
+    longest = GroupDescriptor(affine_type, extended).finite_longest_length
+    for n in range(top + 1):
+        reached.clear()
+        code, _, _ = run(capsys, "phi-check", "--type", affine_type, *["--extended"] * extended, "--max-len", str(n))
+        assert code == 0 and max(reached) == n + 4 * longest - 3, n
+
+
 def test_sl2_count_refusal(capsys):
     code, _, err = run(
         capsys, "sl2", "count", "--p", "2", "--m", "4", "--n", "-2", "--r", "2",

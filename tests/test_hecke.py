@@ -5,6 +5,7 @@ import random
 import pytest
 
 import heckej.hecke
+from heckej.hecke import BASES
 from heckej import (
     BudgetExceeded,
     GroupDescriptor,
@@ -539,3 +540,144 @@ def test_packed_guard_refuses_exponents_past_the_offset(monkeypatch):
     monkeypatch.setattr(heckej.hecke, "_pack", lambda d: 1 << laurent.PACK_W)
     with pytest.raises(BudgetExceeded):
         columns.column(g._id_of((0,)), 1)
+
+
+# -- an oracle for the Hecke product: T-basis words on plain dicts ----------
+#
+# Vectors are {GroupElement: {exponent: int}} in the T basis; nothing here
+# calls the library's Hecke-algebra code, only the group and the KL data.
+
+
+def _add(out, w, c, shift=0, k=1):
+    """out[w] += k v^shift c."""
+    d = out.setdefault(w, {})
+    for e, x in c.items():
+        d[e + shift] = d.get(e + shift, 0) + k * x
+
+
+def _clean(vec):
+    vec = {w: {e: x for e, x in c.items() if x} for w, c in vec.items()}
+    return {w: c for w, c in vec.items() if c}
+
+
+def _lmul_t(g, s, vec, inverse=False):
+    """T_s vec, T_s T_w being T_{sw} if sw > w and (q - 1) T_w + q T_{sw}
+    if sw < w; or T_s^-1 vec, with T_s^-1 = q^-1 T_s + q^-1 - 1."""
+    out = {}
+    shift = -2 if inverse else 0
+    for w, c in vec.items():
+        sw = g.multiply(g.generator(s), w)
+        if len(sw.word) > len(w.word):
+            _add(out, sw, c, shift)
+        else:
+            _add(out, w, c, 2 + shift)
+            _add(out, w, c, shift, -1)
+            _add(out, sw, c, 2 + shift)
+        if inverse:
+            _add(out, w, c, -2)
+            _add(out, w, c, 0, -1)
+    return out
+
+
+def _t_product(g, vec1, vec2):
+    """T_x T_y = T_{s1} (... T_{sk} (T_omega T_y)) for x = s1...sk omega,
+    and T_omega T_y = T_{omega y}."""
+    out = {}
+    for x, c in vec1.items():
+        vec = {g.multiply(GroupElement(g.desc, (), x.omega), y): d for y, d in vec2.items()}
+        for s in reversed(x.word):
+            vec = _lmul_t(g, s, vec)
+        for w, d in vec.items():
+            for e, k in c.items():
+                _add(out, w, d, e, k)
+    return _clean(out)
+
+
+def _t_bar(g, vec):
+    """bar(T_x) = T_{s1}^-1 ... T_{sk}^-1 T_omega for x = s1...sk omega."""
+    out = {}
+    for x, c in vec.items():
+        image = {GroupElement(g.desc, (), x.omega): {0: 1}}
+        for s in reversed(x.word):
+            image = _lmul_t(g, s, image, inverse=True)
+        for w, d in image.items():
+            for e, k in c.items():
+                _add(out, w, d, -e, k)
+    return _clean(out)
+
+
+def _in_t(g, table, h):
+    """h in the T basis: ~T_w = v^-len(w) T_w, and C'_{w omega} =
+    sum_y v^-len(w) P_{y,w}(v^2) T_{y omega} with P read from the table."""
+    out = {}
+    for w, c in h.terms.items():
+        n = len(w.word)
+        if h.basis != "Cprime":
+            _add(out, w, c._c, 0 if h.basis == "T" else -n)
+            continue
+        for y in g.enumerate_ball(n):
+            if y.omega == 0:
+                for e, k in table.kl_polynomial(y, GroupElement(g.desc, w.word, 0)).items():
+                    _add(out, GroupElement(g.desc, y.word, w.omega), c._c, e - n, k)
+    return _clean(out)
+
+
+def _random_element(rng, g, basis, ball):
+    """Three terms with coefficients up to 10^30 at exponents in [-60, 60]."""
+    terms = {}
+    for w in rng.sample(ball, 3):
+        terms[w] = Laurent({rng.randint(-60, 60): rng.randint(-10**30, 10**30) for _ in range(rng.randint(1, 3))})
+    return HeckeElement(g.desc, basis, terms)
+
+
+@pytest.mark.parametrize("fixture", ["a1", "a1x", "a2", "a2x"])
+def test_packed_kernel_against_the_t_basis_oracle(fixture, request):
+    g, alg, table = request.getfixturevalue(fixture)
+    rng = random.Random(26)
+    ball = g.enumerate_ball(3)
+    for basis in ("T", "Ttilde", "Cprime"):
+        for _ in range(8):
+            h1 = _random_element(rng, g, basis, ball)
+            h2 = _random_element(rng, g, rng.choice(BASES), ball)
+            t1, t2 = _in_t(g, table, h1), _in_t(g, table, h2)
+            prod = alg.multiply(h1, h2, table)
+            assert prod.basis == basis
+            assert _in_t(g, table, prod) == _t_product(g, t1, t2)
+            assert _in_t(g, table, alg.bar(h1, table)) == _t_bar(g, t1)
+            for target in BASES:
+                assert _in_t(g, table, alg.to_basis(h1, target, table)) == t1
+
+
+def test_power_of_a_generator_passes_the_kl_digit(a1):
+    """(C'_s)^25 = (v + v^-1)^24 C'_s, whose central coefficient 2,704,156
+    passes 2^19, half the digit of the KL build."""
+    g, alg, table = a1
+    s = g.generator(0)
+    cs = alg.basis_element(s, "Cprime")
+    power, oracle = cs, _in_t(g, table, cs)
+    for _ in range(24):
+        power = alg.multiply(power, cs, table)
+        oracle = _t_product(g, oracle, _in_t(g, table, cs))
+    assert power == cs.scale((V + VINV) ** 24)
+    assert power.terms[s].coeff(0) == 2704156 > 1 << 19
+    assert _in_t(g, table, power) == oracle
+
+
+@pytest.mark.parametrize("fixture", ["a1x", "a2"])
+def test_coefficients_at_the_width_limit(fixture, request):
+    """c b times the unit has the bound |c|_1 n(b) = |c| for b = T_omega,
+    ~T_omega or C'_omega, so c = +-(2^k - 1) fills its digit of k + 1 bits
+    to the last value either way, and +-2^k, +-(2^k + 1) are the first past
+    it, read with one bit more."""
+    g, alg, table = request.getfixturevalue(fixture)
+    w = max(g.enumerate_ball(0), key=lambda x: x.omega)
+    for k in range(1, 70):
+        e = 60 if k & 1 else -60
+        for c in (2**k - 1, 2**k, 2**k + 1, -(2**k - 1), -(2**k), -(2**k + 1)):
+            for basis in BASES:
+                h = HeckeElement(g.desc, basis, {w: Laurent({e: c})})
+                unit = alg.unit(basis)
+                t, t_unit = _in_t(g, table, h), _in_t(g, table, unit)
+                assert _in_t(g, table, alg.multiply(h, unit, table)) == _t_product(g, t, t_unit), (k, c, basis)
+                assert _in_t(g, table, alg.multiply(unit, h, table)) == _t_product(g, t_unit, t), (k, c, basis)
+                assert _in_t(g, table, alg.bar(h, table)) == _t_bar(g, t), (k, c, basis)
