@@ -55,13 +55,21 @@ whole): digit -a(z), after the valuation (the digit of the lowest set
 bit) shows no term below v^-a(z); NotInAPlus otherwise.  A witness of
 a(z) is checked on the same row by its valuation.
 
+Cell skip.  gamma_{x,y,z} != 0 puts x, y and z in one two-sided cell
+(Lusztig, Cells in affine Weyl groups II, 1987), and a is constant on
+two-sided cells, so a product of factors with several terms pairs each
+t_x only with the t_y of a(y) = a(x), each a-value being one memoized
+proof; the pairs it skips are never read off.
+
 Memoization.  A ring computes each read-off once: the proved a(z) per
 z, its distinguished involutions, the gammas of each (x, y), stored
 with their signs (-1)^(len x + len y + len z) gamma for the signed
-product, and the phi image of each x.  Every refusal runs before a memo
-is read, and only successful results are stored, so a call that raised
-raises again; the memos are bounded by the certified radius.  Callers
-get copies, apart from the immutable AValue of a proof.
+product, and the phi image of each x.  A refusal runs before the memo of
+any pair past the radius is read: a product refuses pair by pair as it
+visits its terms, with the message of its whole factors.  Only
+successful results are stored, so a call that raised raises again; the
+memos are bounded by the certified radius.  Callers get copies, apart
+from the immutable AValue of a proof.
 """
 
 from __future__ import annotations
@@ -252,16 +260,46 @@ class JRing:
     def j_element(self, terms: dict[GroupElement, int]) -> JElement:
         return JElement(self.desc, {w: c for w, c in terms.items() if c}, self.radius)
 
-    def _product(self, a: JElement, b: JElement, signed: bool = False) -> JElement:
+    def _product(self, a: JElement, b: JElement, signed: bool = False, truncate: bool = False) -> JElement:
         """sum c1 c2 gamma_{x,y,z} t_z over the terms c1 t_x of a and c2 t_y
-        of b, for the z within the certified radius.  With signed, each
+        of b, for the z within the certified radius L.  With signed, each
         gamma carries the sign (-1)^(len x + len y + len z), which gives the
-        product in the C convention (module docstring, "One convention")."""
+        product in the C convention (module docstring, "One convention").
+
+        A pair past the radius is refused before its memo is read: in J one
+        with len x + len y > L; with truncate, in J tensor A, one with
+        len x > L or len y > L, its t_z past L being dropped instead.  When
+        both factors have several terms, x is paired only with the y of
+        a(y) = a(x), as every other pair has only zero gammas."""
+        radius = self.radius
+        if not a.terms or not b.terms:
+            # no pair to visit, but a factor past the radius is still refused
+            self._refuse(a, b, truncate)
+            return JElement(self.desc, {}, radius)
         memo = self._gammas
         pick = 2 if signed else 1
+        ys = b.terms.items()
+        cells = None
+        # an x longer than this has a pair past the radius
+        xroom = radius
+        if len(a.terms) > 1 < len(b.terms):
+            cells = {}
+            for y, c2 in ys:
+                ly = len(y.word)
+                if ly > radius:
+                    self._refuse(a, b, truncate)
+                if not truncate and radius - ly < xroom:
+                    xroom = radius - ly
+                cells.setdefault(self._prove(y).value, []).append((y, c2))
         out: dict = {}
         for x, c1 in a.terms.items():
-            for y, c2 in b.terms.items():
+            lx = len(x.word)
+            if lx > xroom:
+                self._refuse(a, b, truncate)
+            yroom = radius if truncate else radius - lx
+            for y, c2 in ys if cells is None else cells.get(self._prove(x).value, ()):
+                if len(y.word) > yroom:
+                    self._refuse(a, b, truncate)
                 # the memo read inline, as the call costs more than the lookup
                 terms = memo.get((x, y))
                 if terms is None:
@@ -272,14 +310,23 @@ class JRing:
                 c = c1 * c2
                 for term in terms:
                     _accumulate(out, term[0], c * term[pick])
-        return JElement(self.desc, out, self.radius)
+        return JElement(self.desc, out, radius)
+
+    def _refuse(self, a: JElement, b: JElement, truncate: bool) -> None:
+        """The refusal of a product whose factors reach past the radius,
+        reported for the whole factors: in J by the product support length
+        (the longest terms' lengths added), in J tensor A by the factor
+        length.  It raises whenever _product met a pair past the radius."""
+        if truncate:
+            self._within(max(a.max_length(), b.max_length()), "factor length")
+        else:
+            self._within(a.max_length() + b.max_length(), "product support length")
 
     def j_multiply(self, j1: JElement, j2: JElement, signed: bool = False) -> JElement:
         """Product in J; refused when its support may pass the radius.  With
         signed, in the C convention (see _product)."""
         if j1.desc != self.desc or j2.desc != self.desc:
             raise GroupMismatch("elements of a different group")
-        self._within(j1.max_length() + j2.max_length(), "product support length")
         return self._product(j1, j2, signed)
 
     # -- distinguished involutions ----------------------------------------
@@ -334,8 +381,7 @@ class JRing:
     def jta_multiply(self, a: JElement, b: JElement) -> JElement:
         """Product in J tensor A, truncated to the certified radius; refused
         for a factor with a term past it."""
-        self._within(max(a.max_length(), b.max_length()), "factor length")
-        return self._product(a, b)
+        return self._product(a, b, truncate=True)
 
     # -- specialization ----------------------------------------------------
 

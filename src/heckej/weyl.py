@@ -157,6 +157,10 @@ class WeylGroup:
         self._rmul_memo: dict[tuple[int, int], int] = {}
         self._lmul_memo: dict[tuple[int, int], int] = {}
         self._inv_memo: dict[int, int] = {}
+        # the ball as far as enumerated, Coxeter ids sorted by (length, word):
+        # the stratum of length n is _ball[_ball_ends[n] : _ball_ends[n + 1]]
+        self._ball: list[int] = [0]
+        self._ball_ends: list[int] = [0, 1]
 
     # -- element constructors --------------------------------------------
 
@@ -342,21 +346,22 @@ class WeylGroup:
         prefix of a ShortLex-least word is one too, so each element of length
         n + 1 is found once, as the i * s whose word is word(i) + (s,); so
         extending a sorted stratum letter by letter keeps the next sorted.
-        A ball past BALL_BUDGET is refused before any enumeration."""
+        Each stratum is enumerated once per group, and a ball is a prefix of
+        the largest one so far.  A ball past BALL_BUDGET is refused before
+        any enumeration."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
         if not _ball_fits(self.desc, radius):
             raise BudgetExceeded(f"a ball of radius {radius} has over {BALL_BUDGET} elements")
-        strata = [[0]]
-        for _ in range(radius):
-            nxt = []
-            for i in strata[-1]:
+        ball, ends = self._ball, self._ball_ends
+        while len(ends) <= radius + 1:
+            for i in ball[ends[-2] : ends[-1]]:
                 for s in range(self.rank):
                     j = self._rmul(i, s)
                     if self._words[j][-1:] == (s,):
-                        nxt.append(j)
-            strata.append(nxt)
-        return [i for stratum in strata for i in stratum]
+                        ball.append(j)
+            ends.append(len(ball))
+        return ball[: ends[radius + 1]]
 
     def enumerate_ball(self, radius: int) -> list[GroupElement]:
         """All elements of length <= radius, sorted by (length, word, omega):

@@ -1,6 +1,7 @@
 """a-function, gamma constants, J multiplication, distinguished
 involutions, and the map phi into J tensor A."""
 
+import random
 import sys
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from heckej import (
     make_group,
 )
 from heckej.asymptotic import _quadratic_rank
-from heckej.laurent import _pack, _unpack
+from heckej.laurent import _accumulate, _pack, _unpack
 
 
 def test_certification_bound_values(a1_desc, a2_desc):
@@ -339,6 +340,107 @@ def test_refusals_run_before_the_memos(a1_desc, a2_desc):
     for _ in range(2):
         with pytest.raises(RadiusExceeded):
             small.phi(s0)
+
+
+def _whole_factor_refusal(ring, a, b, tensor_a):
+    """The refusal of a product as a rule on the whole factors, taken up
+    front: in J when the longest terms' lengths add past the radius, in J
+    tensor A when either factor has a term past it.  The message, or None."""
+
+    def longest(e):
+        return max((len(w.word) for w in e.terms), default=0)
+
+    if tensor_a:
+        n, what = max(longest(a), longest(b)), "factor length"
+    else:
+        n, what = longest(a) + longest(b), "product support length"
+    return f"{what} = {n} beyond certified radius {ring.radius}" if n > ring.radius else None
+
+
+@pytest.mark.parametrize("affine_type, extended, radius", [("A1~", False, 6), ("A1~", True, 6), ("A2~", False, 5)])
+def test_products_refuse_as_the_whole_factor_rule(affine_type, extended, radius):
+    """j_multiply and jta_multiply refuse pair by pair, and skip the pairs
+    across two-sided cells; on random multi-term factors near the radius
+    they raise exactly when the whole-factor rule does, with its message,
+    and otherwise equal the sum of their one-term products."""
+    ring = JRing(GroupDescriptor(affine_type, extended), radius)
+    g = ring.group
+    near = g.enumerate_ball(radius + 2)
+    rng = random.Random(f"refusals:{affine_type}:{extended}")
+
+    def element(tensor_a):
+        terms = {}
+        for w in rng.sample(near, rng.choice((0, 1, 2, 3, 5))):
+            c = rng.choice((-2, -1, 1, 3))
+            terms[w] = Laurent({rng.randrange(-2, 3): c}) if tensor_a else c
+        return ring.j_element(terms)
+
+    s0, s1 = g.generators()[:2]
+    mutated = ring.j_multiply(ring.t(s0), ring.t(s0))
+    mutated.terms[g.element((1, 0) * (radius // 2))] = -1
+    fixed = [ring.j_element({}), mutated, ring.t(s1), ring.t(g.element((0, 1) * radius))]
+    if affine_type == "A1~":
+        # t_0 t_01 = t_01 and t_010 t_01 = t_01 + t_0101: in either
+        # convention the t_01 terms cancel
+        cancelled = ring.j_multiply(
+            ring.j_element({s0: 1, g.element((0, 1, 0)): -1}), ring.t(g.element((0, 1))), signed=True
+        )
+        assert list(cancelled.terms) == [g.element((0, 1, 0, 1))]
+        fixed.append(cancelled)
+    cases = [(a, b) for a in fixed for b in fixed]
+    if affine_type == "A2~":
+        # of these factors only t_0102 t_01 is past the radius, a pair
+        # across two-sided cells that the skip never visits
+        x, y = g.element((0, 1, 0, 2)), g.element((0, 1))
+        assert len(x) + len(y) == radius + 1 and ring.a_function(x).value != ring.a_function(y).value
+        cases.append((ring.j_element({x: 1, s0: 1}), ring.j_element({y: 1, s1: 1})))
+    cases += [(element(False), element(False)) for _ in range(150)]
+    cases += [(rng.choice(fixed), element(False)) for _ in range(30)]
+    cases += [(element(False), rng.choice(fixed)) for _ in range(30)]
+    outcomes = set()
+    for a, b in cases:
+        signed = rng.random() < 0.5
+        for tensor_a in (False, True):
+            if tensor_a:
+                a, b = (ring.j_element({w: Laurent({0: c}) for w, c in e.terms.items()}) for e in (a, b))
+            expect = _whole_factor_refusal(ring, a, b, tensor_a)
+            try:
+                got = ring.jta_multiply(a, b) if tensor_a else ring.j_multiply(a, b, signed)
+            except RadiusExceeded as err:
+                assert str(err) == expect, (a, b, tensor_a)
+                outcomes.add((tensor_a, "refused"))
+                continue
+            assert expect is None, (a, b, tensor_a)
+            total: dict = {}
+            for x, c1 in a.terms.items():
+                for y, c2 in b.terms.items():
+                    if tensor_a:
+                        one = ring.jta_multiply(ring.j_element({x: c1}), ring.j_element({y: c2}))
+                    else:
+                        one = ring.j_multiply(ring.j_element({x: c1}), ring.j_element({y: c2}), signed)
+                    for z, c in one.terms.items():
+                        _accumulate(total, z, c)
+            assert got.terms == total, (a, b, tensor_a)
+            outcomes.add((tensor_a, "product"))
+    # both outcomes occur, in J and in J tensor A
+    assert len(outcomes) == 4
+
+
+@pytest.mark.parametrize("ring_name", ["a1_ring", "a2_ring", "a1x_ring"])
+def test_pairs_across_two_sided_cells_have_no_gamma(ring_name, request):
+    """The premise of the cell skip, read off without it: gamma_{x,y,z} != 0
+    puts x, y and z in one two-sided cell, so a pair of different a-values
+    has no nonzero gamma (Lusztig, Cells in affine Weyl groups II, 1987)."""
+    ring = request.getfixturevalue(ring_name)
+    ball = ring.group.enumerate_ball(ring.radius)
+    a = {w: ring.a_function(w).value for w in ball}
+    crossing = 0
+    for x in ball:
+        for y in ball:
+            if a[x] != a[y] and len(x.word) + len(y.word) <= ring.radius:
+                crossing += 1
+                assert ring._gamma_terms(x, y) == (), (x, y)
+    assert crossing
 
 
 def test_j_multiply_refuses_past_radius(a1_desc):

@@ -396,6 +396,35 @@ def test_ball_budget(monkeypatch, affine_type, extended, radius):
         fresh.enumerate_ball(radius)
 
 
+@pytest.mark.parametrize("affine_type", ["A1~", "A2~"])
+@pytest.mark.parametrize("extended", [False, True])
+def test_ball_strata_are_kept_per_group(affine_type, extended):
+    """A group enumerates each stratum once: balls asked in any radius order
+    are prefixes of its largest, and equal a fresh group's answer; a radius
+    past BALL_BUDGET interns nothing."""
+    desc = GroupDescriptor(affine_type, extended)
+    g = WeylGroup(desc)
+    radii = list(range(13 if affine_type == "A1~" else 9))
+    random.Random(f"strata:{desc}").shuffle(radii)
+    for radius in radii:
+        words = [g._words[i] for i in g._ball_ids(radius)]
+        fresh = WeylGroup(desc)
+        assert words == [fresh._words[i] for i in fresh._ball_ids(radius)]
+    largest = g._ball_ids(max(radii))
+
+    def no_enumeration(i, s):
+        raise AssertionError("a stratum enumerated twice")
+
+    g._rmul = no_enumeration
+    for radius in radii:
+        assert g._ball_ids(radius) == largest[: len(g._ball_ids(radius))]
+    interned = len(g._words)
+    # every stratum has an element, so this ball has over BALL_BUDGET
+    with pytest.raises(BudgetExceeded):
+        g._ball_ids(heckej.weyl.BALL_BUDGET)
+    assert len(g._words) == interned
+
+
 def test_long_word_refused_before_interning():
     """A word longer than the radius of the largest ball within BALL_BUDGET
     (81 on A2~) is refused before any prefix of it is interned."""
