@@ -309,7 +309,9 @@ class JRing:
                     continue
                 c = c1 * c2
                 for term in terms:
-                    _accumulate(out, term[0], c * term[pick])
+                    # almost every gamma is 1: add c itself then
+                    gamma = term[pick]
+                    _accumulate(out, term[0], c if gamma == 1 else c * gamma)
         return JElement(self.desc, out, radius)
 
     def _refuse(self, a: JElement, b: JElement, truncate: bool) -> None:

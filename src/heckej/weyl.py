@@ -1,10 +1,19 @@
 """Extended affine Weyl groups of types A1~ and A2~.
 
 The Coxeter part is handled generically through the integral reflection
-representation attached to a Coxeter matrix with entries in {2, 3, oo}.
-The representation is faithful, so the matrix of w^-1 names w by itself;
-it also gives the left descents of w, and the canonical (ShortLex least)
-reduced word of w is its least left descent s followed by the word of s*w.
+representation sigma attached to a Coxeter matrix with entries in
+{2, 3, oo}.  The representation is faithful, so the matrix M = sigma(w^-1)
+names w by itself; it also gives the left descents of w (the columns of M
+that are <= 0), and the canonical (ShortLex least) reduced word of w is its
+least left descent s followed by the word of s*w.  M is stored flat, row
+by row, as a tuple of rank**2 ints.
+
+sigma(s) differs from the identity in row s only, which is e_s + d_s
+with d_s[j] = 2 cos(pi / m_sj) off the diagonal and d_s[s] = -2.  So a
+step by one generator is a rank-one update of M, never a matrix product:
+sigma((w s)^-1) = sigma(s) M adds sum_j d_s[j] * (row j) to row s
+(`_gen_times`), and sigma((s w)^-1) = M sigma(s) adds r[s] * d_s to each
+row r (`_times_gen`).
 The length-zero extension Omega acts by diagram automorphisms and sits
 on the right: an element is a pair (coxeter word, omega).
 """
@@ -12,7 +21,6 @@ on the right: an element is a pair (coxeter word, omega).
 from __future__ import annotations
 
 import itertools
-import operator
 from collections import namedtuple
 from functools import lru_cache
 
@@ -99,23 +107,43 @@ class GroupElement(namedtuple("GroupElement", "desc word omega", defaults=(0,)))
         return body if self.omega == 0 else f"{body}@{self.omega}"
 
 
-def _mat_identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+def _gen_times(m, n: int, s: int, d) -> tuple[int, ...]:
+    """sigma(s) * m for the flat n x n matrix m and d = d_s: row s gains
+    sum_j d[j] * (row j), read from m, and every other row stays."""
+    out = list(m)
+    row = range(s * n, s * n + n)
+    shift = -s * n  # from row s to row j, for j = 0, 1, ...
+    for c in d:
+        for k in row:
+            out[k] += c * m[shift + k]
+        shift += n
+    return tuple(out)
 
 
-def _mat_mul(a, b):
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in a)
+def _times_gen(m, n: int, s: int, d) -> tuple[int, ...]:
+    """m * sigma(s) for the flat n x n matrix m and d = d_s: each row r
+    gains r[s] * d."""
+    out = list(m)
+    k = 0  # the entry being updated, row by row
+    for t in m[s::n]:
+        if t:
+            for c in d:
+                out[k] += t * c
+                k += 1
+        else:  # a row with r[s] = 0 stays
+            k += n
+    return tuple(out)
 
 
 class WeylGroup:
     """Handle for one (extended) affine Weyl group; elements are interned.
 
     Coxeter parts are identified by dense integer ids; the tables
-    (canonical word, matrix of the inverse, left descent set, the id of
-    each word and of each inverse matrix, neighbor links) are memo caches
-    that only ever grow, so reads after a warm-up are safe for concurrent
-    use.
+    (canonical word, flat matrix sigma(w^-1), left descent set, the id of
+    each word and of each matrix, neighbor links) are memo caches that
+    only ever grow, so reads after a warm-up are safe for concurrent use.
+    A new neighbor w*s or s*w costs one generator update of the matrix of
+    w (`_gen_times`, `_times_gen`), O(rank**2) integer operations.
     """
 
     def __init__(self, desc: GroupDescriptor):
@@ -124,20 +152,12 @@ class WeylGroup:
         self.rank = n
         self._no_perm = tuple(range(n))
         cox = _COXETER[desc.affine_type]
-        # off-diagonal coefficients of the reflection action
-        self._coef = tuple(
-            tuple(0 if cox[i][j] == 2 else (1 if cox[i][j] == 3 else 2) for j in range(n))
+        # d_s = row s of sigma(s) minus e_s: 2 cos(pi / m_sj) off the
+        # diagonal (0, 1, 2 for m_sj = 2, 3, oo) and -2 at s
+        self._d = tuple(
+            tuple(-2 if i == j else {2: 0, 3: 1, 0: 2}[cox[i][j]] for j in range(n))
             for i in range(n)
         )
-        self._gen_mats = []
-        for i in range(n):
-            rows = []
-            for k in range(n):
-                if k != i:
-                    rows.append(tuple(1 if j == k else 0 for j in range(n)))
-                else:
-                    rows.append(tuple(-1 if j == i else self._coef[i][j] for j in range(n)))
-            self._gen_mats.append(tuple(rows))
         # generator permutations that preserve the Coxeter matrix; each one
         # extends to a length-preserving automorphism of W and of its
         # Hecke algebra (C'_w -> C'_{sigma w})
@@ -151,7 +171,7 @@ class WeylGroup:
         # interning tables for Coxeter parts
         self._index: dict[tuple[int, ...], int] = {(): 0}
         self._words: list[tuple[int, ...]] = [()]
-        self._invmats = [_mat_identity(n)]
+        self._invmats = [tuple(int(i == j) for i in range(n) for j in range(n))]
         self._invmat_index = {self._invmats[0]: 0}
         self._ldesc: list[frozenset[int]] = [frozenset()]
         self._rmul_memo: dict[tuple[int, int], int] = {}
@@ -221,23 +241,21 @@ class WeylGroup:
         return i
 
     def _intern(self, invmat) -> int:
-        """Id of the element w whose inverse has matrix invmat. A new w's
+        """Id of the element w with sigma(w^-1) = invmat, flat.  A new w's
         word is its least left descent s followed by the word of s*w, so
-        walk down to a known element and intern those passed on the way up."""
-        n = self.rank
+        walk down by (s*w)^-1 = w^-1 * s, one `_times_gen` a step, to a
+        known element, and intern those passed on the way up."""
+        n, d = self.rank, self._d
         pending = []
         while invmat not in self._invmat_index:
             # s_i is a left descent iff w^-1(alpha_i) is a negative root,
             # i.e. column i of the inverse matrix is <= 0.
-            desc = frozenset(
-                i for i in range(n) if all(invmat[k][i] <= 0 for k in range(n))
-            )
+            desc = frozenset([i for i in range(n) if max(invmat[i::n]) <= 0])
             if not desc:
                 raise HeckejError("non-identity element with no left descent")
             s = min(desc)
             pending.append((invmat, desc, s))
-            # (s * w)^-1 = w^-1 * s
-            invmat = _mat_mul(invmat, self._gen_mats[s])
+            invmat = _times_gen(invmat, n, s, d[s])
         below = self._invmat_index[invmat]
         for invmat, desc, s in reversed(pending):
             idx = len(self._words)
@@ -258,7 +276,7 @@ class WeylGroup:
         if got is not None:
             return got
         # (w * s)^-1 = s * w^-1
-        j = self._intern(_mat_mul(self._gen_mats[s], self._invmats[i]))
+        j = self._intern(_gen_times(self._invmats[i], self.rank, s, self._d[s]))
         self._rmul_memo[key] = j
         self._rmul_memo[(j, s)] = i
         return j
@@ -268,7 +286,7 @@ class WeylGroup:
         got = self._lmul_memo.get(key)
         if got is not None:
             return got
-        j = self._intern(_mat_mul(self._invmats[i], self._gen_mats[s]))
+        j = self._intern(_times_gen(self._invmats[i], self.rank, s, self._d[s]))
         self._lmul_memo[key] = j
         self._lmul_memo[(s, j)] = i
         return j
@@ -347,13 +365,14 @@ class WeylGroup:
         n + 1 is found once, as the i * s whose word is word(i) + (s,); so
         extending a sorted stratum letter by letter keeps the next sorted.
         Each stratum is enumerated once per group, and a ball is a prefix of
-        the largest one so far.  A ball past BALL_BUDGET is refused before
-        any enumeration."""
+        the largest one so far.  A ball that must grow past BALL_BUDGET is
+        refused before any enumeration; one already enumerated was checked
+        when it grew."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        if not _ball_fits(self.desc, radius):
-            raise BudgetExceeded(f"a ball of radius {radius} has over {BALL_BUDGET} elements")
         ball, ends = self._ball, self._ball_ends
+        if len(ends) <= radius + 1 and not _ball_fits(self.desc, radius):
+            raise BudgetExceeded(f"a ball of radius {radius} has over {BALL_BUDGET} elements")
         while len(ends) <= radius + 1:
             for i in ball[ends[-2] : ends[-1]]:
                 for s in range(self.rank):

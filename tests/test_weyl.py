@@ -182,43 +182,98 @@ def test_parabolic_factor_against_reduced_words(affine_type):
         ), z
 
 
-def test_mat_mul_matches_the_entrywise_sum():
-    """_mat_mul against the textbook sum over k of a[i][k] * b[k][j]."""
-    rng = random.Random(7)
-    for n in (2, 3):
+# 2 cos(pi / m) for the Coxeter matrix entry m (None for infinity)
+_TWO_COS = {2: 0, 3: 1, None: 2}
+_COXETER_ENTRIES = {"A1~": {(0, 1): None}, "A2~": {(0, 1): 3, (0, 2): 3, (1, 2): 3}}
+
+
+def _textbook_sigma(affine_type, s):
+    """The reflection s on the simple roots, as a nested matrix: s(alpha_j)
+    = alpha_j + 2 cos(pi / m_sj) alpha_s, and s(alpha_s) = -alpha_s."""
+    m = _COXETER_ENTRIES[affine_type]
+    n = 2 if affine_type == "A1~" else 3
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows[s] = [-1 if j == s else _TWO_COS[m[min(s, j), max(s, j)]] for j in range(n)]
+    return rows
+
+
+def _textbook_product(a, b):
+    n = len(a)
+    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def _flat(rows):
+    return tuple(x for row in rows for x in row)
+
+
+@pytest.mark.parametrize("affine_type", ["A1~", "A2~"])
+def test_generator_updates_match_the_textbook_product(affine_type):
+    """_gen_times and _times_gen against sigma(s) * M and M * sigma(s) by the
+    textbook sum over k, on random matrices, for every generator s; d_s is
+    row s of sigma(s) minus e_s, and the group builds the same."""
+    g = WeylGroup(GroupDescriptor(affine_type))
+    n = g.rank
+    rng = random.Random(f"kernels:{affine_type}")
+    for s in range(n):
+        sigma = _textbook_sigma(affine_type, s)
+        d = tuple(x - (j == s) for j, x in enumerate(sigma[s]))
+        assert g._d[s] == d
         for _ in range(200):
-            a, b = (
-                tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n))
-                for _ in range(2)
-            )
-            expect = tuple(
-                tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-                for i in range(n)
-            )
-            assert heckej.weyl._mat_mul(a, b) == expect, (a, b)
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            m = _flat(rows)
+            assert heckej.weyl._gen_times(m, n, s, d) == _flat(_textbook_product(sigma, rows)), (m, s)
+            assert heckej.weyl._times_gen(m, n, s, d) == _flat(_textbook_product(rows, sigma)), (m, s)
+
+
+@pytest.mark.parametrize("affine_type", ["A1~", "A2~"])
+@pytest.mark.parametrize("extended", [False, True])
+def test_interned_matrices_are_the_product_along_the_word(affine_type, extended):
+    """Every element of ball(12) is keyed by sigma(w^-1), the textbook
+    product of the generator matrices along its word reversed, and keys are
+    distinct; s is a left descent of w iff s * w is shorter."""
+    g = WeylGroup(GroupDescriptor(affine_type, extended))
+    n = g.rank
+    sigmas = [_textbook_sigma(affine_type, s) for s in range(n)]
+    ball = g.enumerate_ball(12)
+    keys = set()
+    for w in ball:
+        i = g._element_id(w)
+        expect = [[int(r == c) for c in range(n)] for r in range(n)]
+        for s in w.word:
+            expect = _textbook_product(sigmas[s], expect)
+        assert g._invmats[i] == _flat(expect), w
+        assert g._invmat_index[g._invmats[i]] == i
+        keys.add(g._invmats[i])
+        for s in range(n):
+            shorter = len(g.multiply(g.generator(s), w)) < len(w)
+            assert (s in g._ldesc[i]) == shorter, (w, s)
+    assert len(keys) == len(ball) // g.desc.omega_order
 
 
 def test_interning_cost_is_linear(monkeypatch):
-    products = [0]
-    mat_mul = heckej.weyl._mat_mul
+    updates = [0]
 
-    def counted(a, b):
-        products[0] += 1
-        return mat_mul(a, b)
+    def counted(kernel):
+        def run(m, n, s, d):
+            updates[0] += 1
+            return kernel(m, n, s, d)
 
-    monkeypatch.setattr(heckej.weyl, "_mat_mul", counted)
+        return run
+
+    for name in ("_gen_times", "_times_gen"):
+        monkeypatch.setattr(heckej.weyl, name, counted(getattr(heckej.weyl, name)))
     # a word of 1,200 letters is past the radius of the default ball budget
     monkeypatch.setattr(heckej.weyl, "BALL_BUDGET", 3 * 10**6)
     g = WeylGroup(GroupDescriptor("A2~"))
     w = g.element((0, 1, 2) * 400)
     assert len(w.word) == 1200
-    assert products[0] <= 8 * 1200
+    assert 0 < updates[0] <= 8 * 1200
     assert g.element(w.word) == w
 
-    products[0] = 0
+    updates[0] = 0
     g = WeylGroup(GroupDescriptor("A2~"))
     ball = g.enumerate_ball(19)
-    assert products[0] <= 3 * len(ball) * g.rank
+    assert 0 < updates[0] <= 3 * len(ball) * g.rank
 
 
 def test_bad_letters_and_unreduced_words_rejected():
