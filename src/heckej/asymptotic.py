@@ -55,18 +55,24 @@ whole): digit -a(z), after the valuation (the digit of the lowest set
 bit) shows no term below v^-a(z); NotInAPlus otherwise.  A witness of
 a(z) is checked on the same row by its valuation.
 
-Cell skip.  gamma_{x,y,z} != 0 puts x, y and z in one two-sided cell
-(Lusztig, Cells in affine Weyl groups II, 1987), and a is constant on
-two-sided cells, so a product of factors with several terms pairs each
-t_x only with the t_y of a(y) = a(x), each a-value being one memoized
-proof; the pairs it skips are never read off.
+Cell skip.  gamma_{x,y,z} != 0 needs x ~_L y^-1 (P8 of Lusztig, Cells
+in affine Weyl groups II, 1987).  So x and y lie in one two-sided cell,
+on which a is constant, and R(x) = R(y^-1) = L(y), since the right
+descent set is constant on left cells (Kazhdan and Lusztig,
+Representations of Coxeter groups and Hecke algebras, 1979, Prop. 2.4).
+A product therefore groups the terms t_y of its right factor once by the
+key (a(y), L(y)) and pairs each t_x only with the group of key
+(a(x), R(x)); both keys of an element are memoized together, each a-value
+being one memoized proof.  The pairs it skips are never read off, and
+_gamma_terms itself does not skip.
 
 Memoization.  A ring computes each read-off once: the proved a(z) per
-z, its distinguished involutions, the gammas of each (x, y), stored
-with their signs (-1)^(len x + len y + len z) gamma for the signed
-product, and the phi image of each x.  A refusal runs before the memo of
-any pair past the radius is read: a product refuses pair by pair as it
-visits its terms, with the message of its whole factors.  Only
+z and the two keys of the cell skip, its distinguished involutions, the
+gammas of each (x, y), stored with their signs
+(-1)^(len x + len y + len z) gamma for the signed product, and the phi
+image of each x.  A refusal runs before the memo of any pair past the
+radius is read: a product refuses term by term as it visits its
+factors, with the message of its whole factors.  Only
 successful results are stored, so a call that raised raises again; the
 memos are bounded by the certified radius.  Callers get copies, apart
 from the immutable AValue of a proof.
@@ -167,6 +173,7 @@ class JRing:
         self._dinv: list[GroupElement] | None = None
         self._proofs: dict[GroupElement, AValue] = {}
         self._gammas: dict[tuple, tuple[tuple[GroupElement, int, int], ...]] = {}
+        self._keys: dict[GroupElement, tuple] = {}
         self._phis: dict[GroupElement, tuple[tuple[GroupElement, Laurent], ...]] = {}
 
     # -- a-function --------------------------------------------------------
@@ -268,39 +275,37 @@ class JRing:
 
         A pair past the radius is refused before its memo is read: in J one
         with len x + len y > L; with truncate, in J tensor A, one with
-        len x > L or len y > L, its t_z past L being dropped instead.  When
-        both factors have several terms, x is paired only with the y of
-        a(y) = a(x), as every other pair has only zero gammas."""
+        len x > L or len y > L, its t_z past L being dropped instead.  x is
+        paired only with the y whose left key (a(y), L(y)) is the right key
+        (a(x), R(x)) of x, as every other pair has only zero gammas (module
+        docstring, "Cell skip")."""
         radius = self.radius
         if not a.terms or not b.terms:
             # no pair to visit, but a factor past the radius is still refused
-            self._refuse(a, b, truncate)
-            return JElement(self.desc, {}, radius)
-        memo = self._gammas
-        pick = 2 if signed else 1
-        ys = b.terms.items()
-        cells = None
-        # an x longer than this has a pair past the radius
-        xroom = radius
-        if len(a.terms) > 1 < len(b.terms):
-            cells = {}
-            for y, c2 in ys:
-                ly = len(y.word)
-                if ly > radius:
+            for w in a.terms or b.terms:
+                if len(w.word) > radius:
                     self._refuse(a, b, truncate)
-                if not truncate and radius - ly < xroom:
-                    xroom = radius - ly
-                cells.setdefault(self._prove(y).value, []).append((y, c2))
+            return JElement(self.desc, {}, radius)
+        # the memos read inline, as a call costs more than the lookup
+        keys, memo = self._keys, self._gammas
+        # the terms of b by left key; an x longer than xroom has a pair
+        # past the radius
+        cells: dict = {}
+        xroom = radius
+        for y, c2 in b.terms.items():
+            ly = len(y.word)
+            if ly > radius:
+                self._refuse(a, b, truncate)
+            if not truncate and radius - ly < xroom:
+                xroom = radius - ly
+            key = (keys.get(y) or self._cell_keys(y))[0]
+            cells.setdefault(key, []).append((y, c2))
+        pick = 2 if signed else 1
         out: dict = {}
         for x, c1 in a.terms.items():
-            lx = len(x.word)
-            if lx > xroom:
+            if len(x.word) > xroom:
                 self._refuse(a, b, truncate)
-            yroom = radius if truncate else radius - lx
-            for y, c2 in ys if cells is None else cells.get(self._prove(x).value, ()):
-                if len(y.word) > yroom:
-                    self._refuse(a, b, truncate)
-                # the memo read inline, as the call costs more than the lookup
+            for y, c2 in cells.get((keys.get(x) or self._cell_keys(x))[1], ()):
                 terms = memo.get((x, y))
                 if terms is None:
                     terms = self._gamma_terms(x, y)
@@ -314,11 +319,22 @@ class JRing:
                     _accumulate(out, term[0], c if gamma == 1 else c * gamma)
         return JElement(self.desc, out, radius)
 
+    def _cell_keys(self, w: GroupElement) -> tuple[tuple[int, frozenset[int]], tuple[int, frozenset[int]]]:
+        """The left key (a(w), L(w)) and the right key (a(w), R(w)) of w for
+        the cell skip of _product (memoized)."""
+        got = self._keys.get(w)
+        if got is None:
+            a = self._prove(w).value
+            g = self.group
+            got = self._keys[w] = ((a, g.left_descents(w)), (a, g.right_descents(w)))
+        return got
+
     def _refuse(self, a: JElement, b: JElement, truncate: bool) -> None:
         """The refusal of a product whose factors reach past the radius,
         reported for the whole factors: in J by the product support length
         (the longest terms' lengths added), in J tensor A by the factor
-        length.  It raises whenever _product met a pair past the radius."""
+        length.  _product calls it only on a term past the radius, so it
+        always raises."""
         if truncate:
             self._within(max(a.max_length(), b.max_length()), "factor length")
         else:

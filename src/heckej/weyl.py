@@ -240,14 +240,19 @@ class WeylGroup:
             i = self._rmul(i, perm[s])
         return i
 
-    def _intern(self, invmat) -> int:
-        """Id of the element w with sigma(w^-1) = invmat, flat.  A new w's
-        word is its least left descent s followed by the word of s*w, so
-        walk down by (s*w)^-1 = w^-1 * s, one `_times_gen` a step, to a
-        known element, and intern those passed on the way up."""
+    def _intern(self, invmat, limit: int) -> int:
+        """Id of the element w with sigma(w^-1) = invmat, flat, for w of
+        length at most limit.  A new w's word is its least left descent s
+        followed by the word of s*w, so walk down by (s*w)^-1 = w^-1 * s,
+        one `_times_gen` a step, to a known element, and intern those
+        passed on the way up.  The walk passes at most limit elements; a
+        longer one means a faulty update and raises HeckejError before it
+        can intern matrices without end."""
         n, d = self.rank, self._d
         pending = []
         while invmat not in self._invmat_index:
+            if len(pending) == limit:
+                raise HeckejError(f"interning stepped down {limit} times without reaching a known element")
             # s_i is a left descent iff w^-1(alpha_i) is a negative root,
             # i.e. column i of the inverse matrix is <= 0.
             desc = frozenset([i for i in range(n) if max(invmat[i::n]) <= 0])
@@ -276,7 +281,7 @@ class WeylGroup:
         if got is not None:
             return got
         # (w * s)^-1 = s * w^-1
-        j = self._intern(_gen_times(self._invmats[i], self.rank, s, self._d[s]))
+        j = self._intern(_gen_times(self._invmats[i], self.rank, s, self._d[s]), len(self._words[i]) + 1)
         self._rmul_memo[key] = j
         self._rmul_memo[(j, s)] = i
         return j
@@ -286,7 +291,7 @@ class WeylGroup:
         got = self._lmul_memo.get(key)
         if got is not None:
             return got
-        j = self._intern(_times_gen(self._invmats[i], self.rank, s, self._d[s]))
+        j = self._intern(_times_gen(self._invmats[i], self.rank, s, self._d[s]), len(self._words[i]) + 1)
         self._lmul_memo[key] = j
         self._lmul_memo[(s, j)] = i
         return j
@@ -333,13 +338,11 @@ class WeylGroup:
 
     def right_descents(self, a: GroupElement) -> frozenset[int]:
         inv = self._inverse_id(self._element_id(a))
-        base = self._ldesc[inv]
-        # right multiplication by s goes through the omega action
-        perm = self.omega_perm(a.omega)
-        inv_perm = [0] * self.rank
-        for i, p in enumerate(perm):
-            inv_perm[p] = i
-        return frozenset(inv_perm[s] for s in base)
+        # a = w om and a s = w p(s) om for p the permutation of om, so the
+        # descents of a are p^-1 of those of w; the omega permutations are
+        # powers of one rotation, so p^-1 is the permutation of om^-1
+        perm = self.omega_perm(-a.omega % self.desc.omega_order)
+        return frozenset(perm[s] for s in self._ldesc[inv])
 
     def parabolic_factor(self, z: GroupElement, length: int) -> tuple[GroupElement, GroupElement] | None:
         """The pair (x w_J, w_J y) of a factorization z = x w_J y with lengths

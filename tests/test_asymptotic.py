@@ -359,8 +359,8 @@ def _whole_factor_refusal(ring, a, b, tensor_a):
 
 @pytest.mark.parametrize("affine_type, extended, radius", [("A1~", False, 6), ("A1~", True, 6), ("A2~", False, 5)])
 def test_products_refuse_as_the_whole_factor_rule(affine_type, extended, radius):
-    """j_multiply and jta_multiply refuse pair by pair, and skip the pairs
-    across two-sided cells; on random multi-term factors near the radius
+    """j_multiply and jta_multiply refuse term by term, and skip the pairs
+    whose cell keys differ; on random multi-term factors near the radius
     they raise exactly when the whole-factor rule does, with its message,
     and otherwise equal the sum of their one-term products."""
     ring = JRing(GroupDescriptor(affine_type, extended), radius)
@@ -426,21 +426,27 @@ def test_products_refuse_as_the_whole_factor_rule(affine_type, extended, radius)
     assert len(outcomes) == 4
 
 
-@pytest.mark.parametrize("ring_name", ["a1_ring", "a2_ring", "a1x_ring"])
+@pytest.mark.parametrize("ring_name", ["a1_ring", "a2_ring", "a1x_ring", "a2x_ring"])
 def test_pairs_across_two_sided_cells_have_no_gamma(ring_name, request):
     """The premise of the cell skip, read off without it: gamma_{x,y,z} != 0
-    puts x, y and z in one two-sided cell, so a pair of different a-values
-    has no nonzero gamma (Lusztig, Cells in affine Weyl groups II, 1987)."""
+    needs x ~_L y^-1 (P8 of Lusztig, Cells in affine Weyl groups II, 1987),
+    so a(x) = a(y), a being constant on two-sided cells, and R(x) = L(y),
+    the right descent set being constant on left cells (Kazhdan and
+    Lusztig, 1979, Prop. 2.4).  Every pair with (a(x), R(x)) != (a(y), L(y))
+    has no nonzero gamma; both kinds of such pair occur."""
     ring = request.getfixturevalue(ring_name)
-    ball = ring.group.enumerate_ball(ring.radius)
+    g = ring.group
+    ball = g.enumerate_ball(ring.radius)
     a = {w: ring.a_function(w).value for w in ball}
-    crossing = 0
+    left = {w: (a[w], g.left_descents(w)) for w in ball}
+    right = {w: (a[w], g.right_descents(w)) for w in ball}
+    skipped = {"a": 0, "descents": 0}
     for x in ball:
         for y in ball:
-            if a[x] != a[y] and len(x.word) + len(y.word) <= ring.radius:
-                crossing += 1
+            if right[x] != left[y] and len(x.word) + len(y.word) <= ring.radius:
+                skipped["a" if a[x] != a[y] else "descents"] += 1
                 assert ring._gamma_terms(x, y) == (), (x, y)
-    assert crossing
+    assert all(skipped.values()), skipped
 
 
 def test_j_multiply_refuses_past_radius(a1_desc):
@@ -575,15 +581,19 @@ def test_signed_read_offs_match_the_star_path(a2_ring, monkeypatch):
         return row(self, *args, **kwargs)
 
     # one row read per (x, y) serves both conventions; the witness of a(z)
-    # is read beforehand, so only the read-off's own row is counted
-    x, y = g.element((0, 1), 1), g.element((1,))
+    # is read beforehand, so only the read-off's own row is counted.  R(x)
+    # = L(y) = {0}, so the cell skip reads the pair, and t_x t_y = t_010@1
+    # + t_0@1 has odd-length terms whose sign flips in the C convention
+    x, y = g.element((0, 1), 1), g.element((0, 1))
     for z in g.enumerate_ball(ring.radius):
         ring.a_function(z)
     monkeypatch.setattr(StructureConstants, "_row", counting)
-    ring.j_multiply(ring.t(x), ring.t(y), signed=True)
+    signed = ring.j_multiply(ring.t(x), ring.t(y), signed=True)
     ring.gamma_map(x, y)
-    ring.j_multiply(ring.t(x), ring.t(y))
+    unsigned = ring.j_multiply(ring.t(x), ring.t(y))
     assert calls == [(x, y)]
+    assert unsigned.terms == {g.element((0, 1, 0), 1): 1, g.element((0,), 1): 1}
+    assert signed.terms == {z: -c for z, c in unsigned.terms.items()}
     monkeypatch.undo()
     _check_signed_against_star_path(ring, g.enumerate_ball(3))
     _check_signed_against_star_path(a2_ring, a2_ring.group.enumerate_ball(3))
@@ -769,10 +779,11 @@ def test_wrong_witness_is_an_error(a2_desc, monkeypatch):
     for _ in range(2):
         with pytest.raises(HeckejError, match="witness"):
             ring.a_function(z)
-    # (e, z) gives h = 1, of valuation 0; 010 is in the support of C'_01 C'_0
+    # (e, z) gives h = 1, of valuation 0; 010 is in the support of
+    # C'_10 C'_01, a pair the cell skip reads as R(10) = L(01) = {0}
     monkeypatch.setattr(WeylGroup, "parabolic_factor", lambda self, z, n: factor(self, z, n) and (self.identity, z))
     with pytest.raises(HeckejError, match="witness"):
-        ring.gamma_map(g.element((0, 1)), g.generator(0))
+        ring.gamma_map(g.element((1, 0)), g.element((0, 1)))
     monkeypatch.undo()
     assert ring.a_function(z).value == 3
     assert ring.a_function(z).certificate == "witness+bound"

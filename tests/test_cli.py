@@ -353,6 +353,19 @@ def test_phi_check_refuses_its_largest_kl_table_at_entry(capsys, monkeypatch):
     assert builds == []
 
 
+def test_phi_check_reads_off_only_the_pairs_the_cell_skip_keeps(capsys, monkeypatch):
+    """phi-check's J products pair t_x only with the t_y of left key
+    (a(y), L(y)) equal to the right key (a(x), R(x)): on A2~ at max-len 6
+    they read off under 1,000 pairs, against 4,915 when a pair needed only
+    a(x) = a(y) of factors with several terms, and the result stands."""
+    calls = []
+    read_off = JRing._gamma_terms
+    monkeypatch.setattr(JRing, "_gamma_terms", lambda self, x, y: calls.append((x, y)) or read_off(self, x, y))
+    code, out, _ = run(capsys, "phi-check", "--type", "A2~", "--max-len", "6")
+    assert code == 0 and out.splitlines()[-1] == "RESULT pass=757 fail=0"
+    assert 0 < len(calls) <= 1000
+
+
 @pytest.mark.parametrize("affine_type, extended, top", [("A2~", False, 8), ("A1~", True, 10)])
 def test_phi_check_reaches_the_kl_radius_it_refuses_at(capsys, monkeypatch, affine_type, extended, top):
     """The radius of the entry check is the largest that phi-check's steps

@@ -7,7 +7,7 @@ import pytest
 import sympy
 
 import heckej.weyl
-from heckej import BudgetExceeded, GroupDescriptor, GroupMismatch, UnsupportedType, WeylGroup, make_group
+from heckej import BudgetExceeded, GroupDescriptor, GroupMismatch, HeckejError, UnsupportedType, WeylGroup, make_group
 
 
 def poincare_counts(affine_type: str, upto: int) -> list[int]:
@@ -274,6 +274,30 @@ def test_interning_cost_is_linear(monkeypatch):
     g = WeylGroup(GroupDescriptor("A2~"))
     ball = g.enumerate_ball(19)
     assert 0 < updates[0] <= 3 * len(ball) * g.rank
+
+
+def test_a_faulty_generator_update_is_refused_not_interned_without_end(monkeypatch):
+    """w*s is interned after at most len(w) + 1 steps down, so a walk that
+    needs more, as under a faulty update, raises HeckejError at once
+    instead of interning ever larger matrices.  The mutant is patched into
+    a fresh group: make_group's cached one stays sound."""
+    times_gen = heckej.weyl._times_gen
+    steps = [0]
+
+    def flipped(m, n, s, d):
+        # d_s[s] = +2 in place of -2: sigma(s) no longer squares to 1
+        steps[0] += 1
+        return times_gen(m, n, s, tuple(-c if j == s else c for j, c in enumerate(d)))
+
+    for affine_type, word in (("A1~", (0, 1, 0)), ("A2~", (0, 1, 2, 0))):
+        g = WeylGroup(GroupDescriptor(affine_type))
+        w = g.element(word)
+        monkeypatch.setattr(heckej.weyl, "_times_gen", flipped)
+        steps[0] = 0
+        with pytest.raises(HeckejError, match=f"stepped down {len(word) + 1} times"):
+            g._rmul(g._element_id(w), 1)
+        assert steps[0] == len(word) + 1
+        monkeypatch.undo()
 
 
 def test_bad_letters_and_unreduced_words_rejected():
