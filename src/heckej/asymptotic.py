@@ -321,12 +321,11 @@ class JRing:
 
     def _cell_keys(self, w: GroupElement) -> tuple[tuple[int, frozenset[int]], tuple[int, frozenset[int]]]:
         """The left key (a(w), L(w)) and the right key (a(w), R(w)) of w for
-        the cell skip of _product (memoized)."""
-        got = self._keys.get(w)
-        if got is None:
-            a = self._prove(w).value
-            g = self.group
-            got = self._keys[w] = ((a, g.left_descents(w)), (a, g.right_descents(w)))
+        the cell skip of _product, stored in the memo that _product reads
+        inline before it calls this on a miss."""
+        a = self._prove(w).value
+        g = self.group
+        got = self._keys[w] = ((a, g.left_descents(w)), (a, g.right_descents(w)))
         return got
 
     def _refuse(self, a: JElement, b: JElement, truncate: bool) -> None:

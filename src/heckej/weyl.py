@@ -240,19 +240,20 @@ class WeylGroup:
             i = self._rmul(i, perm[s])
         return i
 
-    def _intern(self, invmat, limit: int) -> int:
-        """Id of the element w with sigma(w^-1) = invmat, flat, for w of
-        length at most limit.  A new w's word is its least left descent s
-        followed by the word of s*w, so walk down by (s*w)^-1 = w^-1 * s,
-        one `_times_gen` a step, to a known element, and intern those
-        passed on the way up.  The walk passes at most limit elements; a
-        longer one means a faulty update and raises HeckejError before it
-        can intern matrices without end."""
+    def _intern(self, invmat, source: int) -> int:
+        """Id of the element w with sigma(w^-1) = invmat, flat, where w is
+        the known element `source` times one generator.  A new w's word is
+        its least left descent s followed by the word of s*w, so walk down
+        by (s*w)^-1 = w^-1 * s, one `_times_gen` a step, to a known element,
+        and intern those passed on the way up.  The walk passes at most
+        len(source) + 1 elements; a longer one means a faulty update and
+        raises HeckejError before it can intern matrices without end."""
         n, d = self.rank, self._d
         pending = []
         while invmat not in self._invmat_index:
-            if len(pending) == limit:
-                raise HeckejError(f"interning stepped down {limit} times without reaching a known element")
+            # most walks end within one step, so the bound is read only past it
+            if pending and len(pending) > len(self._words[source]):
+                raise HeckejError(f"interning stepped down {len(pending)} times without reaching a known element")
             # s_i is a left descent iff w^-1(alpha_i) is a negative root,
             # i.e. column i of the inverse matrix is <= 0.
             desc = frozenset([i for i in range(n) if max(invmat[i::n]) <= 0])
@@ -281,7 +282,7 @@ class WeylGroup:
         if got is not None:
             return got
         # (w * s)^-1 = s * w^-1
-        j = self._intern(_gen_times(self._invmats[i], self.rank, s, self._d[s]), len(self._words[i]) + 1)
+        j = self._intern(_gen_times(self._invmats[i], self.rank, s, self._d[s]), i)
         self._rmul_memo[key] = j
         self._rmul_memo[(j, s)] = i
         return j
@@ -291,7 +292,7 @@ class WeylGroup:
         got = self._lmul_memo.get(key)
         if got is not None:
             return got
-        j = self._intern(_times_gen(self._invmats[i], self.rank, s, self._d[s]), len(self._words[i]) + 1)
+        j = self._intern(_times_gen(self._invmats[i], self.rank, s, self._d[s]), i)
         self._lmul_memo[key] = j
         self._lmul_memo[(s, j)] = i
         return j
