@@ -39,6 +39,7 @@ from .asymptotic import (
     JRing,
     JTensorAElement,
     certification_bound,
+    phi_reach,
 )
 
 __version__ = "0.1.0"
@@ -74,4 +75,5 @@ __all__ = [
     "JTensorAElement",
     "JRing",
     "certification_bound",
+    "phi_reach",
 ]

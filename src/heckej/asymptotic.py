@@ -30,11 +30,10 @@ StructureConstants.scan_min_exponents is only the tests' reference.
 The KL table has radius L + len(w0) - 1, which holds every witness and
 every h_{x,y,z} with len x + len y <= L.  Every gamma, J-product and phi
 image refuses to go past the certified radius instead of silently
-truncating (phi(x) needs len(x) + 2 len(w0) - 1 <= L: its distinguished
-involutions reach length 2 len(w0) - 1), except jta_multiply: it refuses
-a factor with a term past L, and its product in J tensor A drops each
-t_z with len(z) > L (the table is extended to len x + len y - 1 <= 2L - 1
-for it).
+truncating (phi(x) needs phi_reach(len(x)) <= L), except jta_multiply: it
+refuses a factor with a term past L, and its product in J tensor A drops
+each t_z with len(z) > L (the table is extended to len x + len y - 1 <=
+2L - 1 for it).
 
 One convention.  Every read-off is for the canonical basis C'_w.  The
 basis C_w has structure constants star(h), star being v -> -v^-1, and J
@@ -155,6 +154,13 @@ def certification_bound(desc: GroupDescriptor, z_length: int) -> int:
     """The radius at which a certified a(z) is reported: len(z) + 2 len(w0) + 2.
     It is a label of the proof (AValue.scan_radius); nothing is scanned."""
     return z_length + 2 * desc.finite_longest_length + 2
+
+
+def phi_reach(desc: GroupDescriptor, n: int) -> int:
+    """The largest len(z) of a term t_z of phi(x) for len(x) = n, the one
+    statement of phi's reach: len(z) <= len(x) + len(d) over the
+    distinguished involutions d, which reach length 2 len(w0) - 1."""
+    return n + 2 * desc.finite_longest_length - 1
 
 
 class JRing:
@@ -373,8 +379,8 @@ class JRing:
     def phi(self, x: GroupElement) -> JElement:
         """Image of the canonical basis element C'_x: sum over distinguished
         d and z in the same a-stratum of h_{x,d,z} t_z (memoized).  Needs
-        len(x) + 2 len(w0) - 1, the reach of len(x) + len(d), in the radius."""
-        self._within(len(x.word) + 2 * self.desc.finite_longest_length - 1, "len(x) + 2 len(w0) - 1")
+        phi_reach(len(x)) in the radius."""
+        self._within(phi_reach(self.desc, len(x.word)), "len(x) + 2 len(w0) - 1")
         got = self._phis.get(x)
         if got is None:
             out: dict[GroupElement, Laurent] = {}

@@ -10,7 +10,8 @@ The library computes for the basis C'_w; --basis signed (the default)
 prints the image of its results in the convention of C_w: star
 (v -> -v^-1) on the coefficients of hmul and hconst, the signed J
 product for gamma and jmul, JElement.signed_image on phi.  hmul's
---hecke-basis Csigned is that same star image of the product in C'.
+--hecke-basis Csigned is that same star image of the product in C', and
+its record names the convention of the C basis it multiplied in.
 
 kl, hmul and hconst keep each KL table they build in a cache directory
 (--cache-dir, else $HECKEJ_CACHE_DIR, else ~/.cache/heckej).  A cache
@@ -41,18 +42,11 @@ import sys
 # imported in the functions that use them (parse_q and the library's
 # rationals, the KL cache, --format json and --format csv): every call
 # pays for what is imported at start-up.
-from .asymptotic import JRing
-from .errors import (
-    BudgetExceeded,
-    DepthTooSmall,
-    GroupMismatch,
-    HeckejError,
-    RadiusExceeded,
-    UnsupportedType,
-)
+from .asymptotic import JRing, phi_reach
+from .errors import BudgetExceeded, DepthTooSmall, GroupMismatch, HeckejError, RadiusExceeded
 from .hecke import BASES, KLTable, StructureConstants, _check_kl_budget, hecke_algebra
 from .laurent import Laurent
-from .weyl import GroupDescriptor, GroupElement, WeylGroup, make_group
+from .weyl import SUPPORTED_TYPES, GroupDescriptor, GroupElement, WeylGroup, make_group
 from . import sl2
 
 EXIT_OK = 0
@@ -69,10 +63,7 @@ class UsageError(Exception):
 
 
 def descriptor_from_args(ns) -> GroupDescriptor:
-    try:
-        return GroupDescriptor(ns.type, ns.extended)
-    except UnsupportedType as exc:
-        raise UsageError(str(exc)) from exc
+    return GroupDescriptor(ns.type, ns.extended)
 
 
 def group_from_args(ns) -> WeylGroup:
@@ -304,7 +295,9 @@ def cmd_hmul(ns) -> int:
     terms = alg.multiply(*factors, table).terms
     if basis == "Csigned":
         terms = {w: c.star() for w, c in terms.items()}
-    emit_terms(ns, meta_for(ns, radius, hecke_basis=basis), terms, ("element", "coefficient"))
+    # a C basis is itself a sign convention, which the record names whatever --basis says
+    convention = {"Csigned": "signed", "Cprime": "unsigned"}.get(basis, ns.basis)
+    emit_terms(ns, meta_for(ns, radius, hecke_basis=basis, basis=convention), terms, ("element", "coefficient"))
     return EXIT_OK
 
 
@@ -350,7 +343,7 @@ def cmd_jmul(ns) -> int:
 
 def cmd_dinv(ns) -> int:
     desc = descriptor_from_args(ns)
-    radius = _radius(ns, 2 * desc.finite_longest_length - 1)
+    radius = _radius(ns, phi_reach(desc, 0))
     ring = JRing(desc, radius)
     rows = [
         {"d": str(d), "length": len(d.word), "a": ring.a_function(d).value}
@@ -363,7 +356,7 @@ def cmd_dinv(ns) -> int:
 def cmd_phi(ns) -> int:
     g = group_from_args(ns)
     x = parse_element(g, ns.x)
-    radius = _radius(ns, len(x.word) + 2 * g.desc.finite_longest_length - 1)
+    radius = _radius(ns, phi_reach(g.desc, len(x.word)))
     ring = JRing(g.desc, radius)
     q = None if ns.q is None else parse_q(ns.q)
     img = ring.phi(x)
@@ -386,11 +379,11 @@ def cmd_phi_check(ns) -> int:
     max_len = ns.max_len
     if max_len < 0:
         raise UsageError("--max-len must be >= 0")
-    radius = max_len + 2 * g.desc.finite_longest_length - 1
-    # a term z of phi(x) has len(z) <= len(x) + len(d) <= len(x) + 2 len(w0) - 1,
-    # and a J product of two images extends the KL table to len(z1) + len(z2) - 1,
-    # so the largest table is of radius N + 4 len(w0) - 3: refuse it before any work
-    _check_kl_budget(g.desc, max_len + 4 * g.desc.finite_longest_length - 3)
+    radius = phi_reach(g.desc, max_len)
+    # a J product of phi(x) and phi(y) extends the KL table to len(z1) + len(z2) - 1
+    # <= phi_reach(len x) + phi_reach(len y) - 1, for len(x) + len(y) <= N at most
+    # phi_reach(N) + phi_reach(0) - 1: refuse that table before any work
+    _check_kl_budget(g.desc, radius + phi_reach(g.desc, 0) - 1)
     ring = JRing(g.desc, radius)
     alg = ring.algebra
     ball = g.enumerate_ball(max_len)
@@ -421,15 +414,10 @@ def cmd_phi_check(ns) -> int:
 # -- sl2 subcommands -------------------------------------------------------
 
 
-def cmd_sl2_gamma(ns) -> int:
-    val = sl2.gamma_coefficient(ns.n)
-    emit(ns, meta_for(ns, 0), [{"n": ns.n, "gamma": sl2.canonical_str(val)}])
-    return EXIT_OK
-
-
-def cmd_sl2_volume(ns) -> int:
-    val = sl2.volume_ratio(ns.n)
-    emit(ns, meta_for(ns, 0), [{"n": ns.n, "volume_ratio": sl2.canonical_str(val)}])
+def cmd_sl2_value(ns) -> int:
+    """sl2 gamma and sl2 volume: one closed form at n, in the column of its name."""
+    func, column = (sl2.gamma_coefficient, "gamma") if ns.sl2_command == "gamma" else (sl2.volume_ratio, "volume_ratio")
+    emit(ns, meta_for(ns, 0), [{"n": ns.n, column: sl2.canonical_str(func(ns.n))}])
     return EXIT_OK
 
 
@@ -483,7 +471,7 @@ def cmd_sl2_decay(ns) -> int:
 
 # Every subcommand option, defined once; COMMANDS picks them by name.
 OPTIONS = {
-    "type": {"default": "A1~", "choices": ["A1~", "A2~"]},
+    "type": {"default": "A1~", "choices": SUPPORTED_TYPES},
     "extended": {"action": "store_true"},
     "radius": {"type": int},
     "x": {},
@@ -518,8 +506,8 @@ COMMANDS = [
     ("phi", cmd_phi, "image of a canonical basis element in J tensor A", "type extended radius x! q basis"),
     ("phi-check", cmd_phi_check, "verify multiplicativity of phi", "type extended max-len"),
     ("sl2", None, "SL(2) volumes, convolutions, oracles", ""),
-    ("sl2 gamma", cmd_sl2_gamma, "cell coefficient of f", "n!"),
-    ("sl2 volume", cmd_sl2_volume, "vol(K x_n I)/vol(K)", "n!"),
+    ("sl2 gamma", cmd_sl2_value, "cell coefficient of f", "n!"),
+    ("sl2 volume", cmd_sl2_value, "vol(K x_n I)/vol(K)", "n!"),
     ("sl2 conv", cmd_sl2_conv, "(f * chi_lattice)(t^-r)", "r! lattice"),
     ("sl2 verify", cmd_sl2_verify, "check the coefficient relations", "R"),
     ("sl2 count", cmd_sl2_count, "finite-quotient counting oracle", "p! m! n! r! lattice"),

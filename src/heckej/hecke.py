@@ -62,7 +62,7 @@ from functools import lru_cache, reduce
 
 from .errors import BudgetExceeded, GroupMismatch, HeckejError, RadiusExceeded
 from .laurent import PACK_W, _DIGIT, Laurent, ONE, ZERO, _accumulate, _digit, _pack, _unpack, _valuation
-from .weyl import GroupDescriptor, GroupElement, WeylGroup, _stratum_size, make_group
+from .weyl import GroupDescriptor, GroupElement, WeylGroup, _length_series, make_group
 
 __all__ = [
     "HeckeElement",
@@ -364,11 +364,6 @@ def hecke_algebra(desc: GroupDescriptor) -> HeckeAlgebra:
     return HeckeAlgebra(make_group(desc))
 
 
-def _p_laurent(c: int) -> Laurent:
-    """A packed KL polynomial P(q) as a Laurent polynomial in v = q^(1/2)."""
-    return Laurent._raw({2 * k: x for k, x in _unpack(c, 0).items()})
-
-
 def _q_coefficients(c: int) -> list[int]:
     """A packed KL polynomial's coefficients in q, degree 0 first, read
     as its base-2^PACK_W digits.  This is exact: `_check_packed` keeps
@@ -383,12 +378,9 @@ def _q_coefficients(c: int) -> list[int]:
 
 def _check_kl_budget(desc: GroupDescriptor, radius: int) -> None:
     """Refuse a KL table of this radius when sum_n |stratum n| * |ball(n)|,
-    a bound on its entries (pairs y <= w), passes KL_ENTRY_BUDGET.  The
-    strata come from the length series, not from enumeration."""
-    ball = entries = 1
-    for n in range(1, radius + 1):
-        stratum = _stratum_size(desc, n)
-        ball += stratum
+    a bound on its entries (pairs y <= w), passes KL_ENTRY_BUDGET."""
+    entries = 0
+    for stratum, ball in _length_series(desc, radius):
         entries += stratum * ball
         if entries > KL_ENTRY_BUDGET:
             raise BudgetExceeded(f"a KL table of radius {radius} may hold over {KL_ENTRY_BUDGET} entries")
@@ -511,7 +503,7 @@ class KLTable:
         if y.omega != w.omega:
             return ZERO
         c = self._coords[wid].get(yid)
-        return ZERO if c is None else _p_laurent(c)
+        return ZERO if c is None else Laurent._raw({2 * k: x for k, x in enumerate(_q_coefficients(c)) if x})
 
     def mu(self, y: GroupElement, w: GroupElement) -> int:
         wid = self._require(w)

@@ -16,17 +16,14 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
 
-from .errors import NotInAPlus
-
 __all__ = ["Laurent", "ZERO", "ONE", "V", "VINV"]
 
 
 # -- raw sparse arithmetic (dicts {exp: int}, zero-free) --------------------
 
-def _addmul(dst: dict, src: dict, k: int = 1, shift: int = 0) -> None:
-    """dst += k * v^shift * src, in place."""
+def _addmul(dst: dict, src: dict, k: int = 1) -> None:
+    """dst += k * src, in place."""
     for e, c in src.items():
-        e += shift
         s = dst.get(e, 0) + k * c
         if s:
             dst[e] = s
@@ -112,6 +109,12 @@ def _accumulate(out: dict, key, value) -> None:
         out.pop(key, None)
 
 
+def _join_terms(parts: list[str]) -> str:
+    """Printed terms joined into a sum, a negative term as " - " and its
+    absolute value: ["v^-1", "-2", "v"] -> "v^-1 - 2 + v"."""
+    return " + ".join(parts).replace(" + -", " - ")
+
+
 class Laurent:
     """A Laurent polynomial in v with integer coefficients.
 
@@ -155,16 +158,6 @@ class Laurent:
 
     def max_exp(self) -> int:
         return max(self._c)
-
-    def in_a_plus(self) -> bool:
-        """True iff the polynomial lies in Z[v] (no negative exponents)."""
-        return all(e >= 0 for e in self._c)
-
-    def constant_term_after_shift(self, a: int) -> int:
-        """Coefficient of v^0 in v^a * self; requires v^a * self in Z[v]."""
-        if any(e + a < 0 for e in self._c):
-            raise NotInAPlus(f"v^{a} * {self} has negative-exponent terms")
-        return self._c.get(-a, 0)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -231,18 +224,6 @@ class Laurent:
                 a1 += c * q ** ((e - 1) // 2)
         return a0, a1
 
-    def eval_q(self, q: Fraction) -> Fraction:
-        """Evaluate as a polynomial in q = v^2; all exponents must be even."""
-        from fractions import Fraction
-
-        q = Fraction(q)
-        total = Fraction(0)
-        for e, c in self._c.items():
-            if e % 2:
-                raise ValueError("odd v-exponent; not a polynomial in q")
-            total += c * q ** (e // 2)
-        return total
-
     # -- protocol ---------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -276,10 +257,7 @@ class Laurent:
                 parts.append(f"-{vpow}")
             else:
                 parts.append(f"{c}*{vpow}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" + {p}" if not p.startswith("-") else f" - {p[1:]}"
-        return out
+        return _join_terms(parts)
 
 
 ZERO = Laurent._raw({})

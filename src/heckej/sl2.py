@@ -18,7 +18,7 @@ from collections import namedtuple
 from enum import Enum
 
 from .errors import BudgetExceeded, DepthTooSmall, DivergentTail, NotLaurentPolynomial
-from .laurent import ONE, ZERO, Laurent
+from .laurent import ONE, ZERO, Laurent, _join_terms
 
 __all__ = [
     "q",
@@ -299,7 +299,7 @@ def brute_force_count(p: int, m: int, n: int, r: int, lattice: Lattice) -> Fract
 def cell_value_from_count(p: int, m: int, n: int, r: int, lattice: Lattice) -> Fraction:
     """Oracle value of (chi_{K x_n I} * chi_lattice)(t^-r, 0) at q = p."""
     frac = brute_force_count(p, m, n, r, lattice)
-    return volume_ratio(n).eval_q(p) * (p + 1) * frac
+    return volume_ratio(n).specialize(p)[0] * (p + 1) * frac
 
 
 def check_bits(bits: int) -> None:
@@ -326,7 +326,7 @@ def schwartz_decay_check(N: int, q_value: Fraction) -> list[tuple[int, Fraction,
     check_bits(max(N, 1) * q_value.numerator.bit_length())
     report = []
     for n in range(-N, N + 1):
-        weighted = q_value ** abs(n) * abs(gamma_coefficient(n).eval_q(q_value))
+        weighted = q_value ** abs(n) * abs(gamma_coefficient(n).specialize(q_value)[0])
         report.append((n, weighted, weighted <= q_value))
     return report
 
@@ -346,5 +346,5 @@ def canonical_str(x: Laurent) -> str:
         power = "q" if k == 1 else f"q**{k}"
         coeff = "" if c == 1 else "-" if c == -1 else f"{c}*"
         terms.append(str(c) if k == 0 else coeff + power)
-    num = " + ".join(terms).replace(" + -", " - ")
+    num = _join_terms(terms)
     return num if shift == 0 else f"({num})/({'q' if shift == 1 else f'q**{shift}'})"

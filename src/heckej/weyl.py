@@ -433,15 +433,21 @@ def _stratum_size(desc: GroupDescriptor, n: int) -> int:
     return 2 if desc.affine_type == "A1~" else 3 * n
 
 
+def _length_series(desc: GroupDescriptor, radius: int):
+    """The pairs (|stratum n|, |ball(n)|) of Coxeter parts for n = 0..radius,
+    from the length series, not from enumeration; a budget check stops
+    reading them once it is passed."""
+    ball = 0
+    for n in range(radius + 1):
+        stratum = _stratum_size(desc, n)
+        ball += stratum
+        yield stratum, ball
+
+
 def _ball_fits(desc: GroupDescriptor, radius: int) -> bool:
     """Whether ball(radius), Coxeter parts times omega parts, has at most
-    BALL_BUDGET elements; counted from the length series, stopping at the budget."""
-    size = 0
-    for n in range(radius + 1):
-        size += _stratum_size(desc, n)
-        if size * desc.omega_order > BALL_BUDGET:
-            return False
-    return True
+    BALL_BUDGET elements."""
+    return all(ball * desc.omega_order <= BALL_BUDGET for _, ball in _length_series(desc, radius))
 
 
 @lru_cache(maxsize=None)

@@ -120,8 +120,8 @@ def test_criterion_5_volumes():
         for n, r in witnesses.items():
             frac = brute_force_count(p, m, n, r, Lattice.STD)
             assert frac > 0
-            lhs = volume_ratio(n).eval_q(p) * (p + 1) * frac
-            rhs = conv_cell_value(n, r, Lattice.STD).eval_q(p)
+            lhs = volume_ratio(n).specialize(p)[0] * (p + 1) * frac
+            rhs = conv_cell_value(n, r, Lattice.STD).specialize(p)[0]
             assert lhs == rhs, (p, m, n, r)
     assert enumerated <= 10**7
     report(f"PASS criterion 5: volume ratios vs counting oracle ({enumerated} elements enumerated)")
@@ -158,13 +158,13 @@ def test_criterion_7_convolutions():
                     except DepthTooSmall:
                         skipped.append((n, r, lat))
                         continue
-                    want = conv_cell_value(n, r, lat).eval_q(p)
+                    want = conv_cell_value(n, r, lat).specialize(p)[0]
                     assert got == want, (p, n, r, lat)
                     checked += 1
         # exactly one grid point per prime needs more depth than p^4
         assert skipped == [(-2, 2, Lattice.SUB)]
     deep = cell_value_from_count(2, 7, -2, 2, Lattice.SUB)
-    assert deep == conv_cell_value(-2, 2, Lattice.SUB).eval_q(2)
+    assert deep == conv_cell_value(-2, 2, Lattice.SUB).specialize(2)[0]
     report(f"PASS criterion 7: convolution identities, oracle grid ({checked} points + 1 deep point)")
 
 

@@ -24,6 +24,7 @@ from heckej import (
     certification_bound,
     hecke_algebra,
     make_group,
+    phi_reach,
 )
 from heckej.asymptotic import _quadratic_rank
 from heckej.laurent import _accumulate, _pack, _unpack
@@ -175,7 +176,9 @@ def test_packed_read_off_matches_the_laurent_read_off(ring_name, radius, request
             expect = {}
             for z, h in ring.constants.h_map(x, y).items():
                 if len(z) <= ring.radius:
-                    g = h.constant_term_after_shift(ring.a_function(z).value)
+                    a = ring.a_function(z).value
+                    assert h.min_exp() >= -a, (x, y, z)
+                    g = h.coeff(-a)
                     if g:
                         expect[z] = g
             assert ring.gamma_map(x, y) == expect, (x, y)
@@ -554,7 +557,9 @@ def _check_signed_against_star_path(ring, xs):
             expect = {}
             for z, h in sc.h_map(x, y).items():
                 if len(z.word) <= ring.radius:
-                    g = h.star().constant_term_after_shift(a_of(z))
+                    h, a = h.star(), a_of(z)
+                    assert h.min_exp() >= -a, (x, y, z)
+                    g = h.coeff(-a)
                     if g:
                         expect[z] = g
             prod = ring.j_multiply(ring.t(x), ring.t(y), signed=True)
@@ -660,12 +665,12 @@ def test_phi_answers_only_whole_images(a2_desc, extended):
 @pytest.mark.parametrize("affine_type, count", [("A1~", 3), ("A2~", 10)])
 def test_distinguished_involutions_are_short(affine_type, count):
     """One distinguished involution per left cell: 3 on A1~ and 10 on A2~
-    (Lusztig 1985; Shi, LNM 1179), all of length <= 2 len(w0) - 1, the
-    bound phi relies on."""
+    (Lusztig 1985; Shi, LNM 1179), all of length <= phi_reach(0) =
+    2 len(w0) - 1, the bound phi relies on."""
     desc = GroupDescriptor(affine_type)
     dinv = JRing(desc, 14).distinguished_involutions()
     assert len(dinv) == count
-    assert max(len(d.word) for d in dinv) == 2 * desc.finite_longest_length - 1
+    assert max(len(d.word) for d in dinv) == phi_reach(desc, 0)
 
 
 def test_phi_specialized(a1_ring):

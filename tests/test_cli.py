@@ -207,6 +207,28 @@ def test_hmul_quadratic_relation(capsys, cache):
     assert rows == {"e": "v^2", "0": "-1 + v^2"}
 
 
+@pytest.mark.parametrize("flags, basis, rows", [
+    ((), "signed", {"0": "-v^-1 - v"}),
+    (("--hecke-basis", "Csigned", "--basis", "signed"), "signed", {"0": "-v^-1 - v"}),
+    (("--hecke-basis", "Csigned", "--basis", "unsigned"), "signed", {"0": "-v^-1 - v"}),
+    (("--hecke-basis", "Cprime", "--basis", "signed"), "unsigned", {"0": "v^-1 + v"}),
+    (("--hecke-basis", "Cprime", "--basis", "unsigned"), "unsigned", {"0": "v^-1 + v"}),
+    (("--hecke-basis", "T", "--basis", "unsigned"), "unsigned", {"e": "v^2", "0": "-1 + v^2"}),
+])
+def test_hmul_record_names_the_convention_it_computed_in(capsys, cache, flags, basis, rows):
+    """A C basis is a sign convention of its own: hmul's record names the
+    one of the basis it multiplied in (C_s C_s = -(v + v^-1) C_s, C'_s C'_s
+    = (v + v^-1) C'_s), whatever --basis says; with T it names --basis."""
+    code, out, _ = run(
+        capsys, "hmul", "--type", "A1~", "--x", "0", "--y", "0", *flags,
+        "--format", "json", "--cache-dir", cache,
+    )
+    assert code == 0
+    record = json.loads(out)
+    assert record["basis"] == basis
+    assert {r["element"]: r["coefficient"] for r in record["rows"]} == rows
+
+
 def test_hconst_sign_conventions(capsys, cache):
     code, out, _ = run(
         capsys, "hconst", "--type", "A1~", "--x", "0", "--y", "0",
@@ -271,6 +293,26 @@ def test_phi_check_passes(capsys):
         {"z": "0", "coefficient": "v^-1 + v"},
         {"z": "01", "coefficient": "1"},
     ]
+
+
+@pytest.mark.parametrize("argv, pin", [
+    ("phi-check --type A2~ --max-len 3", "RESULT pass=82 fail=0"),
+    ("phi-check --type A2~ --max-len 8", "RESULT pass=2107 fail=0"),
+    ("phi-check --type A1~ --extended --max-len 10", "RESULT pass=884 fail=0"),
+    # the pairs of the cell skip on factors with Omega parts
+    ("phi-check --type A2~ --extended --max-len 5", "RESULT pass=3654 fail=0"),
+    ("group --type A2~ --extended --radius 10 --format json", "d05f6f744c35a8d8ec65d173660213e837e874c42749f307da36a3d823917117"),
+    ("group --type A1~ --extended --radius 20 --format json", "a6f0ab40e8674b93a77fc923807a843e61fa49ca279176e1568f3fe7caa7490e"),
+])
+def test_pinned_outputs(capsys, argv, pin):
+    """Exact outputs kept from release to release: phi-check's closing line,
+    and the sha256 of a group listing's whole stdout."""
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    if pin.startswith("RESULT"):
+        assert out.splitlines()[-1] == pin
+    else:
+        assert hashlib.sha256(out.encode()).hexdigest() == pin
 
 
 def test_phi_specialized_at_a_non_square(capsys):

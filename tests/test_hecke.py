@@ -186,7 +186,7 @@ def test_kl_polynomial_normalization(a2):
                 assert p == ZERO
                 continue
             assert p.coeff(0) == 1  # constant term 1 on the interval
-            assert p.in_a_plus() and all(e % 2 == 0 for e, _ in p.items())
+            assert p.min_exp() >= 0 and all(e % 2 == 0 for e, _ in p.items())
 
 
 def test_kl_degree_bound(a2):

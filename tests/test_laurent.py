@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from heckej import Laurent, NotInAPlus, ONE, V, VINV, ZERO, laurent
+from heckej import Laurent, ONE, V, VINV, ZERO, laurent
 
 
 def random_poly(rng, max_terms=5, span=6, coeff=20):
@@ -61,8 +61,7 @@ def test_shift_and_exponent_range():
     p = V + VINV
     assert p * Laurent.monomial(2) == Laurent({3: 1, 1: 1})
     assert p.min_exp() == -1 and p.max_exp() == 1
-    assert not p.in_a_plus()
-    assert (p * Laurent.monomial(1)).in_a_plus()
+    assert (p * Laurent.monomial(1)).min_exp() == 0
     with pytest.raises(ValueError):
         ZERO.min_exp()
 
@@ -89,16 +88,6 @@ def test_bar_and_star_are_ring_maps():
         assert (a * b).star() == a.star() * b.star()
 
 
-def test_constant_term_after_shift():
-    p = V + VINV  # v + 1/v
-    assert p.constant_term_after_shift(1) == 1
-    h = Laurent({-2: 3, 0: 5, 1: 7})
-    assert h.constant_term_after_shift(2) == 3
-    assert h.constant_term_after_shift(3) == 0
-    with pytest.raises(NotInAPlus):
-        h.constant_term_after_shift(1)
-
-
 def test_specialize_is_a_homomorphism():
     """Into Q(sqrt q), pairs (a0, a1) = a0 + a1*sqrt(q), multiplied by
     (a0 + a1 s)(b0 + b1 s) = a0 b0 + q a1 b1 + (a0 b1 + a1 b0) s."""
@@ -116,13 +105,6 @@ def test_specialize_splits_parity():
     assert p.specialize(Fraction(4)) == (4, 3 + Fraction(1, 4))
     with pytest.raises(ValueError):
         p.specialize(Fraction(-1))
-
-
-def test_eval_q():
-    p = Laurent({0: 1, 2: 1, 4: 2})  # 1 + q + 2q^2
-    assert p.eval_q(Fraction(3)) == 1 + 3 + 18
-    with pytest.raises(ValueError):
-        V.eval_q(Fraction(2))
 
 
 def test_packed_codec_roundtrip_valuation_and_digits():

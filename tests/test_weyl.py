@@ -4,24 +4,35 @@ import itertools
 import random
 
 import pytest
-import sympy
 
 import heckej.weyl
-from heckej import BudgetExceeded, GroupDescriptor, GroupMismatch, HeckejError, UnsupportedType, WeylGroup, make_group
+from heckej import (
+    BudgetExceeded,
+    GroupDescriptor,
+    GroupElement,
+    GroupMismatch,
+    HeckejError,
+    UnsupportedType,
+    WeylGroup,
+    make_group,
+)
 
 
 def poincare_counts(affine_type: str, upto: int) -> list[int]:
     """Length-generating series of the affine group, as an independent
-    oracle for ball sizes: finite part times 1/((1-t^m)) over the
-    exponents (1 for the rank-1 type, 1 and 2 for rank 2)."""
-    t = sympy.Symbol("t")
+    oracle for ball sizes: the finite part's Poincare polynomial over
+    prod (1 - t^m) for the exponents m (1 for the rank-1 type, 1 and 2 for
+    rank 2), expanded by exact series division, in which dividing by
+    1 - t^m is the running sum c[k] += c[k - m]."""
     if affine_type == "A1~":
-        series = (1 + t) / (1 - t)
+        finite, exponents = [1, 1], (1,)  # 1 + t
     else:
-        series = (1 + t) * (1 + t + t**2) / ((1 - t) * (1 - t**2))
-    expansion = sympy.series(series, t, 0, upto + 1).removeO()
-    poly = sympy.Poly(expansion, t)
-    return [int(poly.coeff_monomial(t**k)) for k in range(upto + 1)]
+        finite, exponents = [1, 2, 2, 1], (1, 2)  # (1 + t)(1 + t + t^2)
+    counts = (finite + [0] * upto)[: upto + 1]
+    for m in exponents:
+        for k in range(m, upto + 1):
+            counts[k] += counts[k - m]
+    return counts
 
 
 def test_unsupported_type_rejected():
@@ -46,7 +57,9 @@ def test_ball_sizes_match_length_series(affine_type, upto):
     for w in ball:
         by_len[len(w.word)] = by_len.get(len(w.word), 0) + 1
     assert [by_len.get(k, 0) for k in range(upto + 1)] == counts
-    assert [heckej.weyl._stratum_size(g.desc, k) for k in range(upto + 1)] == counts
+    # the series that the ball and KL budgets read
+    series = list(heckej.weyl._length_series(g.desc, upto))
+    assert series == list(zip(counts, itertools.accumulate(counts)))
 
 
 @pytest.mark.parametrize("affine_type", ["A1~", "A2~"])
@@ -123,6 +136,27 @@ def test_normal_form_is_shortlex_least_reduced_word():
             assert min(reduced) == w.word
             # each reduced word builds a separate element, equal to w and of its hash
             assert {hash(g.element(word)) for word in reduced} == {hash(w)}
+
+
+def test_a_canonical_word_not_yet_interned_is_interned_on_first_use():
+    """A caller's element whose word a fresh group has not interned gets
+    the id that element() gives that word, and the descents it has in a
+    group that built it from the word; a reduced word that is not the
+    canonical one (1 0 1 for 0 1 0) is refused."""
+    desc = GroupDescriptor("A2~")
+    built = make_group(desc)
+    for word in [(0, 1, 2, 0, 1, 2), (0, 1, 0, 2, 1, 0), (0, 1, 2, 0, 1, 2, 0)]:
+        w = built.element(word)
+        assert w.word == word
+        g = WeylGroup(desc)
+        assert word not in g._index
+        i = g._element_id(GroupElement(desc, word))
+        assert g._words[i] == word
+        assert g._word_id(word) == i == g._element_id(g.element(word))
+        assert g.left_descents(GroupElement(desc, word)) == built.left_descents(w)
+        assert g.right_descents(GroupElement(desc, word)) == built.right_descents(w)
+    with pytest.raises(ValueError, match="not a canonical reduced word"):
+        WeylGroup(desc)._element_id(GroupElement(desc, (1, 0, 1)))
 
 
 @pytest.mark.parametrize(
