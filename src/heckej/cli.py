@@ -38,13 +38,13 @@ import io
 import os
 import sys
 
-# fractions (which loads decimal), hashlib, json, csv and pathlib are
-# imported in the functions that use them (parse_q and the library's
-# rationals, the KL cache, --format json and --format csv): every call
-# pays for what is imported at start-up.
+# fractions (which loads decimal), hashlib, json, csv, pathlib and
+# tempfile are imported in the functions that use them (parse_q and the
+# library's rationals, the KL cache and its writes, --format json and
+# --format csv): every call pays for what is imported at start-up.
 from .asymptotic import JRing, phi_reach
 from .errors import BudgetExceeded, DepthTooSmall, GroupMismatch, HeckejError, RadiusExceeded
-from .hecke import BASES, KLTable, StructureConstants, _check_kl_budget, hecke_algebra
+from .hecke import BASES, KLTable, StructureConstants, _check_kl_budget, _q_coefficients, hecke_algebra
 from .laurent import Laurent
 from .weyl import SUPPORTED_TYPES, GroupDescriptor, GroupElement, WeylGroup, make_group
 from . import sl2
@@ -201,20 +201,56 @@ def cache_directory(ns) -> Path:
     return Path.home() / ".cache" / "heckej"
 
 
+class _QList(dict):
+    """Packed KL polynomial -> its JSON list of q-coefficients, rendered
+    once per distinct polynomial."""
+
+    def __missing__(self, c: int) -> str:
+        text = self[c] = "[" + ", ".join(map(str, _q_coefficients(c))) + "]"
+        return text
+
+
+def _kl_cache_bytes(table: KLTable) -> bytes:
+    """The bytes of json.dumps({"version": 2, "group", "radius", "P"},
+    sort_keys=True), written straight from the table's packed columns: P
+    maps each w to {y: the q-coefficients of P_{y,w}, degree 0 first},
+    elements written as the CLI prints them.  Each name is written once,
+    the ids are sorted by name once, and each w's keys by that rank."""
+    import json
+
+    g = table.group
+    names = {i: str(GroupElement(g.desc, g._words[i])) for i in g._ball_ids(table.radius)}
+    order = sorted(names, key=names.__getitem__)
+    rank = {i: r for r, i in enumerate(order)}
+    keys = [f'"{names[i]}": ' for i in order]
+    qlist = _QList()
+    columns = []
+    for key, w in zip(keys, order):
+        col = table._coords[w]
+        entries = ", ".join([keys[r] + qlist[col[order[r]]] for r in sorted(map(rank.__getitem__, col))])
+        columns.append(key + "{" + entries + "}")
+    # the keys sort as "P" < "group" < "radius" < "version"
+    rest = json.dumps({"group": table.desc.to_json(), "radius": table.radius, "version": 2}, sort_keys=True)
+    return ('{"P": {' + ", ".join(columns) + "}, " + rest[1:]).encode()
+
+
 def cached_kl_table(ns, desc: GroupDescriptor, radius: int) -> KLTable:
-    """Build the KL table for (group, radius) and keep it in the cache
-    directory as `KLTable.to_json` with sorted keys.
+    """Build the KL table for (group, radius), once per diagram-automorphism
+    orbit (`KLTable.extend`), and keep it in the cache directory in the
+    form `_kl_cache_bytes` writes.
 
     The table is always built, and a cache file only compared with it: a
     file whose bytes equal the table's serialization is a hit and is left
-    untouched; any other file is rewritten.  So a cache file never changes
-    a result.  A directory that cannot hold the file is a usage error.
+    untouched; any other file is rewritten through a temporary file of
+    this writer's own in the same directory, so concurrent writers never
+    share one.  So a cache file never changes a result.  A directory that
+    cannot hold the file is a usage error.
     """
     import hashlib
     import json
 
     table = KLTable(make_group(desc), radius)
-    blob = json.dumps(table.to_json(), sort_keys=True).encode()
+    blob = _kl_cache_bytes(table)
     key = hashlib.sha256(
         json.dumps(desc.to_json(), sort_keys=True).encode()
     ).hexdigest()[:12]
@@ -225,14 +261,20 @@ def cached_kl_table(ns, desc: GroupDescriptor, radius: int) -> KLTable:
                 return table
     except OSError:
         pass
-    tmp = path.with_suffix(".tmp")
+    # only a write pays for tempfile, which loads shutil and random
+    import tempfile
+
+    tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_bytes(blob)
-        tmp.replace(path)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        with open(fd, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
     except OSError as exc:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
         raise UsageError(
             f"cannot use {path.parent} as the KL cache directory: {exc.strerror or exc}"
         ) from exc

@@ -52,6 +52,12 @@ the J ring reads single digits of the row `_row` hands it.  Exactness is guarded
 every step: each stored vector has all digits in [0, 2^PACK_T), which
 positivity guarantees, and a step sums at most 2^(PACK_W-1-PACK_T) such
 digits into one.
+
+The KL table is built once per orbit of the diagram automorphisms: a
+sigma of the Coxeter graph preserves length and Bruhat order, so
+P_{sigma y, sigma w} = P_{y,w} and mu(sigma y, sigma w) = mu(y, w)
+(Kazhdan-Lusztig 1979; Lusztig, Hecke algebras with unequal parameters,
+ch. 5-6), and the other elements of an orbit are relabelled copies.
 """
 
 from __future__ import annotations
@@ -396,6 +402,14 @@ class KLTable:
     Built stratum by stratum; the recursion is
 
         C'_w = C'_s C'_u - sum_{z<u, sz<z} mu(z,u) C'_z,   w = s u.
+
+    It runs only for the first element of each orbit of the diagram
+    automorphisms sigma, in ball order.  A sigma preserves length and
+    Bruhat order, so P_{sigma y, sigma w} = P_{y,w} and
+    mu(sigma y, sigma w) = mu(y, w) (Kazhdan-Lusztig 1979), and the rest
+    of the orbit is filled by relabelling each y to sigma y.  The
+    exactness guard and the unitriangularity check run on every element
+    the recursion builds.
     """
 
     def __init__(self, group: WeylGroup, radius: int):
@@ -412,12 +426,26 @@ class KLTable:
     # -- construction -----------------------------------------------------
 
     def extend(self, radius: int) -> None:
+        """Grow the table to radius: the mu-recursion builds the first
+        element of each diagram-automorphism orbit in ball order, and every
+        other sigma w of its orbit is its image, relabelled by sigma."""
         if radius <= self.radius:
             return
         _check_kl_budget(self.desc, radius)
-        for i in self.group._ball_ids(radius):
-            if i not in self._coords:
-                self._build(i)
+        g = self.group
+        ids = g._ball_ids(radius)
+        sigmas = [g._permuted_ids(p, ids) for p in g.diagram_automorphisms if p != g._no_perm]
+        coords, mu_down, mu_mass = self._coords, self._mu_down, self._mu_mass
+        for i in ids:
+            if i in coords:
+                continue
+            self._build(i)
+            for sigma in sigmas:
+                j = sigma[i]
+                if j not in coords:
+                    coords[j] = {sigma[y]: c for y, c in coords[i].items()}
+                    mu_down[j] = [(sigma[z], mu) for z, mu in mu_down[i]]
+                    mu_mass[j] = mu_mass[i]
         self.radius = radius
 
     def _mu_step(self, vecs: dict, rule, s: int, pid: int, fan_in: int, lift: int = 0, floor: int = 0) -> dict:
@@ -537,24 +565,6 @@ class KLTable:
         if got is None:
             got = self._masses[wid] = sum(sum(_q_coefficients(p)) for p in self._coords[wid].values())
         return got
-
-    # -- persistence --------------------------------------------------------
-
-    def to_json(self) -> dict:
-        """The KL cache file's form: P maps each w to {y: the q-coefficients
-        of P_{y,w}, degree 0 first}, elements written as the CLI prints them."""
-        g = self.group
-        ids = g._ball_ids(self.radius)
-        name = {i: str(GroupElement(self.desc, g._words[i])) for i in ids}
-        return {
-            "version": 2,
-            "group": self.desc.to_json(),
-            "radius": self.radius,
-            "P": {
-                name[w]: {name[y]: _q_coefficients(c) for y, c in self._coords[w].items()}
-                for w in ids
-            },
-        }
 
 
 class StructureConstants:

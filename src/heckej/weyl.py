@@ -177,6 +177,7 @@ class WeylGroup:
         self._rmul_memo: dict[tuple[int, int], int] = {}
         self._lmul_memo: dict[tuple[int, int], int] = {}
         self._inv_memo: dict[int, int] = {}
+        self._perm_memo: dict[tuple[int, ...], dict[int, int]] = {}
         # the ball as far as enumerated, Coxeter ids sorted by (length, word):
         # the stratum of length n is _ball[_ball_ends[n] : _ball_ends[n + 1]]
         self._ball: list[int] = [0]
@@ -297,9 +298,37 @@ class WeylGroup:
         self._lmul_memo[(s, j)] = i
         return j
 
+    def _permuted_ids(self, perm, ids) -> dict[int, int]:
+        """The images sigma(i) of the diagram automorphism sigma = perm, as
+        {Coxeter id: id} for at least the ids given: sigma(i) is the word of
+        i with each letter s replaced by perm[s].  As sigma(w t) =
+        sigma(w) sigma(t) for the last letter t of w, an image is one `_rmul`
+        above the image of the prefix w, which ball enumeration has already
+        met; so a ball passed in ball order costs one `_rmul` memo read per
+        element.  Images are memoized per perm, and not to be mutated."""
+        memo = self._perm_memo.get(perm)
+        if memo is None:
+            memo = self._perm_memo[perm] = {0: 0}
+        words, rmul = self._words, self._rmul_memo
+        for i in ids:
+            pending = []
+            while i not in memo:
+                pending.append(i)
+                t = words[i][-1]
+                # the memo read inline, as the call costs more than the lookup
+                j = rmul.get((i, t))
+                i = self._rmul(i, t) if j is None else j
+            if pending:
+                j = memo[i]
+                for i in reversed(pending):
+                    t = perm[words[i][-1]]
+                    k = rmul.get((j, t))
+                    j = memo[i] = self._rmul(j, t) if k is None else k
+        return memo
+
     def _permuted_id(self, perm, i: int) -> int:
-        """Coxeter id of the word of i with each letter s replaced by perm[s]."""
-        return self._word_id(self._words[i], perm)
+        """The Coxeter id of sigma(i) for the diagram automorphism sigma = perm."""
+        return i if perm == self._no_perm else self._permuted_ids(perm, (i,))[i]
 
     def _inverse_id(self, i: int) -> int:
         got = self._inv_memo.get(i)

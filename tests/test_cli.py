@@ -51,24 +51,82 @@ def test_kl_nontrivial_polynomial(capsys, cache):
     assert json.loads(out)["rows"][0]["P"] == "1 + q"
 
 
+@functools.lru_cache(maxsize=None)
 def _kl_blob(affine_type, radius, extended=False):
-    """The bytes a cache file holds: the table's serialization, sorted keys."""
-    table = KLTable(make_group(GroupDescriptor(affine_type, extended)), radius)
-    return json.dumps(table.to_json(), sort_keys=True).encode()
+    """The bytes a cache file holds, built from the public API alone:
+    {"version", "group", "radius", "P"} with sorted keys, P mapping each
+    Coxeter element w of the ball to {y: the q-coefficients of P_{y,w},
+    degree 0 first} over the y with P_{y,w} != 0."""
+    desc = GroupDescriptor(affine_type, extended)
+    g = make_group(desc)
+    table = KLTable(g, radius)
+    ball = [w for w in g.enumerate_ball(radius) if w.omega == 0]
+    P = {}
+    for w in ball:
+        P[str(w)] = col = {}
+        for y in ball:
+            p = table.kl_polynomial(y, w)
+            if p:
+                assert p.min_exp() >= 0 and all(e % 2 == 0 for e, _ in p.items())
+                col[str(y)] = [p.coeff(2 * k) for k in range(p.max_exp() // 2 + 1)]
+    data = {"version": 2, "group": {"affine_type": affine_type, "extended": extended}, "radius": radius, "P": P}
+    return json.dumps(data, sort_keys=True).encode()
+
+
+def _written_blob(tmp_path, affine_type, radius, extended=False):
+    """The cache file a cold `kl` call writes for (group, radius)."""
+    cache = tmp_path / f"cache_{affine_type}_{extended}_{radius}"
+    argv = ["kl", "--type", affine_type, "--radius", str(radius), "--y", "e", "--w", "e", "--cache-dir", str(cache)]
+    assert main(argv + ["--extended"] * extended) == 0
+    (path,) = cache.iterdir()
+    return path.read_bytes()
+
+
+PINNED_CACHE_FILES = [
+    ("A2~", False, 8, 45331, "e5871f699f23bc6ee63a69bcad90aa53b639915c7d0680b303f9522710b5e1fc"),
+    ("A1~", True, 8, 1990, "84076df8cb5aa12d4dd421fb64ff13b4540e1792df3917920f749f39b9570b16"),
+    ("A2~", True, 8, 45330, "dcb3e769393cad12092faab9fc9fb7ec142fa3c57384ecca28b1e21d9775a670"),
+    ("A2~", False, 14, 504887, "bb4832983a6d38daef2a15ca23777d126d8daa4547a951f61423eb62ad6d7718"),
+]
 
 
 @pytest.mark.parametrize(
-    "affine_type,extended,size,digest",
-    [
-        ("A2~", False, 45331, "e5871f699f23bc6ee63a69bcad90aa53b639915c7d0680b303f9522710b5e1fc"),
-        ("A1~", True, 1990, "84076df8cb5aa12d4dd421fb64ff13b4540e1792df3917920f749f39b9570b16"),
-    ],
+    "affine_type,extended,radius,size,digest",
+    PINNED_CACHE_FILES,
+    ids=[f"{t}-{e}-{size}-{digest}" for t, e, _, size, digest in PINNED_CACHE_FILES],
 )
-def test_cache_bytes_are_pinned(affine_type, extended, size, digest):
-    """Cache files of format version 2 keep their exact bytes."""
-    blob = _kl_blob(affine_type, 8, extended)
+def test_cache_bytes_are_pinned(capsys, tmp_path, affine_type, extended, radius, size, digest):
+    """Cache files of format version 2 keep their exact bytes: the file a
+    `kl` call writes, and the oracle's serialization of the table."""
+    blob = _written_blob(tmp_path, affine_type, radius, extended)
+    capsys.readouterr()
     assert len(blob) == size
     assert hashlib.sha256(blob).hexdigest() == digest
+    assert _kl_blob(affine_type, radius, extended) == blob
+
+
+def test_extended_table_writes_the_bytes_of_a_fresh_one():
+    """A table grown by `extend`, as the J ring grows its own, holds what a
+    table built at that radius holds, to the byte of its cache file."""
+    g = make_group(GroupDescriptor("A2~"))
+    grown = KLTable(g, 5)
+    grown.extend(14)
+    assert heckej.cli._kl_cache_bytes(grown) == heckej.cli._kl_cache_bytes(KLTable(WeylGroup(g.desc), 14))
+    assert heckej.cli._kl_cache_bytes(grown) == _kl_blob("A2~", 14)
+
+
+def test_cache_writers_do_not_share_a_temporary_file(capsys, tmp_path):
+    """Each writer of a cache file writes its own temporary file: one at the
+    fixed name kl_<key>_r<R>.tmp, here a directory, does not stop a write."""
+    args = ["kl", "--type", "A2~", "--radius", "6", "--y", "e", "--w", "012", "--cache-dir", str(tmp_path)]
+    assert main(args) == 0
+    (path,) = tmp_path.iterdir()
+    path.unlink()
+    path.with_suffix(".tmp").mkdir()
+    code, _, err = run(capsys, *args)
+    assert (code, err) == (0, "")
+    assert path.read_bytes() == _kl_blob("A2~", 6)
+    assert sorted(tmp_path.iterdir()) == [path, path.with_suffix(".tmp")]
 
 
 def test_cache_file_and_transparency(capsys, cache, tmp_path):
