@@ -19,6 +19,8 @@ from heckej import GroupDescriptor, HeckeElement, KLTable, Laurent, WeylGroup, h
 from heckej.asymptotic import JRing
 from heckej.cli import COMMANDS, build_parser, main, parse_element, parse_q
 
+from conftest import PINNED_OUTPUTS
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -353,20 +355,13 @@ def test_phi_check_passes(capsys):
     ]
 
 
-@pytest.mark.parametrize("argv, pin", [
-    ("phi-check --type A2~ --max-len 3", "RESULT pass=82 fail=0"),
-    ("phi-check --type A2~ --max-len 8", "RESULT pass=2107 fail=0"),
-    ("phi-check --type A1~ --extended --max-len 10", "RESULT pass=884 fail=0"),
-    # the pairs of the cell skip on factors with Omega parts
-    ("phi-check --type A2~ --extended --max-len 5", "RESULT pass=3654 fail=0"),
-    ("group --type A2~ --extended --radius 10 --format json", "d05f6f744c35a8d8ec65d173660213e837e874c42749f307da36a3d823917117"),
-    ("group --type A1~ --extended --radius 20 --format json", "a6f0ab40e8674b93a77fc923807a843e61fa49ca279176e1568f3fe7caa7490e"),
-])
-def test_pinned_outputs(capsys, argv, pin):
+@pytest.mark.parametrize("argv, pin", PINNED_OUTPUTS)
+def test_pinned_outputs(replay, argv, pin):
     """Exact outputs kept from release to release: phi-check's closing line,
-    and the sha256 of a group listing's whole stdout."""
-    code, out, _ = run(capsys, *argv.split())
-    assert code == 0
+    and the sha256 of a group listing's whole stdout.  The calls run in the
+    session's replay (conftest.py)."""
+    ((code, out, err),) = replay.runs[tuple(argv.split())]
+    assert (code, err) == (0, "")
     if pin.startswith("RESULT"):
         assert out.splitlines()[-1] == pin
     else:

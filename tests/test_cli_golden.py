@@ -1,74 +1,52 @@
-"""The CLI's stdout and exit codes on the benchmark's golden command set.
+"""Every pinned CLI call, replayed in a fresh interpreter.
 
-Every record of bench/golden/cli_cold.json is replayed in order through
-``heckej.cli.main`` in this process, with a fresh KL cache directory, so
-the repeated A2~ ``kl`` call reads back the table the first one wrote.
-All of them are replayed once more in a fresh interpreter in which sympy
-cannot be imported: the package has no runtime dependency.
+The `replay` fixture of conftest.py runs one table of calls once per
+session, in order, in one fresh interpreter in which sympy cannot be
+imported: the package has no runtime dependency.  The table holds the
+benchmark's golden command set (bench/golden/cli_cold.json),
+PINNED_OUTPUTS (checked in test_cli.py) and CLI_PINS, and the exit
+code, stdout and stderr of each call are captured.
 """
 
-import json
+import hashlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import heckej
-from heckej.cli import main
-
-GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "cli_cold.json"
+from conftest import CLI_PINS, golden
 
 
-def test_golden_stdout_and_exit_codes(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("HECKEJ_CACHE_DIR", str(tmp_path / "cache"))
-    records = json.loads(GOLDEN.read_text())
-    assert len(records) == 20
-    for rec in records:
-        code = main(list(rec["argv"]))
-        out = capsys.readouterr().out
-        assert (code, out) == (rec["exit"], rec["stdout"]), " ".join(rec["argv"])
+def test_golden_commands_run_without_sympy(replay):
+    assert len(golden()) == 20
+    for rec in golden():
+        for code, out, err in replay.runs[tuple(rec["argv"])]:
+            assert (code, out) == (rec["exit"], rec["stdout"]), " ".join(rec["argv"])
+            assert code != 0 or err == "", " ".join(rec["argv"])
+    assert replay.sympy == []
+    assert replay.sl2_loaded
 
 
-
-# Runs in a fresh interpreter: blocks sympy, replays the argv lists read
-# from stdin, and prints one JSON object with what happened.
-NO_SYMPY = """
-import contextlib, io, json, sys
-sys.modules["sympy"] = None
-import heckej.cli
-results = []
-for argv in json.load(sys.stdin):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = heckej.cli.main(argv)
-    results.append([code, out.getvalue()])
-print(json.dumps({
-    "results": results,
-    "sympy": sorted(n for n, m in sys.modules.items()
-                    if m is not None and (n == "sympy" or n.startswith("sympy."))),
-    "sl2_loaded": "heckej.sl2" in sys.modules,
-}))
-"""
+@pytest.mark.parametrize("argv, code, out, err", CLI_PINS, ids=[argv[:60] for argv, *_ in CLI_PINS])
+def test_pinned_call(replay, argv, code, out, err):
+    ((got_code, got_out, got_err),) = replay.runs[tuple(argv.split())]
+    assert got_code == code
+    for want, got in ((out, got_out), (err, got_err)):
+        if isinstance(want, tuple):
+            assert [s for s in want if s not in got] == [], got
+        else:
+            assert got == want
 
 
-def test_golden_commands_run_without_sympy(tmp_path):
-    records = json.loads(GOLDEN.read_text())
-    assert len(records) == 20
-    src = str(Path(heckej.__file__).resolve().parents[1])
-    env = dict(os.environ, HECKEJ_CACHE_DIR=str(tmp_path / "cache"))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", NO_SYMPY],
-        input=json.dumps([r["argv"] for r in records]),
-        capture_output=True, text=True, env=env, check=False,
-    )
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
-    assert len(report["results"]) == len(records)
-    for rec, (code, out) in zip(records, report["results"]):
-        assert (code, out) == (rec["exit"], rec["stdout"]), " ".join(rec["argv"])
-    assert report["sympy"] == []
-    assert report["sl2_loaded"]
+def test_replay_writes_the_pinned_kl_cache_file(replay):
+    """The golden `kl` call on A2~ at radius 14, in a spawned interpreter,
+    writes the cache file whose bytes test_cli.py pins."""
+    (path,) = replay.cache.glob("kl_*_r14.json")
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "bb4832983a6d38daef2a15ca23777d126d8daa4547a951f61423eb62ad6d7718"
 
 
 # Modules that no subcommand needs at start-up: the KL cache and the json
