@@ -14,9 +14,11 @@ product for gamma and jmul, JElement.signed_image on phi.  hmul's
 its record names the convention of the C basis it multiplied in.
 
 kl, hmul and hconst keep each KL table they build in a cache directory
-(--cache-dir, else $HECKEJ_CACHE_DIR, else ~/.cache/heckej).  A cache
-file is only compared byte for byte with the rebuilt table and rewritten
-when it differs; it is never read into a result.
+(--cache-dir, else $HECKEJ_CACHE_DIR, else ~/.cache/heckej), one file
+kl_<affine type>[-extended]_r<radius>.json per table.  A cache file is
+only compared byte for byte with the rebuilt table, one column at a
+time, and rewritten the same way when it differs; it is never read into
+a result.
 
 A cold call pays only for its own subcommand.  main builds the parser of
 the subcommand that argv names, not of the whole tree, which it builds
@@ -38,10 +40,10 @@ import io
 import os
 import sys
 
-# fractions (which loads decimal), hashlib, json, csv, pathlib and
-# tempfile are imported in the functions that use them (parse_q and the
-# library's rationals, the KL cache and its writes, --format json and
-# --format csv): every call pays for what is imported at start-up.
+# fractions (which loads decimal), json, csv, pathlib and tempfile are
+# imported in the functions that use them (parse_q and the library's
+# rationals, --format json, --format csv, the KL cache and its writes):
+# every call pays for what is imported at start-up.
 from .asymptotic import JRing, phi_reach
 from .errors import BudgetExceeded, DepthTooSmall, GroupMismatch, HeckejError, RadiusExceeded
 from .hecke import BASES, KLTable, StructureConstants, _check_kl_budget, _q_coefficients, hecke_algebra
@@ -210,54 +212,55 @@ class _QList(dict):
         return text
 
 
-def _kl_cache_bytes(table: KLTable) -> bytes:
+def _kl_cache_chunks(table: KLTable):
     """The bytes of json.dumps({"version": 2, "group", "radius", "P"},
-    sort_keys=True), written straight from the table's packed columns: P
-    maps each w to {y: the q-coefficients of P_{y,w}, degree 0 first},
-    elements written as the CLI prints them.  Each name is written once,
+    sort_keys=True), yielded one piece at a time: the opening, each
+    column of P, and the tail.  P maps each w to {y: the q-coefficients
+    of P_{y,w}, degree 0 first}, elements written as the CLI prints them,
+    straight from the table's packed columns.  Each name is written once,
     the ids are sorted by name once, and each w's keys by that rank."""
-    import json
-
     g = table.group
     names = {i: str(GroupElement(g.desc, g._words[i])) for i in g._ball_ids(table.radius)}
     order = sorted(names, key=names.__getitem__)
     rank = {i: r for r, i in enumerate(order)}
     keys = [f'"{names[i]}": ' for i in order]
+    del names  # the generator's frame would keep them to the last column
     qlist = _QList()
-    columns = []
-    for key, w in zip(keys, order):
+    # the keys sort as "P" < "group" < "radius" < "version"
+    yield b'{"P": {'
+    for n, (key, w) in enumerate(zip(keys, order)):
         col = table._coords[w]
         entries = ", ".join([keys[r] + qlist[col[order[r]]] for r in sorted(map(rank.__getitem__, col))])
-        columns.append(key + "{" + entries + "}")
-    # the keys sort as "P" < "group" < "radius" < "version"
-    rest = json.dumps({"group": table.desc.to_json(), "radius": table.radius, "version": 2}, sort_keys=True)
-    return ('{"P": {' + ", ".join(columns) + "}, " + rest[1:]).encode()
+        yield (", " * (n > 0) + key + "{" + entries + "}").encode()
+    d = table.desc
+    yield (
+        f'}}, "group": {{"affine_type": "{d.affine_type}", "extended": {str(d.extended).lower()}}}, '
+        f'"radius": {table.radius}, "version": 2}}'
+    ).encode()
 
 
 def cached_kl_table(ns, desc: GroupDescriptor, radius: int) -> KLTable:
     """Build the KL table for (group, radius), once per diagram-automorphism
-    orbit (`KLTable.extend`), and keep it in the cache directory in the
-    form `_kl_cache_bytes` writes.
+    orbit (`KLTable.extend`), and keep it in the cache directory as
+    kl_<affine type>[-extended]_r<radius>.json, in the form
+    `_kl_cache_chunks` yields.
 
-    The table is always built, and a cache file only compared with it: a
-    file whose bytes equal the table's serialization is a hit and is left
-    untouched; any other file is rewritten through a temporary file of
-    this writer's own in the same directory, so concurrent writers never
-    share one.  So a cache file never changes a result.  A directory that
-    cannot hold the file is a usage error.
+    The table is always built, and a cache file only compared with it,
+    one chunk at a time: a file whose bytes equal the table's
+    serialization, to its end, is a hit and is left untouched; any other
+    file is rewritten, chunk by chunk, through a temporary file of this
+    writer's own in the same directory, so concurrent writers never
+    share one.  So a cache file never changes a result, and neither path
+    holds more than one column of its text.  A directory that cannot
+    hold the file is a usage error.
     """
-    import hashlib
-    import json
-
     table = KLTable(make_group(desc), radius)
-    blob = _kl_cache_bytes(table)
-    key = hashlib.sha256(
-        json.dumps(desc.to_json(), sort_keys=True).encode()
-    ).hexdigest()[:12]
-    path = cache_directory(ns) / f"kl_{key}_r{radius}.json"
+    name = f"kl_{desc.affine_type}{'-extended' * desc.extended}_r{radius}.json"
+    path = cache_directory(ns) / name
     try:
         with open(path, "rb") as fh:
-            if fh.read(len(blob) + 1) == blob:
+            # a buffered read comes back short only at the end of the file
+            if all(fh.read(len(chunk)) == chunk for chunk in _kl_cache_chunks(table)) and not fh.read(1):
                 return table
     except OSError:
         pass
@@ -269,7 +272,7 @@ def cached_kl_table(ns, desc: GroupDescriptor, radius: int) -> KLTable:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         with open(fd, "wb") as fh:
-            fh.write(blob)
+            fh.writelines(_kl_cache_chunks(table))
         os.replace(tmp, path)
     except OSError as exc:
         if tmp is not None:

@@ -80,9 +80,6 @@ class GroupDescriptor(namedtuple("GroupDescriptor", "affine_type extended", defa
     def finite_longest_length(self) -> int:
         return _FINITE_LONGEST[self.affine_type]
 
-    def to_json(self) -> dict:
-        return {"affine_type": self.affine_type, "extended": self.extended}
-
 
 class GroupElement(namedtuple("GroupElement", "desc word omega", defaults=(0,))):
     """An element in canonical form: ShortLex-least reduced word + omega part.

@@ -8,8 +8,10 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -81,6 +83,7 @@ def _written_blob(tmp_path, affine_type, radius, extended=False):
     argv = ["kl", "--type", affine_type, "--radius", str(radius), "--y", "e", "--w", "e", "--cache-dir", str(cache)]
     assert main(argv + ["--extended"] * extended) == 0
     (path,) = cache.iterdir()
+    assert path.name == f"kl_{affine_type}{'-extended' * extended}_r{radius}.json"
     return path.read_bytes()
 
 
@@ -113,13 +116,15 @@ def test_extended_table_writes_the_bytes_of_a_fresh_one():
     g = make_group(GroupDescriptor("A2~"))
     grown = KLTable(g, 5)
     grown.extend(14)
-    assert heckej.cli._kl_cache_bytes(grown) == heckej.cli._kl_cache_bytes(KLTable(WeylGroup(g.desc), 14))
-    assert heckej.cli._kl_cache_bytes(grown) == _kl_blob("A2~", 14)
+    blob = b"".join(heckej.cli._kl_cache_chunks(grown))
+    assert blob == b"".join(heckej.cli._kl_cache_chunks(KLTable(WeylGroup(g.desc), 14)))
+    assert blob == _kl_blob("A2~", 14)
 
 
 def test_cache_writers_do_not_share_a_temporary_file(capsys, tmp_path):
     """Each writer of a cache file writes its own temporary file: one at the
-    fixed name kl_<key>_r<R>.tmp, here a directory, does not stop a write."""
+    fixed name kl_<affine type>_r<R>.tmp, here a directory, does not stop
+    a write."""
     args = ["kl", "--type", "A2~", "--radius", "6", "--y", "e", "--w", "012", "--cache-dir", str(tmp_path)]
     assert main(args) == 0
     (path,) = tmp_path.iterdir()
@@ -151,6 +156,30 @@ def test_cache_file_and_transparency(capsys, cache, tmp_path):
     assert list((tmp_path / "cache").iterdir()) == files
 
 
+def test_cache_holds_one_column_of_text_at_a_time(tmp_path):
+    """Writing a cache file (cold) and comparing one (warm) each peak at
+    most 100 KB, a fifth of the A2~ radius-14 file, above building the
+    table alone: neither holds the file's text whole."""
+    desc = GroupDescriptor("A2~")
+    g = make_group(desc)
+    KLTable(g, 14)  # interns the ball, so that no call below pays for it
+    ns = SimpleNamespace(cache_dir=str(tmp_path))
+    calls = [lambda: KLTable(g, 14)] + [lambda: heckej.cli.cached_kl_table(ns, desc, 14)] * 2
+    peaks = []
+    tracemalloc.start()
+    try:
+        for call in calls:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    table, cold, warm = peaks
+    assert [p.name for p in tmp_path.iterdir()] == ["kl_A2~_r14.json"]
+    assert max(cold, warm) - table <= 100_000, (table, cold, warm)
+
+
 def _version_1(radius):
     """A cache file of the previous format: one object per entry, each
     polynomial as [[v-exponent, "coefficient"], ...]."""
@@ -177,6 +206,11 @@ def _tampered(radius):
     return blob.replace(b'"e": [1]', b'"e": [2]', 1)
 
 
+# the file the call below writes; a cache compared chunk by chunk must
+# still see a file that ends early, runs on, or stops inside a column
+_RIGHT = _kl_blob("A1~", 3)
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -186,8 +220,11 @@ def _tampered(radius):
         _tampered(3),
         _version_1(3),
         b"\xff\xfe\x00 not utf-8",
+        _RIGHT[:-1],
+        _RIGHT + b"}",
+        _RIGHT[:_RIGHT.index(b'"010": {') + len(b'"010": {"0')],
     ],
-    ids=["no-entries", "not-json", "other-radius", "tampered", "version-1", "not-utf8"],
+    ids=["no-entries", "not-json", "other-radius", "tampered", "version-1", "not-utf8", "truncated", "trailing", "mid-column"],
 )
 def test_unusable_cache_file_is_a_miss(capsys, cache, tmp_path, content):
     """A file that differs from the table in any byte is rewritten, and

@@ -52,24 +52,28 @@ def test_replay_writes_the_pinned_kl_cache_file(replay):
 # Modules that no subcommand needs at start-up: the KL cache and the json
 # and csv formats import theirs when they run, so do the functions that
 # make a rational with fractions (which loads decimal), and the package
-# uses neither dataclasses (which pulls in inspect) nor typing.
+# uses none of hashlib, dataclasses (which pulls in inspect) and typing.
 NOT_AT_START_UP = (
     "dataclasses", "inspect", "hashlib", "csv", "json", "pathlib", "typing", "fractions", "decimal",
 )
 
 
-def _loaded_by_import(module):
-    """The modules loaded in a fresh interpreter by `import module`."""
+def _run_bare(code, *args):
+    """The stdout of code run with args in a fresh interpreter."""
     src = str(Path(heckej.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    # -S: no site module, so only what the import loads is there
+    # -S: no site module, so only what the code loads is there
     proc = subprocess.run(
-        [sys.executable, "-S", "-c",
-         f"import sys, {module}; print(' '.join(sorted(sys.modules)))"],
-        capture_output=True, text=True, env=env, check=False,
+        [sys.executable, "-S", "-c", code, *args],
+        capture_output=True, text=True, env=env, timeout=60, check=False,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
+    return proc.stdout
+
+
+def _loaded_by_import(module):
+    """The modules loaded in a fresh interpreter by `import module`."""
+    loaded = set(_run_bare(f"import sys, {module}; print(' '.join(sorted(sys.modules)))").split())
     assert module in loaded
     return loaded
 
@@ -82,3 +86,28 @@ def test_cli_import_loads_no_unused_module():
 def test_package_import_loads_no_fractions():
     loaded = _loaded_by_import("heckej")
     assert "fractions" not in loaded and "decimal" not in loaded
+
+
+# kl twice, so that the second call compares the file the first one wrote
+CACHE_CALLS = [
+    ["kl", "--type", "A2~", "--radius", "8", "--y", "e", "--w", "0"],
+    ["kl", "--type", "A2~", "--radius", "8", "--y", "e", "--w", "0"],
+    ["hmul", "--type", "A1~", "--x", "0", "--y", "0"],
+    ["hconst", "--type", "A1~", "--x", "0", "--y", "0"],
+]
+
+
+def test_kl_cache_calls_load_no_hashlib(tmp_path):
+    """A KL cache file is named by its group and radius: no call that
+    writes or compares one loads hashlib (OpenSSL's libcrypto)."""
+    out = _run_bare(
+        "import contextlib, io, sys\n"
+        "from heckej.cli import main\n"
+        f"for argv in {CACHE_CALLS!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv + ['--cache-dir', sys.argv[1]]) == 0\n"
+        "    print([m for m in ('hashlib', '_hashlib') if m in sys.modules])\n",
+        str(tmp_path),
+    )
+    assert out.splitlines() == ["[]"] * len(CACHE_CALLS)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kl_A1~_r2.json", "kl_A2~_r8.json"]
