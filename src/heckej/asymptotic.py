@@ -237,13 +237,13 @@ class JRing:
         if got is None:
             self.table.extend(len(x.word) + len(y.word) - 1)
             row, omega = self.constants._row(x, y)
-            words = self.group._words
+            words, element = self.group._words, self.group._element
             xy_len = len(x.word) + len(y.word)
             got = []
             for zid, c in row.items():
                 word = words[zid]
                 if len(word) <= self.radius:
-                    z = GroupElement(self.desc, word, omega)
+                    z = element(zid, omega)
                     a = self._prove(z).value
                     if _valuation(c) < -a:
                         raise NotInAPlus(f"v^{a} h_{{{x},{y},{z}}} has negative-exponent terms")
@@ -376,10 +376,10 @@ class JRing:
 
     # -- the homomorphism into J tensor A ----------------------------------
 
-    def phi(self, x: GroupElement) -> JElement:
-        """Image of the canonical basis element C'_x: sum over distinguished
-        d and z in the same a-stratum of h_{x,d,z} t_z (memoized).  Needs
-        phi_reach(len(x)) in the radius."""
+    def _phi_terms(self, x: GroupElement) -> tuple[tuple[GroupElement, Laurent], ...]:
+        """The terms (z, coefficient) of phi(C'_x): sum over distinguished d
+        and z in the same a-stratum of h_{x,d,z} t_z (memoized), not to be
+        mutated.  Needs phi_reach(len(x)) in the radius."""
         self._within(phi_reach(self.desc, len(x.word)), "len(x) + 2 len(w0) - 1")
         got = self._phis.get(x)
         if got is None:
@@ -390,14 +390,18 @@ class JRing:
                     if self._prove(z).value == ad:
                         _accumulate(out, z, h)
             got = self._phis[x] = tuple(out.items())
-        return JElement(self.desc, dict(got), self.radius)
+        return got
+
+    def phi(self, x: GroupElement) -> JElement:
+        """Image of the canonical basis element C'_x (see _phi_terms)."""
+        return JElement(self.desc, dict(self._phi_terms(x)), self.radius)
 
     def phi_of_element(self, h: HeckeElement) -> JElement:
         """phi extended A-linearly to a Hecke-algebra element."""
         h = self.algebra.to_basis(h, "Cprime", self.table)
         out: dict[GroupElement, Laurent] = {}
         for x, c in h.terms.items():
-            for z, hz in self.phi(x).terms.items():
+            for z, hz in self._phi_terms(x):
                 _accumulate(out, z, c * hz)
         return JElement(self.desc, out, self.radius)
 

@@ -48,13 +48,19 @@ from .asymptotic import JRing, phi_reach
 from .errors import BudgetExceeded, DepthTooSmall, GroupMismatch, HeckejError, RadiusExceeded
 from .hecke import BASES, KLTable, StructureConstants, _check_kl_budget, _q_coefficients, hecke_algebra
 from .laurent import Laurent
-from .weyl import SUPPORTED_TYPES, GroupDescriptor, GroupElement, WeylGroup, make_group
+from .weyl import SUPPORTED_TYPES, GroupDescriptor, GroupElement, WeylGroup, _length_series, make_group
 from . import sl2
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_REFUSED = 3
+
+# Budget on the pairs (x, y) that phi-check visits, checked before its ring
+# is built.  It admits --max-len 10 on A2~ (4,786 pairs; 2.8 s and 45 MB
+# spawned on a 2-vCPU machine) and refuses 11 (6,832); on the extended A1~
+# it admits 24 (4,804 pairs) and refuses 25 (5,204).
+PHI_PAIR_BUDGET = 5000
 
 
 class UsageError(Exception):
@@ -220,7 +226,7 @@ def _kl_cache_chunks(table: KLTable):
     straight from the table's packed columns.  Each name is written once,
     the ids are sorted by name once, and each w's keys by that rank."""
     g = table.group
-    names = {i: str(GroupElement(g.desc, g._words[i])) for i in g._ball_ids(table.radius)}
+    names = {i: str(g._element(i)) for i in g._ball_ids(table.radius)}
     order = sorted(names, key=names.__getitem__)
     rank = {i: r for r, i in enumerate(order)}
     keys = [f'"{names[i]}": ' for i in order]
@@ -419,6 +425,17 @@ def cmd_phi(ns) -> int:
     return EXIT_OK
 
 
+def _check_phi_pair_budget(desc: GroupDescriptor, max_len: int) -> None:
+    """Refuse a phi-check whose pairs (x, y) with len(x) + len(y) <= max_len,
+    omega_order**2 * sum_n |stratum n| * |ball(max_len - n)| by the length
+    series, pass PHI_PAIR_BUDGET.  The KL budget, checked first, bounds
+    max_len, and so the series read here."""
+    series = list(_length_series(desc, max_len))
+    pairs = desc.omega_order**2 * sum(stratum * series[-1 - n][1] for n, (stratum, _) in enumerate(series))
+    if pairs > PHI_PAIR_BUDGET:
+        raise BudgetExceeded(f"phi-check --max-len {max_len} visits {pairs} pairs, over {PHI_PAIR_BUDGET}")
+
+
 def cmd_phi_check(ns) -> int:
     g = group_from_args(ns)
     max_len = ns.max_len
@@ -427,8 +444,10 @@ def cmd_phi_check(ns) -> int:
     radius = phi_reach(g.desc, max_len)
     # a J product of phi(x) and phi(y) extends the KL table to len(z1) + len(z2) - 1
     # <= phi_reach(len x) + phi_reach(len y) - 1, for len(x) + len(y) <= N at most
-    # phi_reach(N) + phi_reach(0) - 1: refuse that table before any work
+    # phi_reach(N) + phi_reach(0) - 1: refuse that table, and then too many
+    # pairs, before any work
     _check_kl_budget(g.desc, radius + phi_reach(g.desc, 0) - 1)
+    _check_phi_pair_budget(g.desc, max_len)
     ring = JRing(g.desc, radius)
     alg = ring.algebra
     ball = g.enumerate_ball(max_len)

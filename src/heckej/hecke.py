@@ -318,8 +318,9 @@ class HeckeAlgebra:
                                 got = 0
                             rest[y, om] = got - c * p
         lift = 0 if basis == "T" else 1
+        element = self.group._element
         terms = {
-            GroupElement(self.desc, words[i], om): Laurent._raw(_unpack(c, kappa - lift * len(words[i]), width))
+            element(i, om): Laurent._raw(_unpack(c, kappa - lift * len(words[i]), width))
             for (i, om), c in vec.items()
             if c
         }
@@ -662,8 +663,8 @@ class StructureConstants:
     def h_map(self, x: GroupElement, y: GroupElement) -> dict[GroupElement, Laurent]:
         """The finite support {z: h_{x,y,z} != 0} with exact coefficients."""
         row, omega = self._row(x, y)
-        words = self.group._words
-        return {GroupElement(self.desc, words[z], omega): Laurent._raw(_unpack(c)) for z, c in row.items()}
+        element = self.group._element
+        return {element(z, omega): Laurent._raw(_unpack(c)) for z, c in row.items()}
 
     # -- the a-function scan ------------------------------------------------
 

@@ -81,14 +81,40 @@ class GroupDescriptor(namedtuple("GroupDescriptor", "affine_type extended", defa
         return _FINITE_LONGEST[self.affine_type]
 
 
+# Every GroupElement ever built, by value: the one object of each value.
+_ELEMENTS: dict[tuple, "GroupElement"] = {}
+
+
 class GroupElement(namedtuple("GroupElement", "desc word omega", defaults=(0,))):
     """An element in canonical form: ShortLex-least reduced word + omega part.
 
-    A named tuple (desc, word, omega): every memo lookup keyed by
-    elements hashes and compares them in C.  len() is the length of the
-    word, not the number of fields."""
+    A named tuple (desc, word, omega), compared by value, but hash-consed:
+    there is one object per value, so it is hashed by identity, and a memo
+    lookup keyed by elements never hashes their words.  Every way to build
+    one (the constructor, `_make`, `_replace`, copy and pickle) returns the
+    object of its value from a table shared by the process, filled with
+    dict.setdefault so that threads racing on a new value get one object.
+    len() is the length of the word, not the number of fields."""
 
     __slots__ = ()
+
+    def __new__(cls, desc: GroupDescriptor, word: tuple[int, ...], omega: int = 0):
+        key = (desc, word, omega)
+        got = _ELEMENTS.get(key)
+        if got is None:
+            got = _ELEMENTS.setdefault(key, tuple.__new__(cls, key))
+        return got
+
+    # equal values are the same object, so the identity hash agrees with
+    # the tuple's __eq__
+    __hash__ = object.__hash__
+
+    @classmethod
+    def _make(cls, iterable) -> "GroupElement":
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
     def __len__(self) -> int:
         return len(self.word)
@@ -137,8 +163,11 @@ class WeylGroup:
 
     Coxeter parts are identified by dense integer ids; the tables
     (canonical word, flat matrix sigma(w^-1), left descent set, the id of
-    each word and of each matrix, neighbor links) are memo caches that
+    each word and of each matrix, neighbor links, the GroupElements of
+    each id and the id of each GroupElement) are memo caches that
     only ever grow, so reads after a warm-up are safe for concurrent use.
+    So is the process-wide table of GroupElement objects: it only grows,
+    and a new element enters it by one dict.setdefault.
     A new neighbor w*s or s*w costs one generator update of the matrix of
     w (`_gen_times`, `_times_gen`), O(rank**2) integer operations.
     """
@@ -171,6 +200,11 @@ class WeylGroup:
         self._invmats = [tuple(int(i == j) for i in range(n) for j in range(n))]
         self._invmat_index = {self._invmats[0]: 0}
         self._ldesc: list[frozenset[int]] = [frozenset()]
+        # the GroupElements of each id, one per omega part, made on first use
+        # (`_element`), and the id of each, keyed by identity: the elements
+        # are hash-consed
+        self._elements: list[tuple[GroupElement, ...] | None] = [None]
+        self._ids: dict[GroupElement, int] = {}
         self._rmul_memo: dict[tuple[int, int], int] = {}
         self._lmul_memo: dict[tuple[int, int], int] = {}
         self._inv_memo: dict[int, int] = {}
@@ -184,12 +218,12 @@ class WeylGroup:
 
     @property
     def identity(self) -> GroupElement:
-        return GroupElement(self.desc, ())
+        return self._element(0)
 
     def generator(self, i: int) -> GroupElement:
         if not 0 <= i < self.rank:
             raise ValueError(f"no generator {i}")
-        return GroupElement(self.desc, (i,))
+        return self._element(self._rmul(0, i))
 
     def generators(self) -> list[GroupElement]:
         return [self.generator(i) for i in range(self.rank)]
@@ -206,19 +240,41 @@ class WeylGroup:
             raise ValueError(f"no omega element {omega}")
         if not _ball_fits(self.desc, len(word)):
             raise BudgetExceeded(f"a word of {len(word)} letters may leave a ball of {BALL_BUDGET} elements")
-        return GroupElement(self.desc, self._words[self._word_id(word)], omega)
+        return self._element(self._word_id(word), omega)
 
     # -- Coxeter-part machinery ------------------------------------------
+
+    def _element(self, i: int, om: int = 0) -> GroupElement:
+        """The element with Coxeter id i and omega part om; the first call
+        for i makes those of every omega part and records their id."""
+        got = self._elements[i]
+        if got is None:
+            # a plain loop: a generator or a temporary dict here costs more
+            # than the one value lookup each new element needs
+            word, got = self._words[i], []
+            for k in range(self.desc.omega_order):
+                w = GroupElement(self.desc, word, k)
+                got.append(w)
+                self._ids[w] = i
+            got = self._elements[i] = tuple(got)
+        return got[om]
 
     def _element_id(self, g: GroupElement) -> int:
         """The Coxeter id of a caller's element, and the one test that it is
         an element of this group: GroupMismatch for an element of another
-        group, ValueError for an omega part or a word this group lacks."""
+        group, ValueError for an omega part or a word this group lacks.
+        Every element this group has made is known by identity; any other
+        is checked by value."""
+        got = self._ids.get(g)
+        if got is not None:
+            return got
         if g.desc != self.desc:
             raise GroupMismatch(f"element of {g.desc} used with group {self.desc}")
         if not 0 <= g.omega < self.desc.omega_order:
             raise ValueError(f"no omega element {g.omega}")
-        return self._id_of(g.word)
+        got = self._id_of(g.word)
+        self._element(got)  # so that g is known by identity from now on
+        return got
 
     def _id_of(self, word: tuple[int, ...]) -> int:
         """The Coxeter id of a canonical reduced word; the letters and the
@@ -269,6 +325,7 @@ class WeylGroup:
             self._words.append(word)
             self._invmats.append(invmat)
             self._ldesc.append(desc)
+            self._elements.append(None)
             self._lmul_memo[(s, below)] = idx
             self._lmul_memo[(s, idx)] = below
             below = idx
@@ -349,16 +406,14 @@ class WeylGroup:
         self._element_id(b)
         perm = self.omega_perm(a.omega)
         i = self._word_id(b.word, perm, aid)
-        omega = (a.omega + b.omega) % self.desc.omega_order
-        return GroupElement(self.desc, self._words[i], omega)
+        return self._element(i, (a.omega + b.omega) % self.desc.omega_order)
 
     def inverse(self, a: GroupElement) -> GroupElement:
         j = self._inverse_id(self._element_id(a))
         inv_omega = (-a.omega) % self.desc.omega_order
         perm = self.omega_perm(inv_omega)
         # (w * om)^-1 = om^-1 * w^-1 = perm(w^-1) * om^-1
-        k = self._permuted_id(perm, j)
-        return GroupElement(self.desc, self._words[k], inv_omega)
+        return self._element(self._permuted_id(perm, j), inv_omega)
 
     def left_descents(self, a: GroupElement) -> frozenset[int]:
         return self._ldesc[self._element_id(a)]
@@ -385,7 +440,7 @@ class WeylGroup:
                 y = self._lmul(min(d), y)
             if len(words[u]) - len(words[y]) == length:
                 left = self._word_id(reversed(words[y]), None, zid)
-                return GroupElement(self.desc, words[left]), GroupElement(self.desc, words[u], z.omega)
+                return self._element(left), self._element(u, z.omega)
             u = self._lmul(words[u][0], u)
         return None
 
@@ -415,9 +470,9 @@ class WeylGroup:
     def enumerate_ball(self, radius: int) -> list[GroupElement]:
         """All elements of length <= radius, sorted by (length, word, omega):
         each Coxeter part from `_ball_ids` with every omega part."""
-        words = self._words
+        element = self._element
         omegas = range(self.desc.omega_order)
-        return [GroupElement(self.desc, words[i], k) for i in self._ball_ids(radius) for k in omegas]
+        return [element(i, k) for i in self._ball_ids(radius) for k in omegas]
 
     # -- Bruhat order ------------------------------------------------------
 

@@ -194,6 +194,9 @@ CLI_PINS = [
     ("phi-check --type A2~ --max-len 27", 3,
      "",
      "refused: a KL table of radius 36 may hold over 2000000 entries\n"),
+    ("phi-check --type A2~ --max-len 11", 3,
+     "",
+     "refused: phi-check --max-len 11 visits 6832 pairs, over 5000\n"),
     ("afn --type A2~ --z 01", 0,
      "# basis=signed certified=True radius=10\n"
      "z   a  scan_radius\n"

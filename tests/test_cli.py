@@ -472,6 +472,14 @@ def test_phi_check_refuses_its_largest_kl_table_at_entry(capsys, monkeypatch):
     code, out, err = run(capsys, "phi-check", "--type", "A2~", "--max-len", "27")
     assert (code, out, builds) == (3, "", [])
     assert err == "refused: a KL table of radius 36 may hold over 2000000 entries\n"
+    # the pair budget refuses max-len 26 too: lift it to see the KL check alone
+    monkeypatch.setattr(heckej.cli, "PHI_PAIR_BUDGET", float("inf"))
+    _passes_the_entry_checks(monkeypatch, "phi-check", "--type", "A2~", "--max-len", "26")
+    assert builds == []
+
+
+def _passes_the_entry_checks(monkeypatch, *argv):
+    """main(argv) gets as far as building its JRing."""
 
     class Passed(Exception):
         pass
@@ -481,8 +489,34 @@ def test_phi_check_refuses_its_largest_kl_table_at_entry(capsys, monkeypatch):
 
     monkeypatch.setattr(heckej.cli, "JRing", ring)
     with pytest.raises(Passed):
-        main(["phi-check", "--type", "A2~", "--max-len", "26"])
+        main(list(argv))
+
+
+@pytest.mark.parametrize("flags, last, pairs", [(("--type", "A2~"), 10, 6832), (("--type", "A1~", "--extended"), 24, 5204)])
+def test_phi_check_refuses_too_many_pairs_at_entry(capsys, monkeypatch, flags, last, pairs):
+    """The first max-len past PHI_PAIR_BUDGET exits 3 before any KL table
+    is built, and the last one inside it gets past both entry checks."""
+    builds = []
+    build = KLTable._build
+    monkeypatch.setattr(KLTable, "_build", lambda self, wid: builds.append(wid) or build(self, wid))
+    code, out, err = run(capsys, "phi-check", *flags, "--max-len", str(last + 1))
+    assert (code, out, builds) == (3, "", [])
+    assert err == f"refused: phi-check --max-len {last + 1} visits {pairs} pairs, over 5000\n"
+    _passes_the_entry_checks(monkeypatch, "phi-check", *flags, "--max-len", str(last))
     assert builds == []
+
+
+def test_phi_check_pair_count_is_the_pairs_it_visits(capsys, monkeypatch):
+    """The pair count that the budget reads off the length series is the
+    number of pairs phi-check compares: a budget of exactly that many
+    admits the call, one less refuses it."""
+    code, out, _ = run(capsys, "phi-check", "--type", "A1~", "--extended", "--max-len", "5")
+    assert code == 0 and out.splitlines()[-1] == "RESULT pass=244 fail=0"
+    monkeypatch.setattr(heckej.cli, "PHI_PAIR_BUDGET", 244)
+    heckej.cli._check_phi_pair_budget(GroupDescriptor("A1~", True), 5)
+    monkeypatch.setattr(heckej.cli, "PHI_PAIR_BUDGET", 243)
+    with pytest.raises(heckej.BudgetExceeded):
+        heckej.cli._check_phi_pair_budget(GroupDescriptor("A1~", True), 5)
 
 
 def test_phi_check_reads_off_only_the_pairs_the_cell_skip_keeps(capsys, monkeypatch):

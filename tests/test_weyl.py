@@ -1,7 +1,11 @@
 """Group arithmetic, normal forms, ball enumeration, Bruhat order."""
 
+import copy
 import itertools
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 
@@ -134,8 +138,8 @@ def test_normal_form_is_shortlex_least_reduced_word():
                 if g.element(word) == w
             ]
             assert min(reduced) == w.word
-            # each reduced word builds a separate element, equal to w and of its hash
-            assert {hash(g.element(word)) for word in reduced} == {hash(w)}
+            # each reduced word builds w itself
+            assert all(g.element(word) is w for word in reduced)
 
 
 def test_a_canonical_word_not_yet_interned_is_interned_on_first_use():
@@ -549,3 +553,71 @@ def test_long_word_refused_before_interning():
     assert len(g._words) == interned
     with pytest.raises(BudgetExceeded):
         g.element((0, 1, 2) * 27 + (0,))
+
+
+@pytest.mark.parametrize("affine_type", ["A1~", "A2~"])
+@pytest.mark.parametrize("extended", [False, True])
+def test_one_object_per_element(affine_type, extended):
+    """GroupElement is hash-consed: every way to build an element returns
+    the one object of its value, so hashing it by identity agrees with the
+    tuple's equality.  A copy that bypassed the table (pickle at protocols 0
+    and 1 does, unless __reduce__ goes through __new__) would be equal but
+    miss every memo keyed by the element."""
+    g = make_group(GroupDescriptor(affine_type, extended))
+    ball = g.enumerate_ball(4)
+    by_value = {tuple(w): w for w in ball}
+    fresh = WeylGroup(GroupDescriptor(affine_type, extended))
+    assert all(a is b for a, b in zip(fresh.enumerate_ball(4), ball, strict=True))
+    for w in ball:
+        assert hash(w) == object.__hash__(w)
+        built = [
+            GroupElement(GroupDescriptor(affine_type, extended), tuple(list(w.word)), w.omega),
+            g.element(list(w.word), w.omega),
+            fresh.element(w.word, w.omega),
+            GroupElement._make([w.desc, w.word, w.omega]),
+            w._replace(word=tuple(list(w.word))),
+            copy.copy(w),
+            copy.deepcopy(w),
+            next(iter(copy.deepcopy({w: 1}))),
+            g.inverse(g.inverse(w)),
+            g.multiply(w, g.identity),
+            g.multiply(g.identity, w),
+        ]
+        built += [pickle.loads(pickle.dumps(w, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        assert all(b is w for b in built)
+        inv = g.inverse(w)
+        assert by_value[tuple(inv)] is inv
+    for a in ball[:40]:
+        for b in ball[:40]:
+            ab = g.multiply(a, b)
+            assert by_value.get(tuple(ab), ab) is ab
+    # an element the group has made is known to it by identity
+    assert all(g._ids[w] == g._element_id(w) for w in ball)
+
+
+def test_threads_racing_on_new_elements_get_one_object(monkeypatch):
+    """Four threads, each with a fresh group, build the same ball from an
+    empty element table at once: each value has one object, which all four
+    hold."""
+    monkeypatch.setattr(heckej.weyl, "_ELEMENTS", {})
+    desc = GroupDescriptor("A2~", extended=True)
+    balls = [None] * 4
+
+    def build(k):
+        balls[k] = WeylGroup(desc).enumerate_ball(6)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    first = balls[0]
+    assert len(first) == len(set(map(tuple, first))) == len(heckej.weyl._ELEMENTS)
+    for ball in balls[1:]:
+        assert all(a is b for a, b in zip(ball, first, strict=True))
